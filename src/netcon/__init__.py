@@ -78,4 +78,4 @@ from .tree_solvers import (
     optimal_schedule,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -11,28 +11,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .graph import GraphError
 from .instances import (
     FAMILIES,
     GeneratorSpec,
     InstanceFormatError,
     generate,
     instance_to_dict,
+    read_family,
     read_instance,
     write_instance,
 )
 from .local_search import mst_heuristic, mst_loc
-from .metaheuristics import ILS, TS, SearchConfig, default_config, run
-from .model import (
-    IT_VARIANTS,
-    VARIANTS,
-    ModelError,
-    UndefinedGapError,
-    format_gap,
-    gap,
-)
+from .metaheuristics import ILS, TS, default_config, run
+from .model import VARIANTS, UndefinedGapError, format_gap, gap
 from .neighborhoods import NET, SCH
-from .tree_solvers import SizeGuardError, brute_force_instance
+from .solution import Solution
+from .tree_solvers import brute_force_instance
 
 ALGORITHMS = (
     "mst",
@@ -90,20 +84,15 @@ class RunRecord:
 
 
 def _run_algorithm(inst, algorithm: str, time_limit: float, seed: int, max_iters):
-    """Returns (objective, solution-or-None, params dict)."""
+    """Returns (solution, params dict)."""
     if algorithm == "mst":
-        sol = mst_heuristic(inst)
-        return sol.objective, sol, {}
+        return mst_heuristic(inst), {}
     if algorithm in ("mst-loc-net", "mst-loc-sch"):
         kind = NET if algorithm.endswith("net") else SCH
-        sol = mst_loc(inst, kind)
-        return sol.objective, sol, {"kind": kind}
+        return mst_loc(inst, kind), {"kind": kind}
     if algorithm == "oracle":
         obj, sched = brute_force_instance(inst)
-        from .solution import Solution
-
-        sol = Solution(sched.tree, sched, obj)
-        return obj, sol, {}
+        return Solution(sched.tree, sched, obj), {}
     meta, kind = algorithm.split("-")
     cfg = default_config(
         inst.variant,
@@ -117,38 +106,52 @@ def _run_algorithm(inst, algorithm: str, time_limit: float, seed: int, max_iters
     params: dict = {"time_limit": cfg.time_limit}
     if cfg.algorithm == ILS:
         params["shake_p"] = cfg.shake_p
-        params["accept"] = cfg.accept
+        params["accept"] = "always"  # ILS moves to every new local optimum
     else:
         params["tenure_min"] = cfg.tenure_min
         params["tenure_max"] = cfg.tenure_max
     if cfg.max_iters is not None:
         params["max_iters"] = cfg.max_iters
-    return sol.objective, sol, params
+    return sol, params
 
 
-def _solve_one(path: str, algorithm: str, time_limit: float, seed: int, max_iters) -> RunRecord:
+def _run(path, algorithm: str, time_limit=600.0, seed=0, max_iters=None):
+    """Read one instance file and time one algorithm on it.
+
+    Returns the run record and the solution found.
+    """
     inst = read_instance(path)
-    family = _read_family(path)
     start = time.monotonic()
-    objective, _, params = _run_algorithm(inst, algorithm, time_limit, seed, max_iters)
+    sol, params = _run_algorithm(inst, algorithm, time_limit, seed, max_iters)
     wall_ms = int((time.monotonic() - start) * 1000)
-    return RunRecord(
+    record = RunRecord(
         instance=str(path),
         variant=inst.variant,
-        family=family,
+        family=read_family(path) or "",
         n=inst.net.n,
         algorithm=algorithm,
         seed=seed,
-        objective=objective,
+        objective=sol.objective,
         wall_ms=wall_ms,
         params=params,
     )
+    return record, sol
 
 
-def _read_family(path) -> str:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return doc.get("family", "")
+def _print_run(record: RunRecord, sol, **extra) -> None:
+    doc = {
+        "instance": record.instance,
+        "variant": record.variant,
+        "n": record.n,
+        "algorithm": record.algorithm,
+        "objective": record.objective,
+        "order": list(sol.schedule.order),
+        "tree": sorted(sol.tree.edge_ids),
+        **extra,
+    }
+    # timing stays off stdout so identical runs emit identical bytes
+    print(json.dumps(doc, sort_keys=True))
+    print(f"wall_ms={record.wall_ms}", file=sys.stderr)
 
 
 def cmd_generate(args) -> int:
@@ -165,58 +168,15 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    inst = read_instance(args.instance)
-    start = time.monotonic()
-    objective, sol, params = _run_algorithm(
-        inst, args.algo, args.time_limit, args.seed, args.max_iters
-    )
-    wall_ms = int((time.monotonic() - start) * 1000)
-    doc = {
-        "instance": str(args.instance),
-        "variant": inst.variant,
-        "n": inst.net.n,
-        "algorithm": args.algo,
-        "seed": args.seed,
-        "objective": objective,
-        "order": list(sol.schedule.order),
-        "tree": sorted(sol.tree.edge_ids),
-        "params": params,
-    }
-    # timing stays off stdout so identical runs emit identical bytes
-    print(json.dumps(doc, sort_keys=True))
-    print(f"wall_ms={wall_ms}", file=sys.stderr)
+    record, sol = _run(args.instance, args.algo, args.time_limit, args.seed, args.max_iters)
+    _print_run(record, sol, seed=record.seed, params=record.params)
     if args.csv:
-        record = RunRecord(
-            instance=str(args.instance),
-            variant=inst.variant,
-            family=_read_family(args.instance),
-            n=inst.net.n,
-            algorithm=args.algo,
-            seed=args.seed,
-            objective=objective,
-            wall_ms=wall_ms,
-            params=params,
-        )
         _append_csv(args.csv, [record])
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    inst = read_instance(args.instance)
-    start = time.monotonic()
-    objective, sched = brute_force_instance(inst)
-    wall_ms = int((time.monotonic() - start) * 1000)
-    doc = {
-        "instance": str(args.instance),
-        "variant": inst.variant,
-        "n": inst.net.n,
-        "algorithm": "oracle",
-        "objective": objective,
-        "order": list(sched.order),
-        "tree": sorted(sched.tree.edge_ids),
-    }
-    print(json.dumps(doc, sort_keys=True))
-    print(f"wall_ms={wall_ms}", file=sys.stderr)
+    _print_run(*_run(args.instance, "oracle"))
     return EXIT_OK
 
 
@@ -247,18 +207,18 @@ def cmd_bench(args) -> int:
         for seed in seeds
     ]
     if args.jobs == 1:
-        records = [_solve_one(*t) for t in tasks]
+        records = [_solve_one(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_solve_one_star, tasks))
+            records = list(pool.map(_solve_one, tasks))
     records.sort(key=lambda r: (r.instance, r.algorithm, r.seed))
     _append_csv(args.out, records)
     print(args.out)
     return EXIT_OK
 
 
-def _solve_one_star(task):
-    return _solve_one(*task)
+def _solve_one(task) -> RunRecord:
+    return _run(*task)[0]
 
 
 def cmd_report(args) -> int:
@@ -429,7 +389,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceFormatError, ModelError, GraphError, SizeGuardError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # every netcon error type is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -89,11 +89,12 @@ class _UnionFind:
         self.parent = list(range(n))
 
     def find(self, x: int) -> int:
+        parent = self.parent
         root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
         return root
 
     def union(self, x: int, y: int) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Network, _floyd_warshall, minimum_spanning_tree
+from .graph import Network, _floyd_warshall, _UnionFind, minimum_spanning_tree
 from .model import L, L_ETPC, SWRT, USRT, VARIANTS, ProblemInstance
 
 FORMAT_VERSION = 1
@@ -153,19 +153,10 @@ def _planar_road(rng: random.Random, n: int) -> Network:
         ((i, j) for i in range(n) for j in range(i + 1, n)),
         key=lambda p: (d2(*p), p),
     )
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind(n)
     chosen: list[tuple[int, int]] = []
     for i, j in all_pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+        if uf.union(i, j):
             chosen.append((i, j))
             if len(chosen) == n - 1:
                 break

@@ -18,7 +18,6 @@ from .neighborhoods import (
     NET,
     SCH,
     EdgeExchange,
-    PairShift,
     VertexShift,
     a_et,
     a_it,
@@ -54,7 +53,6 @@ class SearchConfig:
     tenure_max: int | None = None  # TS
     max_iters: int | None = None  # optional deterministic stopping point
     target_objective: int | None = None  # stop early once reached
-    accept: str = "always"  # ILS acceptance: "always" or "better"
 
     def __post_init__(self):
         if self.algorithm not in (ILS, TS):
@@ -69,21 +67,25 @@ class SearchConfig:
             and not 0 < self.tenure_min <= self.tenure_max
         ):
             raise ValueError("need 0 < tenure_min <= tenure_max")
-        if self.accept not in ("always", "better"):
-            raise ValueError(f"unknown acceptance rule {self.accept!r}")
 
 
 def default_config(variant: str, algorithm: str, kind: str, **overrides) -> SearchConfig:
     """Config populated with the recommended parameters for the variant."""
-    params = DEFAULT_PARAMS[variant]
-    key = f"{algorithm.lower()}_{kind.lower()}"
-    cfg = SearchConfig(algorithm=algorithm, kind=kind)
-    if algorithm == ILS:
-        cfg = replace(cfg, shake_p=params[key])
-    else:
-        lo, hi = params[key]
-        cfg = replace(cfg, tenure_min=lo, tenure_max=hi)
-    return replace(cfg, **overrides)
+    return _fill_defaults(variant, SearchConfig(algorithm=algorithm, kind=kind, **overrides))
+
+
+def _fill_defaults(variant: str, cfg: SearchConfig) -> SearchConfig:
+    """Each unset control parameter of the config's algorithm, taken from
+    DEFAULT_PARAMS; parameters already set are kept."""
+    default = DEFAULT_PARAMS[variant][f"{cfg.algorithm.lower()}_{cfg.kind.lower()}"]
+    if cfg.algorithm == ILS:
+        return replace(cfg, shake_p=default if cfg.shake_p is None else cfg.shake_p)
+    lo, hi = default
+    return replace(
+        cfg,
+        tenure_min=lo if cfg.tenure_min is None else cfg.tenure_min,
+        tenure_max=hi if cfg.tenure_max is None else cfg.tenure_max,
+    )
 
 
 class TabuList:
@@ -185,7 +187,7 @@ def iterated_local_search(inst: ProblemInstance, cfg: SearchConfig) -> Solution:
     """ILS: MST-LOC start, then shake / descend cycles until the time limit."""
     if cfg.algorithm != ILS:
         raise ValueError("config is not an ILS config")
-    cfg = _fill_defaults(inst, cfg)
+    cfg = _fill_defaults(inst.variant, cfg)
     rng = random.Random(cfg.seed)
     deadline = _Deadline(cfg.time_limit)
     incumbent = best = mst_loc(inst, cfg.kind)
@@ -198,8 +200,7 @@ def iterated_local_search(inst: ProblemInstance, cfg: SearchConfig) -> Solution:
         local = loc(inst, shaken, cfg.kind)
         if local.objective < best.objective:
             best = local
-        if cfg.accept == "always" or local.objective < incumbent.objective:
-            incumbent = local
+        incumbent = local
     return best
 
 
@@ -207,7 +208,7 @@ def tabu_search(inst: ProblemInstance, cfg: SearchConfig) -> Solution:
     """TS: full-neighborhood steps with per-item tabu tenures."""
     if cfg.algorithm != TS:
         raise ValueError("config is not a TS config")
-    cfg = _fill_defaults(inst, cfg)
+    cfg = _fill_defaults(inst.variant, cfg)
     rng = random.Random(cfg.seed)
     deadline = _Deadline(cfg.time_limit)
     incumbent = best = mst_loc(inst, cfg.kind)
@@ -250,17 +251,6 @@ def run(inst: ProblemInstance, cfg: SearchConfig) -> Solution:
     if cfg.algorithm == ILS:
         return iterated_local_search(inst, cfg)
     return tabu_search(inst, cfg)
-
-
-def _fill_defaults(inst: ProblemInstance, cfg: SearchConfig) -> SearchConfig:
-    params = DEFAULT_PARAMS[inst.variant]
-    key = f"{cfg.algorithm.lower()}_{cfg.kind.lower()}"
-    if cfg.algorithm == ILS and cfg.shake_p is None:
-        cfg = replace(cfg, shake_p=params[key])
-    if cfg.algorithm == TS and (cfg.tenure_min is None or cfg.tenure_max is None):
-        lo, hi = params[key]
-        cfg = replace(cfg, tenure_min=lo, tenure_max=hi)
-    return cfg
 
 
 def _hit_target(best: Solution, cfg: SearchConfig) -> bool:

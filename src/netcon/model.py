@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Network, SpanningTree
+from .graph import Network, SpanningTree, _UnionFind
 
 USRT = "USRT"
 SWRT = "SWRT"
@@ -150,18 +150,16 @@ class PSequence:
 
 def check_it_feasible(net: Network, sched: EdgeSchedule) -> bool:
     """True iff every prefix of the order forms a connected depot subtree."""
-    spanned = [False] * net.n
-    spanned[net.depot] = True
-    for eid in sched.order:
-        a, b, _ = net.edges[eid]
-        if not (spanned[a] or spanned[b]):
-            return False
-        spanned[a] = spanned[b] = True
+    try:
+        _recovery_times(net, sched)
+    except InfeasibleScheduleError:
+        return False
     return True
 
 
 def _recovery_times(net: Network, sched: EdgeSchedule) -> dict[int, int]:
-    """Recovery time per non-depot vertex; raises on infeasible IT orders."""
+    """Recovery time per non-depot vertex, keyed in recovery order; raises on
+    infeasible IT orders."""
     spanned = [False] * net.n
     spanned[net.depot] = True
     t = 0
@@ -181,23 +179,15 @@ def _pair_connection_times(
     net: Network, sched: EdgeSchedule, pairs
 ) -> dict[tuple[int, int], int]:
     """Connection time of each requested pair under the given order."""
-    comp = list(range(net.n))
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
+    uf = _UnionFind(net.n)
+    find = uf.find
     pending = set(pairs)
     times: dict[tuple[int, int], int] = {}
     t = 0
     for eid in sched.order:
         a, b, w = net.edges[eid]
         t += w
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            comp[max(ra, rb)] = min(ra, rb)
+        uf.union(a, b)
         for pair in list(pending):
             if find(pair[0]) == find(pair[1]):
                 times[pair] = t
@@ -225,18 +215,7 @@ def vertex_recovery_sequence(inst: ProblemInstance, sched: EdgeSchedule) -> VSeq
         raise UnsupportedVariantError(
             f"vertex recovery is undefined for variant {inst.variant}"
         )
-    net = inst.net
-    spanned = [False] * net.n
-    spanned[net.depot] = True
-    order = []
-    for pos, eid in enumerate(sched.order):
-        a, b, _ = net.edges[eid]
-        if not (spanned[a] or spanned[b]):
-            raise InfeasibleScheduleError(pos, eid)
-        new = b if spanned[a] else a
-        spanned[new] = True
-        order.append(new)
-    return VSequence(tuple(order))
+    return VSequence(tuple(_recovery_times(inst.net, sched)))
 
 
 def pairs_connection_sequence(
@@ -252,21 +231,14 @@ def pairs_connection_sequence(
         wanted = set(inst.relevant_pairs)
     else:
         wanted = None
-    comp = list(range(net.n))
+    uf = _UnionFind(net.n)
     members: list[list[int]] = [[v] for v in range(net.n)]
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
     order: list[tuple[int, int]] = []
     starts: list[int] = []
     for eid in sched.order:
         starts.append(len(order))
         a, b, _ = net.edges[eid]
-        ra, rb = find(a), find(b)
+        ra, rb = uf.find(a), uf.find(b)
         if ra == rb:
             continue
         group = sorted(
@@ -275,8 +247,8 @@ def pairs_connection_sequence(
         if wanted is not None:
             group = [p for p in group if p in wanted]
         order.extend(group)
+        uf.union(ra, rb)
         keep, drop = min(ra, rb), max(ra, rb)
-        comp[drop] = keep
         members[keep].extend(members[drop])
         members[drop] = []
     return PSequence(tuple(order), tuple(starts))

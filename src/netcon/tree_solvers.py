@@ -6,7 +6,6 @@ transportation setting.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb
 
@@ -28,33 +27,13 @@ class SizeGuardError(ValueError):
     """Brute-force budget exceeded."""
 
 
-@dataclass(frozen=True)
-class OutTreeJobSet:
-    """Per-edge jobs of a spanning tree with out-tree precedence."""
-
-    tree: SpanningTree
-    vertices: tuple[int, ...]  # far endpoints, one job per tree edge
-    length: dict[int, int]  # far endpoint -> processing time
-    parent: dict[int, int]  # far endpoint -> parent vertex (depot for roots)
-
-    @classmethod
-    def from_tree(cls, tree: SpanningTree) -> "OutTreeJobSet":
-        net = tree.net
-        vertices = tuple(v for v in range(net.n) if v != net.depot)
-        length = {}
-        parent = {}
-        for v in vertices:
-            p, eid = tree.parent[v]
-            length[v] = net.edges[eid][2]
-            parent[v] = p
-        return cls(tree, vertices, length, parent)
-
-    def children(self) -> dict[int, list[int]]:
-        kids: dict[int, list[int]] = {v: [] for v in self.vertices}
-        kids[self.tree.net.depot] = []
-        for v in self.vertices:
-            kids[self.parent[v]].append(v)
-        return kids
+def _children(tree: SpanningTree) -> list[list[int]]:
+    """Per vertex: its children in the tree, ascending."""
+    kids: list[list[int]] = [[] for _ in range(tree.net.n)]
+    for v, (p, _) in enumerate(tree.parent):
+        if p >= 0:
+            kids[p].append(v)
+    return kids
 
 
 def _order_to_schedule(tree: SpanningTree, vertex_order) -> EdgeSchedule:
@@ -70,13 +49,14 @@ def es_swrt(inst: ProblemInstance, tree: SpanningTree) -> EdgeSchedule:
     """
     if inst.variant not in (USRT, SWRT):
         raise ValueError(f"es_swrt does not apply to variant {inst.variant}")
-    jobs = OutTreeJobSet.from_tree(tree)
-    depot = tree.net.depot
-    seq: dict[int, list[int]] = {v: [v] for v in jobs.vertices}
+    net = tree.net
+    depot = net.depot
+    vertices = [v for v in range(net.n) if v != depot]
+    seq: dict[int, list[int]] = {v: [v] for v in vertices}
     seq[depot] = []
-    weight = {v: inst.weights[v] for v in jobs.vertices}
-    length = dict(jobs.length)
-    leader: dict[int, int] = {v: v for v in list(jobs.vertices) + [depot]}
+    weight = {v: inst.weights[v] for v in vertices}
+    length = {v: net.edges[tree.parent[v][1]][2] for v in vertices}
+    leader: dict[int, int] = {v: v for v in range(net.n)}
 
     def find(v: int) -> int:
         while leader[v] != v:
@@ -84,13 +64,13 @@ def es_swrt(inst: ProblemInstance, tree: SpanningTree) -> EdgeSchedule:
             v = leader[v]
         return v
 
-    active = set(jobs.vertices)
+    active = set(vertices)
     while active:
         best = None
         for h in sorted(active):
             if best is None or weight[h] * length[best] > weight[best] * length[h]:
                 best = h
-        p = find(jobs.parent[best])
+        p = find(tree.parent[best][0])
         seq[p].extend(seq[best])
         if p != depot:
             weight[p] += weight[best]
@@ -108,10 +88,9 @@ def es_lmax(inst: ProblemInstance, tree: SpanningTree) -> EdgeSchedule:
     """
     if inst.variant != L:
         raise ValueError(f"es_lmax does not apply to variant {inst.variant}")
-    jobs = OutTreeJobSet.from_tree(tree)
-    kids = jobs.children()
-    pending_kids = {v: len(kids[v]) for v in jobs.vertices}
-    remaining = set(jobs.vertices)
+    depot = tree.net.depot
+    pending_kids = [len(k) for k in _children(tree)]
+    remaining = {v for v in range(tree.net.n) if v != depot}
     due = inst.vertex_due_dates
     tail: list[int] = []
     while remaining:
@@ -123,9 +102,7 @@ def es_lmax(inst: ProblemInstance, tree: SpanningTree) -> EdgeSchedule:
                 best = v
         tail.append(best)
         remaining.discard(best)
-        p = jobs.parent[best]
-        if p != tree.net.depot:
-            pending_kids[p] -= 1
+        pending_kids[tree.parent[best][0]] -= 1
     return _order_to_schedule(tree, tail[::-1])
 
 
@@ -174,9 +151,8 @@ def brute_force_tree(inst: ProblemInstance, tree: SpanningTree):
 
 def _brute_force_it(inst: ProblemInstance, tree: SpanningTree):
     """Enumerate out-tree linear extensions with incremental pruning."""
-    jobs = OutTreeJobSet.from_tree(tree)
-    kids = jobs.children()
-    depot = tree.net.depot
+    net = tree.net
+    kids = _children(tree)
     weights = inst.weights if inst.variant in (USRT, SWRT) else None
     due = inst.vertex_due_dates if inst.variant == L else None
     is_sum = weights is not None
@@ -194,7 +170,7 @@ def _brute_force_it(inst: ProblemInstance, tree: SpanningTree):
             best_order = list(chosen)
             return
         for i, v in enumerate(available):
-            t2 = t + jobs.length[v]
+            t2 = t + net.edges[tree.parent[v][1]][2]
             if is_sum:
                 p2 = partial + weights[v] * t2
             else:
@@ -208,7 +184,7 @@ def _brute_force_it(inst: ProblemInstance, tree: SpanningTree):
             chosen.pop()
 
     start = -(10**18) if due is not None else 0
-    rec(sorted(kids[depot]), 0, start)
+    rec(kids[net.depot], 0, start)
     return best_obj, _order_to_schedule(tree, best_order)
 
 

@@ -1,8 +1,11 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import netcon
 from netcon import ProblemInstance, USRT, write_instance
 from netcon.cli import main
 from netcon.instances import GeneratorSpec, generate
@@ -58,6 +61,12 @@ class TestGenerate:
             run_cli(capsys, "generate", "--family", "bogus", "--n", "5",
                     "--variant", "USRT")
         assert exc.value.code == 2
+
+    def test_too_small_n(self, capsys):
+        code, _, err = run_cli(capsys, "generate", "--family", "euclidean_complete",
+                               "--n", "1", "--variant", "USRT")
+        assert code == 3
+        assert "n must be at least 2" in err
 
 
 class TestSolve:
@@ -200,8 +209,29 @@ class TestBenchReport:
         assert code == 3
         assert tri_usrt in err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--jobs", "0", "max_workers"),
+        ("--seeds", "x", "invalid literal"),
+    ])
+    def test_bench_bad_flag(self, capsys, tmp_path, flag, value, message):
+        d = self.make_dir(tmp_path, count=1)
+        out = tmp_path / "res.csv"
+        code, _, err = run_cli(
+            capsys, "bench", "--instances-dir", str(d), "--algos", "mst",
+            "--out", str(out), flag, value,
+        )
+        assert code == 3
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
+
     def test_report_bad_columns(self, capsys, tmp_path):
         res = tmp_path / "r.csv"
         res.write_text("a,b\n1,2\n")
         code, _, _ = run_cli(capsys, "report", "--results", str(res))
         assert code == 3
+
+
+def test_version_matches_pyproject():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version\s*=\s*"([^"]+)"', pyproject, re.MULTILINE).group(1)
+    assert netcon.__version__ == declared

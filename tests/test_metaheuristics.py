@@ -21,7 +21,7 @@ from netcon import (
     solve_tree,
     tabu_search,
 )
-from netcon.metaheuristics import TabuList
+from netcon.metaheuristics import TabuList, _fill_defaults
 
 from helpers import random_instance, random_spanning_tree, tri
 
@@ -47,6 +47,12 @@ class TestConfig:
         cfg = default_config("L_ETPC", TS, SCH)
         assert (cfg.tenure_min, cfg.tenure_max) == (5, 17)
 
+    def test_fill_keeps_set_fields(self):
+        cfg = _fill_defaults("USRT", SearchConfig(algorithm=TS, kind=NET, tenure_min=2))
+        assert (cfg.tenure_min, cfg.tenure_max) == (2, 17)
+        cfg = _fill_defaults("USRT", SearchConfig(algorithm=ILS, kind=NET, shake_p=0.5))
+        assert cfg.shake_p == 0.5
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(algorithm="BOGUS", kind=NET)
@@ -56,8 +62,6 @@ class TestConfig:
             SearchConfig(algorithm=ILS, kind=NET, shake_p=1.5)
         with pytest.raises(ValueError):
             SearchConfig(algorithm=TS, kind=NET, tenure_min=9, tenure_max=3)
-        with pytest.raises(ValueError):
-            SearchConfig(algorithm=ILS, kind=NET, accept="sometimes")
         with pytest.raises(ValueError):
             tabu_search(
                 ProblemInstance(tri(), USRT), SearchConfig(algorithm=ILS, kind=NET)
