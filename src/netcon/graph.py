@@ -51,6 +51,13 @@ class Network:
             if key in seen:
                 raise GraphError(f"duplicate edge between {key[0]} and {key[1]}")
             seen.add(key)
+        # every int64 distance sum (Floyd-Warshall, tips, contraction) adds two
+        # entries of at most total_length + 1
+        if 2 * (self.total_length + 1) >= 2**63:
+            raise GraphError(
+                f"total edge length {self.total_length} exceeds 2**62 - 2, "
+                "the largest that int64 distance sums can hold"
+            )
         # connectivity
         uf = _UnionFind(self.n)
         for a, b, _ in self.edges:
@@ -221,11 +228,6 @@ class SpanningTree:
         return cls(net, ids, tuple(parent))
 
     @cached_property
-    def edge_child(self) -> dict[int, int]:
-        """Edge id -> the endpoint farther from the depot."""
-        return {eid: v for v, (_, eid) in enumerate(self.parent) if eid >= 0}
-
-    @cached_property
     def depth(self) -> tuple[int, ...]:
         d = [-1] * self.net.n
         d[self.net.depot] = 0
@@ -283,6 +285,29 @@ def spanning_tree_cycle(tree: SpanningTree, non_tree_edge: int) -> list[int]:
         raise GraphError(f"edge {non_tree_edge} is already in the tree")
     a, b, _ = tree.net.edges[non_tree_edge]
     return tree.path_edges(a, b)
+
+
+def _walk_back(t: int, d, nbrs) -> list[int]:
+    """Edge ids of the canonical shortest path from the source to ``t``, in
+    order from the source.
+
+    ``d`` holds distances from the source, 0 only at the source; ``nbrs(x)``
+    yields ``(neighbor, length, edge id)`` in ascending neighbor order.  The
+    predecessor of ``w`` is the smallest ``p`` with ``d[p] + length == d[w]``.
+    """
+    path = []
+    cur = t
+    while d[cur]:
+        target = d[cur]
+        for p, length, eid in nbrs(cur):
+            if d[p] + length == target:
+                path.append(eid)
+                cur = p
+                break
+        else:  # pragma: no cover - impossible for consistent state
+            raise GraphError("distance matrix inconsistent with adjacency")
+    path.reverse()
+    return path
 
 
 class ContractedGraph:
@@ -372,26 +397,17 @@ class ContractedGraph:
         """Original edge ids of the canonical shortest path between the
         super-vertices of ``a`` and ``b``.
 
-        The canonical rule walks back from the larger representative: the
-        predecessor of ``w`` is the smallest adjacent representative ``p``
-        with ``dist[s, p] + len(p, w) == dist[s, w]``.
+        The canonical rule (``_walk_back``) walks back from the larger
+        representative: the predecessor of ``w`` is the smallest adjacent
+        representative ``p`` with ``dist[s, p] + len(p, w) == dist[s, w]``,
+        where ``s`` is the smaller representative.
         """
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             raise GraphError("endpoints are in the same super-vertex")
-        s, t = min(ra, rb), max(ra, rb)
-        dist = self.dist
-        path = []
-        cur = t
-        while cur != s:
-            target = dist[s, cur]
-            for p in sorted(self.adj[cur]):
-                length, eid = self.adj[cur][p]
-                if dist[s, p] + length == target:
-                    path.append(eid)
-                    cur = p
-                    break
-            else:  # pragma: no cover - impossible for consistent state
-                raise GraphError("distance matrix inconsistent with adjacency")
-        path.reverse()
-        return path
+        adj = self.adj
+        return _walk_back(
+            max(ra, rb),
+            self.dist[min(ra, rb)].tolist(),
+            lambda x: sorted((p, length, eid) for p, (length, eid) in adj[x].items()),
+        )

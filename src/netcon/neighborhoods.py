@@ -8,6 +8,7 @@ sequence yields the same tree.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .graph import (
     GraphError,
     Network,
     SpanningTree,
+    _walk_back,
     cached_oracle,
     spanning_tree_cycle,
 )
@@ -52,9 +54,6 @@ class VertexShift:
 class PairShift:
     pair: tuple[int, int]
     to_group: int
-
-
-Move = EdgeExchange | VertexShift | PairShift
 
 
 def enumerate_edge_exchange(net: Network, tree: SpanningTree):
@@ -118,123 +117,55 @@ def apply_pair_shift(seq: PSequence, move: PairShift) -> tuple[tuple[int, int], 
 
 def a_it(net: Network, oracle: DistanceOracle, s: VSequence) -> SpanningTree:
     """Grow a depot tree by attaching the first unspanned sequence vertex via
-    a shortest path to the current tree."""
+    a shortest path to the current tree.
+
+    The path is the one ``a_et`` would choose on the state "tree plus
+    singletons": the tree acts as one super-vertex whose id is its smallest
+    member ``root``, and the walk starts from the larger of ``v`` and ``root``.
+    """
     n = net.n
     dist = oracle.dist
-    in_tree = np.zeros(n, dtype=bool)
+    adjacency = net.adjacency
+    in_tree = [False] * n
     in_tree[net.depot] = True
-    tree_min = net.depot
+    root = net.depot
     # nearest-tree-vertex distance per vertex
     d_tree = dist[net.depot].copy()
     chosen: set[int] = set()
 
-    def absorb(vertex: int):
-        nonlocal tree_min
-        in_tree[vertex] = True
-        np.minimum(d_tree, dist[vertex], out=d_tree)
-        if vertex < tree_min:
-            tree_min = vertex
+    def into_tree(x: int):
+        """Shortest (length, edge id) from singleton ``x`` into the tree."""
+        best = None
+        for y, eid, length in adjacency[x]:
+            if in_tree[y] and (best is None or (length, eid) < best):
+                best = (length, eid)
+        return best
+
+    def nbrs(x: int):
+        if x == root:  # the tree's neighbors, scanned lazily
+            return ((y, *e) for y in range(n) if not in_tree[y] and (e := into_tree(y)))
+        singles = [(y, length, eid) for y, eid, length in adjacency[x] if not in_tree[y]]
+        entry = into_tree(x)
+        if entry:
+            bisect.insort(singles, (root, *entry))
+        return singles
 
     for v in s.order:
         if in_tree[v]:
             continue
-        path = _attach_path(net, dist, d_tree, in_tree, tree_min, v)
+        if v > root:
+            d = d_tree.tolist()
+        else:
+            d = np.minimum(dist[v], d_tree[v] + d_tree).tolist()
+        path = _walk_back(max(v, root), d, nbrs)
         chosen.update(path)
         for eid in path:
-            a, b, _ = net.edges[eid]
-            if not in_tree[a]:
-                absorb(a)
-            if not in_tree[b]:
-                absorb(b)
+            for x in net.edges[eid][:2]:
+                if not in_tree[x]:
+                    in_tree[x] = True
+                    np.minimum(d_tree, dist[x], out=d_tree)
+                    root = min(root, x)
     return SpanningTree.from_edges(net, chosen)
-
-
-def _attach_path(net, dist, d_tree, in_tree, tree_min, v) -> list[int]:
-    """Canonical shortest path joining singleton ``v`` with the tree.
-
-    Emulates the contraction-based walk on the state "tree plus singletons":
-    the tree acts as one super-vertex whose id is its smallest member.
-    """
-    if v > tree_min:
-        return _walk_to_tree(net, d_tree, in_tree, tree_min, v)
-    return _walk_from_tree(net, dist, d_tree, in_tree, tree_min, v)
-
-
-def _walk_to_tree(net, d_tree, in_tree, tree_min, v) -> list[int]:
-    """Source is the tree; walk back from v choosing the smallest predecessor."""
-    path = []
-    cur = v
-    while True:
-        target = d_tree[cur]
-        tree_entry = None  # merged (length, edge id) towards the tree
-        singles = []
-        for x, eid, length in net.adjacency[cur]:
-            if in_tree[x]:
-                if tree_entry is None or (length, eid) < tree_entry:
-                    tree_entry = (length, eid)
-            else:
-                singles.append((x, length, eid))
-        # candidate representatives ascending; the tree competes at tree_min
-        cands: list[tuple[int, bool, int, int]] = [
-            (x, False, length, eid) for x, length, eid in singles
-        ]
-        if tree_entry is not None:
-            cands.append((tree_min, True, tree_entry[0], tree_entry[1]))
-        cands.sort(key=lambda c: c[0])
-        step = None
-        for rep, is_tree, length, eid in cands:
-            base = 0 if is_tree else d_tree[rep]
-            if base + length == target:
-                step = (is_tree, rep, eid)
-                break
-        if step is None:
-            raise GraphError("inconsistent distances while attaching a vertex")
-        path.append(step[2])
-        if step[0]:
-            path.reverse()
-            return path
-        cur = step[1]
-
-
-def _walk_from_tree(net, dist, d_tree, in_tree, tree_min, v) -> list[int]:
-    """Source is v (its id is below every tree id); walk back from the tree."""
-    total = d_tree[v]
-
-    def d_src(x):  # distance from v in the contracted view
-        return min(dist[v, x], d_tree[v] + d_tree[x])
-
-    # first step: smallest outside vertex adjacent to the tree on a shortest path
-    path = []
-    step = None
-    for x in range(net.n):
-        if in_tree[x]:
-            continue
-        entry = None
-        for y, eid, length in net.adjacency[x]:
-            if in_tree[y] and (entry is None or (length, eid) < entry):
-                entry = (length, eid)
-        if entry is not None and d_src(x) + entry[0] == total:
-            step = (x, entry[1])
-            break
-    if step is None:
-        raise GraphError("inconsistent distances while attaching a vertex")
-    path.append(step[1])
-    cur = step[0]
-    while cur != v:
-        target = d_src(cur)
-        step = None
-        for x, eid, length in net.adjacency[cur]:
-            if in_tree[x]:
-                continue  # re-entering the tree cannot lie on this path
-            if d_src(x) + length == target:
-                step = (x, eid)
-                break
-        if step is None:
-            raise GraphError("inconsistent distances while attaching a vertex")
-        path.append(step[1])
-        cur = step[0]
-    path.reverse()
-    return path
 
 
 def a_et(net: Network, s, oracle: DistanceOracle | None = None) -> SpanningTree:

@@ -12,6 +12,7 @@ from netcon import (
     L_ETPC,
     SWRT,
     USRT,
+    ContractedGraph,
     EdgeSchedule,
     Network,
     ProblemInstance,
@@ -156,7 +157,7 @@ def recompute_contracted(cg):
     over the surviving parallel-edge minima, plus the same canonical tip rule."""
     n = cg.net.n
     active = cg.active_vertices()
-    big = 1 << 40
+    big = cg.net.total_length + 1
     dist = np.full((n, n), big, dtype=np.int64)
     for v in active:
         dist[v, v] = 0
@@ -173,3 +174,27 @@ def recompute_contracted(cg):
 
     tips = _canonical_tips(dist, neighbors_of, active)
     return dist, tips
+
+
+def reference_rebuild(net: Network, pairs) -> SpanningTree:
+    """Independent sequence-to-tree rebuild: for each pair still split, follow
+    the ``recompute_contracted`` tips back from the larger representative to
+    the smaller one and contract the edges on that path."""
+    cg = ContractedGraph(net)
+    chosen = set()
+    for u, v in pairs:
+        ru, rv = cg.find(u), cg.find(v)
+        if ru == rv:
+            continue
+        s, cur = min(ru, rv), max(ru, rv)
+        _, tips = recompute_contracted(cg)
+        path = []
+        while cur != s:
+            prev = int(tips[s, cur])
+            path.append(cg.adj[cur][prev][1])
+            cur = prev
+        for eid in path:
+            a, b, _ = net.edges[eid]
+            cg.contract_edge(a, b)
+        chosen.update(path)
+    return SpanningTree.from_edges(net, chosen)

@@ -120,6 +120,20 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", str(bad), "--algo", "mst")
         assert code == 3
 
+    @pytest.mark.parametrize("length", [2**60, 2**63], ids=["2^60", "2^63"])
+    def test_lengths_beyond_int64_sums(self, capsys, tmp_path, length):
+        from netcon import Network
+
+        path = tmp_path / "big.json"
+        cycle = Network(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)))
+        write_instance(ProblemInstance(cycle, USRT), path)
+        doc = json.loads(path.read_text())
+        doc["edges"] = [[a, b, length] for a, b, _ in doc["edges"]]
+        path.write_text(json.dumps(doc))
+        code, stdout, err = run_cli(capsys, "solve", str(path), "--algo", "mst-loc-sch")
+        assert code == 3 and stdout == ""
+        assert "total edge length" in err
+
 
 class TestOracle:
     def test_tri(self, capsys, tri_usrt):

@@ -31,6 +31,23 @@ class TestNetwork:
         with pytest.raises(GraphError):
             Network(2, ((0, 1, 1),), depot=5)
 
+    def test_total_length_bound(self):
+        # at 4 * 2**60 the int64 Floyd-Warshall sums used to wrap to negatives
+        cycle = ((0, 1, 2**60), (1, 2, 2**60), (2, 3, 2**60), (0, 3, 2**60))
+        with pytest.raises(GraphError, match="total edge length"):
+            Network(4, cycle)
+        with pytest.raises(GraphError, match="total edge length"):
+            Network(2, ((0, 1, 2**63),))
+        at_limit = Network(4, cycle[:3] + ((0, 3, 2**60 - 2),))
+        assert at_limit.total_length == 2**62 - 2
+        dist = all_pairs_shortest_paths(at_limit).dist
+        expected = nx_distances(at_limit)
+        assert all(int(dist[u, v]) == d for (u, v), d in expected.items())
+        cg = ContractedGraph(at_limit)
+        cg.contract_edge(1, 2)
+        ix = np.ix_(cg.active_vertices(), cg.active_vertices())
+        assert np.array_equal(cg.dist[ix], recompute_contracted(cg)[0][ix])
+
     def test_basic_props(self):
         net = tri()
         assert net.m == 3

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -40,6 +41,7 @@ from helpers import (
     random_instance,
     random_network,
     random_spanning_tree,
+    reference_rebuild,
     tri,
 )
 
@@ -160,6 +162,21 @@ class TestAEt:
             t_it = a_it(net, cached_oracle(net), vseq)
             t_et = a_et(net, pseq)
             assert set(t_it.edge_ids) == set(t_et.edge_ids)
+
+    def test_rebuilds_match_reference_walk(self):
+        # ties are frequent with unit-to-three lengths on complete graphs
+        rng = random.Random(47)
+        for i in range(300):
+            net = random_network(
+                rng, rng.randint(2, 9), max_len=rng.choice((1, 2, 3)), complete=i % 2 == 0
+            )
+            order = [v for v in range(net.n) if v != net.depot]
+            rng.shuffle(order)
+            expected = reference_rebuild(net, [(net.depot, v) for v in order])
+            assert a_it(net, cached_oracle(net), VSequence(tuple(order))) == expected
+            pairs = list(itertools.combinations(range(net.n), 2))
+            rng.shuffle(pairs)
+            assert a_et(net, pairs) == reference_rebuild(net, pairs)
 
     def test_reduced_sequence_completes(self):
         rng = random.Random(44)

@@ -25,6 +25,11 @@ from netcon import (
 from helpers import attach_data, random_network, random_spanning_tree, tri
 
 
+def unit_star() -> Network:
+    """Depot 0 joined to vertices 1..4 by unit edges e0..e3."""
+    return Network(5, tuple((0, k, 1) for k in range(1, 5)))
+
+
 def solve_obj(inst, tree):
     sched = optimal_schedule(inst, tree)
     return evaluate(inst, sched)[0], sched
@@ -60,6 +65,18 @@ class TestEsSwrt:
         with pytest.raises(ValueError):
             es_swrt(inst, SpanningTree.from_edges(tri(), [0, 2]))
 
+    def test_equal_ratio_star_smallest_head_first(self):
+        inst = ProblemInstance(unit_star(), USRT)
+        sched = es_swrt(inst, SpanningTree.from_edges(unit_star(), range(4)))
+        assert sched.order == (0, 1, 2, 3)
+
+    def test_equal_ratio_two_levels(self):
+        # every weight/length ratio is 1; merged blocks keep ratio 1
+        net = Network(5, ((0, 1, 2), (0, 2, 1), (1, 3, 1), (2, 4, 3)))
+        inst = ProblemInstance(net, SWRT, weights=(1, 2, 1, 1, 3))
+        sched = es_swrt(inst, SpanningTree.from_edges(net, range(4)))
+        assert sched.order == (0, 1, 2, 3)
+
 
 class TestEsLmax:
     def test_star_due_dates(self):
@@ -88,6 +105,17 @@ class TestEsLmax:
             inst = ProblemInstance(net, L, vertex_due_dates=(d,) * net.n)
             sched = es_lmax(inst, tree)
             assert evaluate(inst, sched)[0] == tree.total_length - d
+
+    def test_equal_due_star_smallest_vertex_last(self):
+        inst = ProblemInstance(unit_star(), L, vertex_due_dates=(0,) * 5)
+        sched = es_lmax(inst, SpanningTree.from_edges(unit_star(), range(4)))
+        assert sched.order == (3, 2, 1, 0)
+
+    def test_equal_due_two_levels(self):
+        net = Network(5, ((0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 4, 1)))
+        inst = ProblemInstance(net, L, vertex_due_dates=(4,) * 5)
+        sched = es_lmax(inst, SpanningTree.from_edges(net, range(4)))
+        assert sched.order == (1, 3, 0, 2)
 
 
 class TestEsLetpc:
