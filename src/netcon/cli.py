@@ -199,7 +199,14 @@ def cmd_bench(args) -> int:
     for a in algos:
         if a not in ALGORITHMS:
             raise InstanceFormatError("algos", f"unknown algorithm {a!r}")
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    if args.jobs < 1:
+        raise ValueError(f"--jobs: must be at least 1, got {args.jobs}")
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError:
+        raise ValueError(
+            f"--seeds: expected comma-separated integers, got {args.seeds!r}"
+        ) from None
     tasks = [
         (str(path), algo, args.time_limit, seed, args.max_iters)
         for path in instances

@@ -51,7 +51,7 @@ class Network:
             if key in seen:
                 raise GraphError(f"duplicate edge between {key[0]} and {key[1]}")
             seen.add(key)
-        # every int64 distance sum (Floyd-Warshall, tips, contraction) adds two
+        # every int64 distance sum (Floyd-Warshall, contraction) adds two
         # entries of at most total_length + 1
         if 2 * (self.total_length + 1) >= 2**63:
             raise GraphError(
@@ -72,12 +72,6 @@ class Network:
     @cached_property
     def total_length(self) -> int:
         return sum(w for _, _, w in self.edges)
-
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {
-            (min(a, b), max(a, b)): eid for eid, (a, b, _) in enumerate(self.edges)
-        }
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
@@ -122,41 +116,12 @@ def _floyd_warshall(dist: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _canonical_tips(
-    dist: np.ndarray, neighbors_of, vertices, inactive_value: int = -1
-) -> np.ndarray:
-    """Predecessor matrix derived purely from ``dist`` and the adjacency.
-
-    ``tip[u, v]`` is the smallest neighbor ``w`` of ``v`` lying on a shortest
-    ``u``-``v`` path, i.e. with ``dist[u, w] + len(w, v) == dist[u, v]``.
-    Being a function of the distance matrix alone (given the adjacency), the
-    same rule applied after an incremental distance update and after a full
-    recompute yields identical tips.
-    """
-    n = dist.shape[0]
-    tip = np.full((n, n), inactive_value, dtype=np.int64)
-    for v in vertices:
-        nbrs = neighbors_of(v)
-        if not nbrs:
-            tip[v, v] = v
-            continue
-        ws = np.fromiter((w for w, _ in nbrs), dtype=np.int64)
-        ls = np.fromiter((l for _, l in nbrs), dtype=np.int64)
-        cand = dist[:, ws] + ls
-        eq = cand == dist[:, v : v + 1]
-        idx = eq.argmax(axis=1)
-        tip[:, v] = ws[idx]
-        tip[v, v] = v
-    return tip
-
-
 @dataclass(frozen=True, eq=False)
 class DistanceOracle:
-    """All-pairs shortest-path distances plus backtracking tips."""
+    """All-pairs shortest-path distances."""
 
     net: Network
     dist: np.ndarray
-    tip: np.ndarray
 
 
 def all_pairs_shortest_paths(net: Network) -> DistanceOracle:
@@ -166,12 +131,7 @@ def all_pairs_shortest_paths(net: Network) -> DistanceOracle:
     for a, b, w in net.edges:
         dist[a, b] = dist[b, a] = w
     _floyd_warshall(dist)
-
-    def neighbors_of(v):
-        return [(w, l) for w, _, l in net.adjacency[v]]
-
-    tip = _canonical_tips(dist, neighbors_of, range(net.n))
-    return DistanceOracle(net, dist, tip)
+    return DistanceOracle(net, dist)
 
 
 @lru_cache(maxsize=64)
@@ -180,18 +140,17 @@ def cached_oracle(net: Network) -> DistanceOracle:
 
 
 def reconstruct_path(oracle: DistanceOracle, u: int, v: int) -> list[int]:
-    """Edge ids of a shortest u-v path, in order from u to v."""
+    """Edge ids of the canonical shortest u-v path (``_walk_back``), in order
+    from u to v."""
+    net = oracle.net
+    if not (0 <= u < net.n and 0 <= v < net.n):
+        raise GraphError(f"vertices {u} and {v} must lie in [0, {net.n})")
     if u == v:
         raise EmptyPathError("no path between a vertex and itself")
-    index = oracle.net.edge_index
-    path = []
-    cur = v
-    while cur != u:
-        prev = int(oracle.tip[u, cur])
-        path.append(index[(min(prev, cur), max(prev, cur))])
-        cur = prev
-    path.reverse()
-    return path
+    adj = net.adjacency
+    return _walk_back(
+        v, oracle.dist[u].tolist(), lambda x: ((p, w, eid) for p, eid, w in adj[x])
+    )
 
 
 @dataclass(frozen=True)
@@ -207,6 +166,8 @@ class SpanningTree:
         ids = tuple(sorted(edge_ids))
         if len(ids) != net.n - 1 or len(set(ids)) != len(ids):
             raise GraphError(f"expected {net.n - 1} distinct edges, got {len(ids)}")
+        if ids and not 0 <= ids[0] <= ids[-1] < net.m:
+            raise GraphError(f"edge ids must lie in [0, {net.m})")
         adj: list[list[tuple[int, int]]] = [[] for _ in range(net.n)]
         for eid in ids:
             a, b, _ = net.edges[eid]
@@ -378,20 +339,6 @@ class ContractedGraph:
         self._uf.union(x, y)
         self.active[gone] = False
         return z
-
-    def tips(self) -> np.ndarray:
-        """Canonical predecessor matrix over active super-vertices (-1 elsewhere)."""
-        actives = self.active_vertices()
-
-        def neighbors_of(v):
-            return sorted((w, entry[0]) for w, entry in self.adj[v].items())
-
-        tip = _canonical_tips(self.dist, neighbors_of, actives)
-        mask = np.zeros(self.net.n, dtype=bool)
-        mask[actives] = True
-        tip[~mask, :] = -1
-        tip[:, ~mask] = -1
-        return tip
 
     def shortest_path_edges(self, a: int, b: int) -> list[int]:
         """Original edge ids of the canonical shortest path between the

@@ -22,7 +22,6 @@ from .neighborhoods import (
     a_et,
     a_it,
     apply_pair_shift,
-    apply_vertex_shift,
     enumerate_pair_shifts,
     neighbors,
 )
@@ -61,6 +60,10 @@ class SearchConfig:
             raise ValueError(f"unknown neighborhood kind {self.kind!r}")
         if self.shake_p is not None and not 0.0 <= self.shake_p <= 1.0:
             raise ValueError("shake_p must be within [0, 1]")
+        if not self.time_limit >= 0:  # also rejects NaN, which no deadline reaches
+            raise ValueError(f"time_limit must be a number >= 0, got {self.time_limit}")
+        if self.max_iters is not None and self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if (
             self.tenure_min is not None
             and self.tenure_max is not None
@@ -162,8 +165,7 @@ def _shake_vertex(inst, s, p, rng) -> Solution:
             break
         j = rng.randrange(1, len(order))
         i = rng.randrange(j)
-        seq2 = apply_vertex_shift(VSequence(tuple(order)), VertexShift(order[j], i))
-        order = list(seq2.order)
+        order.insert(i, order.pop(j))
     tree = a_it(net, cached_oracle(net), VSequence(tuple(order)))
     return solve_tree(inst, tree)
 

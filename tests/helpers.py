@@ -18,7 +18,7 @@ from netcon import (
     ProblemInstance,
     SpanningTree,
 )
-from netcon.graph import _canonical_tips, _floyd_warshall
+from netcon.graph import _floyd_warshall
 
 
 def tri() -> Network:
@@ -152,9 +152,36 @@ def attach_data(
     )
 
 
+def reference_tips(dist, nbrs, vertices) -> dict[tuple[int, int], int]:
+    """Canonical predecessors from distances alone: ``tips[s, v]`` (``s != v``)
+    is the smallest neighbor ``y`` of ``v`` with
+    ``dist[s, y] + len(y, v) == dist[s, v]``; ``nbrs(v)`` yields
+    ``(y, length)``."""
+    return {
+        (s, v): min(y for y, length in nbrs(v) if dist[s, y] + length == dist[s, v])
+        for s in vertices
+        for v in vertices
+        if s != v
+    }
+
+
+def walk_tips(tips, s: int, t: int, edge_id) -> list[int]:
+    """Edge ids from ``s`` to ``t`` following ``tips[s, .]`` back from ``t``;
+    ``edge_id(p, x)`` names the edge between ``p`` and ``x``."""
+    path = []
+    cur = t
+    while cur != s:
+        prev = tips[s, cur]
+        path.append(edge_id(prev, cur))
+        cur = prev
+    path.reverse()
+    return path
+
+
 def recompute_contracted(cg):
     """Independent (dist, tips) for a ContractedGraph state: fresh Floyd-Warshall
-    over the surviving parallel-edge minima, plus the same canonical tip rule."""
+    over the surviving parallel-edge minima, plus ``reference_tips`` over the
+    active representatives."""
     n = cg.net.n
     active = cg.active_vertices()
     big = cg.net.total_length + 1
@@ -168,12 +195,20 @@ def recompute_contracted(cg):
     sub = dist[np.ix_(active, active)]
     _floyd_warshall(sub)
     dist[np.ix_(active, active)] = sub
-
-    def neighbors_of(v):
-        return [(y, length) for y, (length, _) in sorted(cg.adj[v].items())]
-
-    tips = _canonical_tips(dist, neighbors_of, active)
+    d = dist.tolist()
+    tips = reference_tips(
+        {(s, v): d[s][v] for s in active for v in active},
+        lambda v: [(y, length) for y, (length, _) in cg.adj[v].items()],
+        active,
+    )
     return dist, tips
+
+
+def tip_path(cg, tips, a: int, b: int) -> list[int]:
+    """Original edge ids of the path between the super-vertices of ``a`` and
+    ``b`` that follows ``tips`` back from the larger representative."""
+    ra, rb = cg.find(a), cg.find(b)
+    return walk_tips(tips, min(ra, rb), max(ra, rb), lambda p, x: cg.adj[x][p][1])
 
 
 def reference_rebuild(net: Network, pairs) -> SpanningTree:
@@ -183,16 +218,10 @@ def reference_rebuild(net: Network, pairs) -> SpanningTree:
     cg = ContractedGraph(net)
     chosen = set()
     for u, v in pairs:
-        ru, rv = cg.find(u), cg.find(v)
-        if ru == rv:
+        if cg.find(u) == cg.find(v):
             continue
-        s, cur = min(ru, rv), max(ru, rv)
         _, tips = recompute_contracted(cg)
-        path = []
-        while cur != s:
-            prev = int(tips[s, cur])
-            path.append(cg.adj[cur][prev][1])
-            cur = prev
+        path = tip_path(cg, tips, u, v)
         for eid in path:
             a, b, _ = net.edges[eid]
             cg.contract_edge(a, b)

@@ -114,6 +114,18 @@ class TestSolve:
             run_cli(capsys, "solve", tri_usrt, "--algo", "magic")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        # --max-iters 2 stops the search even where a NaN deadline never passes
+        (("--time-limit", "nan", "--max-iters", "2"), "time_limit"),
+        (("--time-limit", "-1"), "time_limit"),
+        (("--max-iters", "-3"), "max_iters"),
+    ], ids=["nan-time-limit", "negative-time-limit", "negative-max-iters"])
+    def test_bad_search_flag(self, capsys, tri_usrt, flags, message):
+        code, stdout, err = run_cli(capsys, "solve", tri_usrt, "--algo", "ils-net", *flags)
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith("error:") and message in err
+
     def test_malformed_instance(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format_version": 1}')
@@ -224,8 +236,8 @@ class TestBenchReport:
         assert tri_usrt in err
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--jobs", "0", "max_workers"),
-        ("--seeds", "x", "invalid literal"),
+        ("--jobs", "0", "--jobs:"),
+        ("--seeds", "x", "--seeds:"),
     ])
     def test_bench_bad_flag(self, capsys, tmp_path, flag, value, message):
         d = self.make_dir(tmp_path, count=1)

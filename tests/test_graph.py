@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -15,7 +16,16 @@ from netcon import (
     spanning_tree_cycle,
 )
 
-from helpers import nx_distances, random_network, random_spanning_tree, recompute_contracted, tri
+from helpers import (
+    nx_distances,
+    random_network,
+    random_spanning_tree,
+    recompute_contracted,
+    reference_tips,
+    tip_path,
+    tri,
+    walk_tips,
+)
 
 
 class TestNetwork:
@@ -52,7 +62,6 @@ class TestNetwork:
         net = tri()
         assert net.m == 3
         assert net.total_length == 5
-        assert net.edge_index[(0, 2)] == 1
         assert net.adjacency[2] == ((0, 1, 3), (1, 2, 1))
 
 
@@ -60,7 +69,6 @@ class TestShortestPaths:
     def test_tri_dist_and_tip(self):
         oracle = all_pairs_shortest_paths(tri())
         assert oracle.dist[0, 2] == 2  # via 0-1-2
-        assert oracle.tip[0, 2] == 1
 
     def test_zero_diagonal(self):
         oracle = all_pairs_shortest_paths(tri())
@@ -99,6 +107,32 @@ class TestShortestPaths:
                     path = reconstruct_path(oracle, u, v)
                     assert sum(net.edges[e][2] for e in path) == oracle.dist[u, v]
 
+    def test_reconstruct_path_smallest_predecessor(self):
+        # lengths 1-2 make equal-length shortest paths frequent
+        rng = random.Random(15)
+        for _ in range(60):
+            net = random_network(rng, rng.randint(2, 9), max_len=2, complete=rng.random() < 0.5)
+            oracle = all_pairs_shortest_paths(net)
+            adj = net.adjacency
+            tips = reference_tips(
+                nx_distances(net), lambda v: [(y, w) for y, _, w in adj[v]], range(net.n)
+            )
+
+            def edge_id(p, x):
+                return next(eid for y, eid, _ in adj[x] if y == p)
+
+            for u in range(net.n):
+                for v in range(net.n):
+                    if u != v:
+                        expected = walk_tips(tips, u, v, edge_id)
+                        assert reconstruct_path(oracle, u, v) == expected
+
+    def test_reconstruct_path_out_of_range(self):
+        oracle = all_pairs_shortest_paths(tri())
+        for u, v in ((-1, 0), (0, -1), (3, 0), (0, 3)):
+            with pytest.raises(GraphError, match="must lie in"):
+                reconstruct_path(oracle, u, v)
+
 
 class TestSpanningTree:
     def test_mst_tri(self):
@@ -122,6 +156,10 @@ class TestSpanningTree:
             SpanningTree.from_edges(net, [0])
         with pytest.raises(GraphError):
             SpanningTree.from_edges(net, [0, 1, 2])
+        with pytest.raises(GraphError, match="edge ids"):
+            SpanningTree.from_edges(net, (-1, 0))  # -1 used to index the last edge
+        with pytest.raises(GraphError, match="edge ids"):
+            SpanningTree.from_edges(net, (0, 3))
 
     def test_cycle_tri(self):
         tree = SpanningTree.from_edges(tri(), [0, 1])
@@ -205,7 +243,8 @@ class TestContraction:
                 act = cg.active_vertices()
                 ix = np.ix_(act, act)
                 assert np.array_equal(cg.dist[ix], dist[ix])
-                assert np.array_equal(cg.tips()[ix], tips[ix])
+                for a, b in itertools.combinations(act, 2):
+                    assert cg.shortest_path_edges(a, b) == tip_path(cg, tips, a, b)
 
     def test_shortest_path_edges(self):
         net = tri()

@@ -62,6 +62,11 @@ class TestConfig:
             SearchConfig(algorithm=ILS, kind=NET, shake_p=1.5)
         with pytest.raises(ValueError):
             SearchConfig(algorithm=TS, kind=NET, tenure_min=9, tenure_max=3)
+        for bad in (float("nan"), -1.0):  # no deadline ever passes NaN
+            with pytest.raises(ValueError, match="time_limit"):
+                SearchConfig(algorithm=ILS, kind=NET, time_limit=bad)
+        with pytest.raises(ValueError, match="max_iters"):
+            SearchConfig(algorithm=ILS, kind=NET, max_iters=-3)
         with pytest.raises(ValueError):
             tabu_search(
                 ProblemInstance(tri(), USRT), SearchConfig(algorithm=ILS, kind=NET)
