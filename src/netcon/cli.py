@@ -22,7 +22,7 @@ from .instances import (
     write_instance,
 )
 from .local_search import mst_heuristic, mst_loc
-from .metaheuristics import ILS, TS, default_config, run
+from .metaheuristics import ILS, TS, check_limits, default_config, run
 from .model import VARIANTS, UndefinedGapError, format_gap, gap
 from .neighborhoods import NET, SCH
 from .solution import Solution
@@ -168,6 +168,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    check_limits(args.time_limit, args.max_iters)
     record, sol = _run(args.instance, args.algo, args.time_limit, args.seed, args.max_iters)
     _print_run(record, sol, seed=record.seed, params=record.params)
     if args.csv:
@@ -207,6 +208,9 @@ def cmd_bench(args) -> int:
         raise ValueError(
             f"--seeds: expected comma-separated integers, got {args.seeds!r}"
         ) from None
+    if not seeds:
+        raise ValueError("--seeds: no seeds given")
+    check_limits(args.time_limit, args.max_iters)
     tasks = [
         (str(path), algo, args.time_limit, seed, args.max_iters)
         for path in instances

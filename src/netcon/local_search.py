@@ -1,6 +1,8 @@
 """Solution improvement, first-improvement local search, and the MST heuristics."""
 from __future__ import annotations
 
+import time
+
 from .graph import cached_oracle, minimum_spanning_tree
 from .model import (
     IT_VARIANTS,
@@ -11,7 +13,31 @@ from .model import (
 from .neighborhoods import a_et, a_it, neighbors
 from .solution import Solution, solve_tree
 
-__all__ = ["Solution", "solve_tree", "impr", "loc", "mst_heuristic", "mst_loc"]
+__all__ = ["Budget", "Solution", "solve_tree", "impr", "loc", "mst_heuristic", "mst_loc"]
+
+
+class Budget:
+    """The one stop rule of a search: a monotonic deadline ``seconds`` from
+    now, an optional iteration cap and an optional target objective."""
+
+    def __init__(self, seconds: float, max_iters: int | None, target: int | None):
+        self.end = time.monotonic() + seconds
+        self.max_iters = max_iters
+        self.target = target
+        self.iteration = 0
+
+    def expired(self) -> bool:
+        return time.monotonic() >= self.end
+
+    def next_iteration(self, best: Solution) -> bool:
+        """False once time is up, the target is reached or the cap is used
+        up; otherwise counts one more iteration."""
+        if self.expired() or (self.target is not None and best.objective <= self.target):
+            return False
+        if self.max_iters is not None and self.iteration >= self.max_iters:
+            return False
+        self.iteration += 1
+        return True
 
 
 def impr(inst: ProblemInstance, s0: Solution) -> Solution:
@@ -37,12 +63,15 @@ def impr(inst: ProblemInstance, s0: Solution) -> Solution:
             return cur
 
 
-def loc(inst: ProblemInstance, a: Solution, kind: str) -> Solution:
-    """First-improvement descent; every accepted neighbor passes through impr."""
+def loc(inst: ProblemInstance, a: Solution, kind: str, budget: Budget | None = None) -> Solution:
+    """First-improvement descent; every accepted neighbor passes through impr.
+    Once the budget's deadline has passed the current solution is returned."""
     improved = True
     while improved:
         improved = False
         for _, sol in neighbors(inst, a, kind):
+            if budget is not None and budget.expired():
+                return a
             if sol.objective < a.objective:
                 a = impr(inst, sol)
                 improved = True
@@ -55,6 +84,6 @@ def mst_heuristic(inst: ProblemInstance) -> Solution:
     return solve_tree(inst, minimum_spanning_tree(inst.net))
 
 
-def mst_loc(inst: ProblemInstance, kind: str) -> Solution:
+def mst_loc(inst: ProblemInstance, kind: str, budget: Budget | None = None) -> Solution:
     """MST start followed by local search with the given neighborhood kind."""
-    return loc(inst, mst_heuristic(inst), kind)
+    return loc(inst, mst_heuristic(inst), kind, budget)

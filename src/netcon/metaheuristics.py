@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass, replace
 
 from .graph import SpanningTree, _UnionFind, cached_oracle
@@ -25,7 +24,7 @@ from .neighborhoods import (
     enumerate_pair_shifts,
     neighbors,
 )
-from .local_search import impr, loc, mst_loc
+from .local_search import Budget, impr, loc, mst_loc
 from .solution import Solution, solve_tree
 
 ILS = "ILS"
@@ -60,16 +59,22 @@ class SearchConfig:
             raise ValueError(f"unknown neighborhood kind {self.kind!r}")
         if self.shake_p is not None and not 0.0 <= self.shake_p <= 1.0:
             raise ValueError("shake_p must be within [0, 1]")
-        if not self.time_limit >= 0:  # also rejects NaN, which no deadline reaches
-            raise ValueError(f"time_limit must be a number >= 0, got {self.time_limit}")
-        if self.max_iters is not None and self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        check_limits(self.time_limit, self.max_iters)
         if (
             self.tenure_min is not None
             and self.tenure_max is not None
             and not 0 < self.tenure_min <= self.tenure_max
         ):
             raise ValueError("need 0 < tenure_min <= tenure_max")
+
+
+def check_limits(time_limit: float, max_iters: int | None) -> None:
+    """Reject a NaN or negative time limit (no deadline is ever reached at
+    NaN) and a negative iteration cap."""
+    if not time_limit >= 0:
+        raise ValueError(f"time_limit must be a number >= 0, got {time_limit}")
+    if max_iters is not None and max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
 
 
 def default_config(variant: str, algorithm: str, kind: str, **overrides) -> SearchConfig:
@@ -117,14 +122,6 @@ def _move_items(move) -> tuple[int, ...]:
 
 def _is_tabu(move, tabu: TabuList, iteration: int) -> bool:
     return any(tabu.active(item, iteration) for item in _move_items(move))
-
-
-class _Deadline:
-    def __init__(self, seconds: float):
-        self.end = time.monotonic() + seconds
-
-    def reached(self) -> bool:
-        return time.monotonic() >= self.end
 
 
 def shake(inst: ProblemInstance, s: Solution, kind: str, p: float, rng: random.Random) -> Solution:
@@ -191,15 +188,11 @@ def iterated_local_search(inst: ProblemInstance, cfg: SearchConfig) -> Solution:
         raise ValueError("config is not an ILS config")
     cfg = _fill_defaults(inst.variant, cfg)
     rng = random.Random(cfg.seed)
-    deadline = _Deadline(cfg.time_limit)
-    incumbent = best = mst_loc(inst, cfg.kind)
-    iteration = 0
-    while not deadline.reached() and not _hit_target(best, cfg):
-        if cfg.max_iters is not None and iteration >= cfg.max_iters:
-            break
-        iteration += 1
+    budget = Budget(cfg.time_limit, cfg.max_iters, cfg.target_objective)
+    incumbent = best = mst_loc(inst, cfg.kind, budget)
+    while budget.next_iteration(best):
         shaken = shake(inst, incumbent, cfg.kind, cfg.shake_p, rng)
-        local = loc(inst, shaken, cfg.kind)
+        local = loc(inst, shaken, cfg.kind, budget)
         if local.objective < best.objective:
             best = local
         incumbent = local
@@ -212,26 +205,20 @@ def tabu_search(inst: ProblemInstance, cfg: SearchConfig) -> Solution:
         raise ValueError("config is not a TS config")
     cfg = _fill_defaults(inst.variant, cfg)
     rng = random.Random(cfg.seed)
-    deadline = _Deadline(cfg.time_limit)
-    incumbent = best = mst_loc(inst, cfg.kind)
+    budget = Budget(cfg.time_limit, cfg.max_iters, cfg.target_objective)
+    incumbent = best = mst_loc(inst, cfg.kind, budget)
     tabu = TabuList()
-    iteration = 0
-    while not deadline.reached() and not _hit_target(best, cfg):
-        if cfg.max_iters is not None and iteration >= cfg.max_iters:
-            break
-        iteration += 1
+    while budget.next_iteration(best):
         best_nb = None  # (objective, move, solution)
         best_free = None
-        timed_out = False
         for move, sol in neighbors(inst, incumbent, cfg.kind):
             if best_nb is None or sol.objective < best_nb[0]:
                 best_nb = (sol.objective, move, sol)
-            if not _is_tabu(move, tabu, iteration) and (
+            if not _is_tabu(move, tabu, budget.iteration) and (
                 best_free is None or sol.objective < best_free[0]
             ):
                 best_free = (sol.objective, move, sol)
-            if deadline.reached():
-                timed_out = True
+            if budget.expired():
                 break
         if best_nb is None:
             break  # degenerate: no neighborhood at all
@@ -243,9 +230,7 @@ def tabu_search(inst: ProblemInstance, cfg: SearchConfig) -> Solution:
             incumbent = step[2]
             for item in _move_items(step[1]):
                 tenure = rng.randint(cfg.tenure_min, cfg.tenure_max)
-                tabu.add(item, iteration + tenure)
-        if timed_out:
-            break
+                tabu.add(item, budget.iteration + tenure)
     return best
 
 
@@ -253,7 +238,3 @@ def run(inst: ProblemInstance, cfg: SearchConfig) -> Solution:
     if cfg.algorithm == ILS:
         return iterated_local_search(inst, cfg)
     return tabu_search(inst, cfg)
-
-
-def _hit_target(best: Solution, cfg: SearchConfig) -> bool:
-    return cfg.target_objective is not None and best.objective <= cfg.target_objective

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .graph import Network, SpanningTree, _UnionFind
 
@@ -175,26 +176,6 @@ def _recovery_times(net: Network, sched: EdgeSchedule) -> dict[int, int]:
     return times
 
 
-def _pair_connection_times(
-    net: Network, sched: EdgeSchedule, pairs
-) -> dict[tuple[int, int], int]:
-    """Connection time of each requested pair under the given order."""
-    uf = _UnionFind(net.n)
-    find = uf.find
-    pending = set(pairs)
-    times: dict[tuple[int, int], int] = {}
-    t = 0
-    for eid in sched.order:
-        a, b, w = net.edges[eid]
-        t += w
-        uf.union(a, b)
-        for pair in list(pending):
-            if find(pair[0]) == find(pair[1]):
-                times[pair] = t
-                pending.discard(pair)
-    return times
-
-
 def evaluate(inst: ProblemInstance, sched: EdgeSchedule):
     """Objective value plus the recovery / connection times behind it."""
     if inst.variant in IT_VARIANTS:
@@ -204,7 +185,15 @@ def evaluate(inst: ProblemInstance, sched: EdgeSchedule):
         else:
             obj = max(t - inst.vertex_due_dates[v] for v, t in times.items())
         return obj, times
-    times = _pair_connection_times(inst.net, sched, inst.relevant_pairs)
+    # a pair connects when its group's edge completes
+    seq = pairs_connection_sequence(inst, sched, reduced=True)
+    ends = seq.group_starts[1:] + (len(seq.order),)
+    completions = accumulate(inst.net.edges[eid][2] for eid in sched.order)
+    times = {
+        pair: t
+        for start, end, t in zip(seq.group_starts, ends, completions)
+        for pair in seq.order[start:end]
+    }
     obj = max(times[p] - inst.pair_due_dates[p] for p in inst.relevant_pairs)
     return obj, times
 

@@ -7,7 +7,6 @@ transportation setting.
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from math import comb
 
 import numpy as np
 
@@ -222,19 +221,11 @@ def iter_spanning_trees(net: Network):
             yield combo
 
 
-def brute_force_instance(inst: ProblemInstance, max_combinations: int | None = None):
+def brute_force_instance(inst: ProblemInstance):
     """Exact global optimum: minimum of F(ES(T)) over all spanning trees."""
     net = inst.net
-    if max_combinations is None:
-        if not (net.n <= 7 or net.m <= net.n + 3):
-            raise SizeGuardError(
-                f"instance too large for brute force (n={net.n}, m={net.m})"
-            )
-    elif comb(net.m, net.n - 1) > max_combinations:
-        raise SizeGuardError(
-            f"{comb(net.m, net.n - 1)} edge subsets exceed the budget "
-            f"{max_combinations}"
-        )
+    if not (net.n <= 7 or net.m <= net.n + 3):
+        raise SizeGuardError(f"instance too large for brute force (n={net.n}, m={net.m})")
     best_obj = None
     best_sched = None
     for combo in iter_spanning_trees(net):

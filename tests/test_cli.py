@@ -114,14 +114,21 @@ class TestSolve:
             run_cli(capsys, "solve", tri_usrt, "--algo", "magic")
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flags, message", [
+    @pytest.mark.parametrize("algo, flags, message", [
         # --max-iters 2 stops the search even where a NaN deadline never passes
-        (("--time-limit", "nan", "--max-iters", "2"), "time_limit"),
-        (("--time-limit", "-1"), "time_limit"),
-        (("--max-iters", "-3"), "max_iters"),
-    ], ids=["nan-time-limit", "negative-time-limit", "negative-max-iters"])
-    def test_bad_search_flag(self, capsys, tri_usrt, flags, message):
-        code, stdout, err = run_cli(capsys, "solve", tri_usrt, "--algo", "ils-net", *flags)
+        ("ils-net", ("--time-limit", "nan", "--max-iters", "2"), "time_limit"),
+        ("ils-net", ("--time-limit", "-1"), "time_limit"),
+        ("ils-net", ("--max-iters", "-3"), "max_iters"),
+        # algorithms that do not use the flags still check them
+        ("mst", ("--time-limit", "nan", "--max-iters", "-3"), "time_limit"),
+        ("mst", ("--max-iters", "-3"), "max_iters"),
+        ("mst-loc-sch", ("--time-limit", "-1"), "time_limit"),
+    ], ids=[
+        "nan-time-limit", "negative-time-limit", "negative-max-iters",
+        "mst-nan-time-limit", "mst-negative-max-iters", "mst-loc-negative-time-limit",
+    ])
+    def test_bad_search_flag(self, capsys, tri_usrt, algo, flags, message):
+        code, stdout, err = run_cli(capsys, "solve", tri_usrt, "--algo", algo, *flags)
         assert code == 3
         assert stdout == ""
         assert err.startswith("error:") and message in err
@@ -238,6 +245,10 @@ class TestBenchReport:
     @pytest.mark.parametrize("flag, value, message", [
         ("--jobs", "0", "--jobs:"),
         ("--seeds", "x", "--seeds:"),
+        ("--seeds", ",", "--seeds: no seeds given"),
+        # checked before any task runs, although mst does not use them
+        ("--time-limit", "nan", "time_limit"),
+        ("--max-iters", "-3", "max_iters"),
     ])
     def test_bench_bad_flag(self, capsys, tmp_path, flag, value, message):
         d = self.make_dir(tmp_path, count=1)

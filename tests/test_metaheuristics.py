@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 
 from netcon import (
     DEFAULT_PARAMS,
+    GeneratorSpec,
     ILS,
     L_ETPC,
     NET,
@@ -14,13 +16,16 @@ from netcon import (
     SearchConfig,
     default_config,
     evaluate,
+    generate,
     iterated_local_search,
+    mst_heuristic,
     mst_loc,
     run,
     shake,
     solve_tree,
     tabu_search,
 )
+import netcon.neighborhoods
 from netcon.metaheuristics import TabuList, _fill_defaults
 
 from helpers import random_instance, random_spanning_tree, tri
@@ -123,13 +128,40 @@ class TestSearch:
         cfg = default_config("USRT", TS, NET, max_iters=5, seed=1)
         assert tabu_search(inst, cfg).objective == 3
 
-    def test_time_limit_zero_is_mst_loc(self):
+    def test_time_limit_zero_is_mst(self):
+        # the MST-LOC start stops before it accepts its first neighbour
         rng = random.Random(63)
         inst = random_instance(rng, USRT, 7)
-        base = mst_loc(inst, NET).objective
+        base = mst_heuristic(inst).objective
         for algo in (ILS, TS):
-            cfg = default_config("USRT", algo, NET, time_limit=0.0)
-            assert run(inst, cfg).objective == base
+            for kind in (NET, SCH):
+                cfg = default_config("USRT", algo, kind, time_limit=0.0)
+                assert run(inst, cfg).objective == base
+
+    def test_time_limit_bounds_mst_loc_start(self, monkeypatch):
+        inst = generate(GeneratorSpec("euclidean_complete", 12, 3, "SWRT"))
+        clock = [0.0]
+
+        def fake_monotonic():  # every reading is one second later
+            clock[0] += 1.0
+            return clock[0]
+
+        evaluated = [0]
+        real_solve_tree = netcon.neighborhoods.solve_tree
+
+        def counting_solve_tree(*args):
+            evaluated[0] += 1
+            return real_solve_tree(*args)
+
+        monkeypatch.setattr(time, "monotonic", fake_monotonic)
+        monkeypatch.setattr(netcon.neighborhoods, "solve_tree", counting_solve_tree)
+        for algo in (ILS, TS):
+            for kind in (NET, SCH):
+                evaluated[0] = 0
+                sol = run(inst, default_config("SWRT", algo, kind, time_limit=5.0))
+                # 5 s of one-second readings leave room for about 5 neighbours
+                assert 1 <= evaluated[0] <= 6, (algo, kind, evaluated[0])
+                assert evaluate(inst, sol.schedule)[0] == sol.objective
 
     def test_never_worse_than_start(self):
         rng = random.Random(64)

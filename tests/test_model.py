@@ -24,7 +24,13 @@ from netcon import (
     vertex_recovery_sequence,
 )
 
-from helpers import random_feasible_order, random_instance, random_spanning_tree, tri
+from helpers import (
+    random_feasible_order,
+    random_instance,
+    random_order,
+    random_spanning_tree,
+    tri,
+)
 
 
 def tri_sched(edge_ids, order):
@@ -206,3 +212,22 @@ class TestRandomConsistency:
             rng.shuffle(order)
             _, times = evaluate(inst, EdgeSchedule(tree, tuple(order)))
             assert set(times) == set(inst.relevant_pairs)
+
+    def test_pair_times_are_path_maxima(self):
+        # a pair connects when the last edge of its tree path is built
+        rng = random.Random(23)
+        for _ in range(80):
+            inst = random_instance(rng, L_ETPC, rng.randint(2, 9), max_pairs=12)
+            tree = random_spanning_tree(rng, inst.net)
+            sched = random_order(rng, tree)
+            completion, t = {}, 0
+            for eid in sched.order:
+                t += inst.net.edges[eid][2]
+                completion[eid] = t
+            expected = {
+                (u, v): max(completion[eid] for eid in tree.path_edges(u, v))
+                for u, v in inst.relevant_pairs
+            }
+            obj, times = evaluate(inst, sched)
+            assert times == expected
+            assert obj == max(expected[p] - d for p, d in inst.pair_due_dates.items())

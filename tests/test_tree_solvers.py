@@ -225,9 +225,6 @@ class TestBruteForceInstance:
         net = random_network(rng, 9, extra_edges=8)
         with pytest.raises(SizeGuardError):
             brute_force_instance(ProblemInstance(net, USRT))
-        # explicit budget override also guards
-        with pytest.raises(SizeGuardError):
-            brute_force_instance(ProblemInstance(net, USRT), max_combinations=10)
 
     def test_never_above_any_tree(self):
         rng = random.Random(38)
