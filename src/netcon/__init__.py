@@ -47,7 +47,6 @@ from .model import (
     PSequence,
     UndefinedGapError,
     UnsupportedVariantError,
-    VSequence,
     check_it_feasible,
     evaluate,
     format_gap,
@@ -59,9 +58,6 @@ from .neighborhoods import (
     KINDS,
     NET,
     SCH,
-    EdgeExchange,
-    PairShift,
-    VertexShift,
     a_et,
     a_it,
     neighbors,

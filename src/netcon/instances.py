@@ -275,7 +275,10 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
                 not isinstance(x, int) or isinstance(x, bool) for x in item
             ):
                 raise InstanceFormatError(f"pair_due_dates[{k}]", "expected [u, v, d]")
-            pairs[(item[0], item[1])] = item[2]
+            u, v, d = item
+            if (u, v) in pairs or (v, u) in pairs:
+                raise InstanceFormatError(f"pair_due_dates[{k}]", f"duplicate pair [{u}, {v}]")
+            pairs[(u, v)] = d
         kwargs["pair_due_dates"] = pairs
     try:
         return ProblemInstance(net, variant, **kwargs)

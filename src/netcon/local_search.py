@@ -4,13 +4,8 @@ from __future__ import annotations
 import time
 
 from .graph import cached_oracle, minimum_spanning_tree
-from .model import (
-    IT_VARIANTS,
-    ProblemInstance,
-    pairs_connection_sequence,
-    vertex_recovery_sequence,
-)
-from .neighborhoods import a_et, a_it, neighbors
+from .model import ProblemInstance
+from .neighborhoods import neighbors, rebuild, sequence
 from .solution import Solution, solve_tree
 
 __all__ = ["Budget", "Solution", "solve_tree", "impr", "loc", "mst_heuristic", "mst_loc"]
@@ -50,13 +45,8 @@ def impr(inst: ProblemInstance, s0: Solution) -> Solution:
     """
     cur = s0
     while True:
-        if inst.variant in IT_VARIANTS:
-            seq = vertex_recovery_sequence(inst, cur.schedule)
-            tree = a_it(inst.net, cached_oracle(inst.net), seq)
-        else:
-            seq = pairs_connection_sequence(inst, cur.schedule, reduced=False)
-            tree = a_et(inst.net, seq, cached_oracle(inst.net))
-        cand = solve_tree(inst, tree)
+        order, _ = sequence(inst, cur.schedule, False)
+        cand = rebuild(inst, order, cached_oracle(inst.net))
         if cand.objective < cur.objective:
             cur = cand
         else:

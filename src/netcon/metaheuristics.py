@@ -6,24 +6,8 @@ import random
 from dataclasses import dataclass, replace
 
 from .graph import SpanningTree, _UnionFind, cached_oracle
-from .model import (
-    IT_VARIANTS,
-    ProblemInstance,
-    VSequence,
-    pairs_connection_sequence,
-    vertex_recovery_sequence,
-)
-from .neighborhoods import (
-    NET,
-    SCH,
-    EdgeExchange,
-    VertexShift,
-    a_et,
-    a_it,
-    apply_pair_shift,
-    enumerate_pair_shifts,
-    neighbors,
-)
+from .model import IT_VARIANTS, ProblemInstance
+from .neighborhoods import NET, SCH, apply_shift, enumerate_shifts, neighbors, rebuild, sequence
 from .local_search import Budget, impr, loc, mst_loc
 from .solution import Solution, solve_tree
 
@@ -112,18 +96,6 @@ class TabuList:
         self.entries.clear()
 
 
-def _move_items(move) -> tuple[int, ...]:
-    if isinstance(move, EdgeExchange):
-        return (move.add, move.remove)
-    if isinstance(move, VertexShift):
-        return (move.vertex,)
-    return move.pair
-
-
-def _is_tabu(move, tabu: TabuList, iteration: int) -> bool:
-    return any(tabu.active(item, iteration) for item in _move_items(move))
-
-
 def shake(inst: ProblemInstance, s: Solution, kind: str, p: float, rng: random.Random) -> Solution:
     """Random perturbation of a solution, controlled by p."""
     if kind == NET:
@@ -153,32 +125,25 @@ def _shake_net(inst, s, p, rng) -> Solution:
 
 
 def _shake_vertex(inst, s, p, rng) -> Solution:
-    net = inst.net
-    seq = vertex_recovery_sequence(inst, s.schedule)
-    moves = math.ceil(p * (net.n - 1))
-    order = list(seq.order)
-    for _ in range(moves):
+    order, _ = sequence(inst, s.schedule, True)
+    for _ in range(math.ceil(p * (inst.net.n - 1))):
         if len(order) < 2:
             break
         j = rng.randrange(1, len(order))
-        i = rng.randrange(j)
-        order.insert(i, order.pop(j))
-    tree = a_it(net, cached_oracle(net), VSequence(tuple(order)))
-    return solve_tree(inst, tree)
+        order = apply_shift(order, j, rng.randrange(j))
+    return rebuild(inst, order, cached_oracle(inst.net))
 
 
 def _shake_pair(inst, s, p, rng) -> Solution:
-    moves = math.ceil(p * inst.q)
     cur = s
     oracle = cached_oracle(inst.net)
-    for _ in range(moves):
-        seq = pairs_connection_sequence(inst, cur.schedule, reduced=True)
-        options = list(enumerate_pair_shifts(seq))
+    for _ in range(math.ceil(p * inst.q)):
+        order, starts = sequence(inst, cur.schedule, True)
+        options = list(enumerate_shifts(starts, len(order)))
         if not options:
             break
-        move = options[rng.randrange(len(options))]
-        tree = a_et(inst.net, apply_pair_shift(seq, move), oracle)
-        cur = solve_tree(inst, tree)
+        j, i = options[rng.randrange(len(options))]
+        cur = rebuild(inst, apply_shift(order, j, i), oracle)
     return cur
 
 
@@ -209,15 +174,15 @@ def tabu_search(inst: ProblemInstance, cfg: SearchConfig) -> Solution:
     incumbent = best = mst_loc(inst, cfg.kind, budget)
     tabu = TabuList()
     while budget.next_iteration(best):
-        best_nb = None  # (objective, move, solution)
+        best_nb = None  # (objective, tabu attributes, solution)
         best_free = None
-        for move, sol in neighbors(inst, incumbent, cfg.kind):
+        for attrs, sol in neighbors(inst, incumbent, cfg.kind):
             if best_nb is None or sol.objective < best_nb[0]:
-                best_nb = (sol.objective, move, sol)
-            if not _is_tabu(move, tabu, budget.iteration) and (
+                best_nb = (sol.objective, attrs, sol)
+            if not any(tabu.active(x, budget.iteration) for x in attrs) and (
                 best_free is None or sol.objective < best_free[0]
             ):
-                best_free = (sol.objective, move, sol)
+                best_free = (sol.objective, attrs, sol)
             if budget.expired():
                 break
         if best_nb is None:
@@ -228,7 +193,7 @@ def tabu_search(inst: ProblemInstance, cfg: SearchConfig) -> Solution:
         else:
             step = best_free if best_free is not None else best_nb
             incumbent = step[2]
-            for item in _move_items(step[1]):
+            for item in step[1]:
                 tenure = rng.randint(cfg.tenure_min, cfg.tenure_max)
                 tabu.add(item, budget.iteration + tenure)
     return best

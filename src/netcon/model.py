@@ -83,7 +83,9 @@ class ProblemInstance:
                     raise ModelError(f"pair ({u}, {v}) has equal vertices")
                 if not (0 <= u < n and 0 <= v < n):
                     raise ModelError(f"pair ({u}, {v}) out of range")
-                norm[(min(u, v), max(u, v))] = int(d)
+                if (key := (min(u, v), max(u, v))) in norm:
+                    raise ModelError(f"pair {key} given twice")
+                norm[key] = int(d)
             object.__setattr__(self, "pair_due_dates", norm)
 
     @property
@@ -119,13 +121,6 @@ class EdgeSchedule:
 
 
 @dataclass(frozen=True)
-class VSequence:
-    """An ordering of all non-depot vertices."""
-
-    order: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class PSequence:
     """Vertex pairs grouped into p-groups by the connecting essential edge.
 
@@ -136,17 +131,6 @@ class PSequence:
 
     order: tuple[tuple[int, int], ...]
     group_starts: tuple[int, ...]
-
-    def group_of(self, position: int) -> int:
-        g = 0
-        for k, start in enumerate(self.group_starts):
-            if start <= position:
-                g = k
-        return g
-
-    def groups(self) -> list[list[tuple[int, int]]]:
-        bounds = list(self.group_starts) + [len(self.order)]
-        return [list(self.order[bounds[k] : bounds[k + 1]]) for k in range(len(self.group_starts))]
 
 
 def check_it_feasible(net: Network, sched: EdgeSchedule) -> bool:
@@ -198,13 +182,13 @@ def evaluate(inst: ProblemInstance, sched: EdgeSchedule):
     return obj, times
 
 
-def vertex_recovery_sequence(inst: ProblemInstance, sched: EdgeSchedule) -> VSequence:
+def vertex_recovery_sequence(inst: ProblemInstance, sched: EdgeSchedule) -> tuple[int, ...]:
     """Non-depot vertices in order of recovery (one per edge completion)."""
     if inst.variant not in IT_VARIANTS:
         raise UnsupportedVariantError(
             f"vertex recovery is undefined for variant {inst.variant}"
         )
-    return VSequence(tuple(_recovery_times(inst.net, sched)))
+    return tuple(_recovery_times(inst.net, sched))
 
 
 def pairs_connection_sequence(

@@ -1,5 +1,10 @@
 """Neighborhood moves and the sequence-to-tree rebuild procedures.
 
+NET exchanges one tree edge for a non-tree edge.  SCH is one shift move for
+every variant: move one element of the solution's connection sequence to the
+start of an earlier group and rebuild; a vertex recovery sequence is the case
+of one vertex per group.
+
 Both rebuild procedures resolve shortest-path ties with one shared canonical
 rule (walk back from the larger component representative, preferring the
 smallest adjacent representative), so rebuilding an internal-transportation
@@ -9,7 +14,6 @@ sequence yields the same tree.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +29,8 @@ from .graph import (
 )
 from .model import (
     IT_VARIANTS,
-    PSequence,
+    EdgeSchedule,
     ProblemInstance,
-    VSequence,
     pairs_connection_sequence,
     vertex_recovery_sequence,
 )
@@ -38,24 +41,6 @@ SCH = "SCH"
 KINDS = (NET, SCH)
 
 
-@dataclass(frozen=True)
-class EdgeExchange:
-    add: int
-    remove: int
-
-
-@dataclass(frozen=True)
-class VertexShift:
-    vertex: int
-    to_position: int
-
-
-@dataclass(frozen=True)
-class PairShift:
-    pair: tuple[int, int]
-    to_group: int
-
-
 def enumerate_edge_exchange(net: Network, tree: SpanningTree):
     """All (add, remove) pairs: non-tree edges ascending, removals in
     cycle-path order."""
@@ -64,60 +49,55 @@ def enumerate_edge_exchange(net: Network, tree: SpanningTree):
         if add in in_tree:
             continue
         for remove in spanning_tree_cycle(tree, add):
-            yield EdgeExchange(add, remove)
+            yield add, remove
 
 
-def apply_edge_exchange(tree: SpanningTree, move: EdgeExchange) -> SpanningTree:
-    ids = set(tree.edge_ids)
-    ids.discard(move.remove)
-    ids.add(move.add)
-    return SpanningTree.from_edges(tree.net, ids)
+def enumerate_shifts(starts, length: int):
+    """Every (j, i) moving the element at position j to the start i of an
+    earlier group: j ascending, then the distinct starts i < j, ascending.
 
-
-def enumerate_vertex_shifts(seq: VSequence):
-    """Every move of one vertex to a strictly earlier position."""
-    for j in range(1, len(seq.order)):
-        for i in range(j):
-            yield VertexShift(seq.order[j], i)
-
-
-def apply_vertex_shift(seq: VSequence, move: VertexShift) -> VSequence:
-    order = list(seq.order)
-    order.remove(move.vertex)
-    order.insert(move.to_position, move.vertex)
-    return VSequence(tuple(order))
-
-
-def enumerate_pair_shifts(seq: PSequence):
-    """Moves of one pair to the first position of an earlier p-group.
-
-    Earlier groups sharing the same first position (empty groups) would give
-    identical sequences, so only the earliest such group is offered; moves
-    that would not displace any pair are skipped.
+    ``starts`` is non-decreasing with one start per group; j's group is the
+    last one starting at or before j.  Empty groups share a start, so each
+    start is offered once, and a start equal to j would displace nothing.
+    A vertex recovery sequence is one vertex per group: ``range(length)``.
     """
-    for j in range(len(seq.order)):
-        g = seq.group_of(j)
-        seen: set[int] = set()
-        for t in range(g):
-            i = seq.group_starts[t]
-            if i < j and i not in seen:
-                seen.add(i)
-                yield PairShift(seq.order[j], t)
+    for j in range(length):
+        g = bisect.bisect_right(starts, j) - 1
+        last = None
+        for i in starts[: max(g, 0)]:
+            if i < j and i != last:
+                last = i
+                yield j, i
 
 
-def apply_pair_shift(seq: PSequence, move: PairShift) -> tuple[tuple[int, int], ...]:
-    """Flattened pair order after the shift (grouping is rebuilt downstream)."""
-    order = list(seq.order)
-    j = order.index(move.pair)
-    i = seq.group_starts[move.to_group]
-    del order[j]
-    order.insert(i, move.pair)
-    return tuple(order)
+def apply_shift(order: tuple, j: int, i: int) -> tuple:
+    """``order`` with its element at position j moved to position i <= j."""
+    return order[:i] + (order[j],) + order[i:j] + order[j + 1 :]
 
 
-def a_it(net: Network, oracle: DistanceOracle, s: VSequence) -> SpanningTree:
-    """Grow a depot tree by attaching the first unspanned sequence vertex via
-    a shortest path to the current tree.
+def sequence(inst: ProblemInstance, sched: EdgeSchedule, reduced: bool):
+    """(order, group starts) of the schedule's connection sequence: the
+    vertex recovery sequence, one vertex per group, for the IT variants; the
+    pairs connection sequence (relevant pairs only if ``reduced``) otherwise."""
+    if inst.variant in IT_VARIANTS:
+        order = vertex_recovery_sequence(inst, sched)
+        return order, range(len(order))
+    seq = pairs_connection_sequence(inst, sched, reduced)
+    return seq.order, seq.group_starts
+
+
+def rebuild(inst: ProblemInstance, order, oracle: DistanceOracle) -> Solution:
+    """A-IT (IT variants) or A-ET from a connection sequence, then ES(T)."""
+    if inst.variant in IT_VARIANTS:
+        tree = a_it(inst.net, oracle, order)
+    else:
+        tree = a_et(inst.net, order, oracle)
+    return solve_tree(inst, tree)
+
+
+def a_it(net: Network, oracle: DistanceOracle, order) -> SpanningTree:
+    """Grow a depot tree by attaching the first unspanned vertex of ``order``
+    via a shortest path to the current tree.
 
     The path is the one ``a_et`` would choose on the state "tree plus
     singletons": the tree acts as one super-vertex whose id is its smallest
@@ -150,7 +130,7 @@ def a_it(net: Network, oracle: DistanceOracle, s: VSequence) -> SpanningTree:
             bisect.insort(singles, (root, *entry))
         return singles
 
-    for v in s.order:
+    for v in order:
         if in_tree[v]:
             continue
         if v > root:
@@ -168,11 +148,10 @@ def a_it(net: Network, oracle: DistanceOracle, s: VSequence) -> SpanningTree:
     return SpanningTree.from_edges(net, chosen)
 
 
-def a_et(net: Network, s, oracle: DistanceOracle | None = None) -> SpanningTree:
-    """Join the first unconnected sequence pair via a shortest path in the
+def a_et(net: Network, order, oracle: DistanceOracle | None = None) -> SpanningTree:
+    """Join the first unconnected pair of ``order`` via a shortest path in the
     contracted graph, then contract that path; greedy completion if a reduced
     sequence leaves a forest."""
-    order = s.order if isinstance(s, PSequence) else tuple(s)
     cg = ContractedGraph(net, oracle if oracle is not None else cached_oracle(net))
     chosen: set[int] = set()
     ptr = 0
@@ -210,35 +189,20 @@ def _greedy_join(cg: ContractedGraph, chosen: set[int]):
 
 
 def neighbors(inst: ProblemInstance, current: Solution, kind: str):
-    """Stream of (move, rebuilt solution) pairs in deterministic order."""
+    """Stream of (tabu attributes, rebuilt solution) in deterministic order:
+    a NET exchange gives (add, remove), an SCH shift the moved vertex (v,) or
+    pair (u, v)."""
     if kind == NET:
-        yield from _net_neighbors(inst, current)
+        ids = set(current.tree.edge_ids)
+        for add, remove in enumerate_edge_exchange(inst.net, current.tree):
+            tree = SpanningTree.from_edges(inst.net, ids - {remove} | {add})
+            yield (add, remove), solve_tree(inst, tree)
     elif kind == SCH:
-        if inst.variant in IT_VARIANTS:
-            yield from _vertex_shift_neighbors(inst, current)
-        else:
-            yield from _pair_shift_neighbors(inst, current)
+        oracle = cached_oracle(inst.net)
+        order, starts = sequence(inst, current.schedule, True)
+        pairs = inst.variant not in IT_VARIANTS
+        for j, i in enumerate_shifts(starts, len(order)):
+            attrs = order[j] if pairs else (order[j],)
+            yield attrs, rebuild(inst, apply_shift(order, j, i), oracle)
     else:
         raise ValueError(f"unknown neighborhood kind {kind!r}")
-
-
-def _net_neighbors(inst, current):
-    for move in enumerate_edge_exchange(inst.net, current.tree):
-        tree = apply_edge_exchange(current.tree, move)
-        yield move, solve_tree(inst, tree)
-
-
-def _vertex_shift_neighbors(inst, current):
-    oracle = cached_oracle(inst.net)
-    seq = vertex_recovery_sequence(inst, current.schedule)
-    for move in enumerate_vertex_shifts(seq):
-        tree = a_it(inst.net, oracle, apply_vertex_shift(seq, move))
-        yield move, solve_tree(inst, tree)
-
-
-def _pair_shift_neighbors(inst, current):
-    oracle = cached_oracle(inst.net)
-    seq = pairs_connection_sequence(inst, current.schedule, reduced=True)
-    for move in enumerate_pair_shifts(seq):
-        tree = a_et(inst.net, apply_pair_shift(seq, move), oracle)
-        yield move, solve_tree(inst, tree)

@@ -6,6 +6,7 @@ transportation setting.
 """
 from __future__ import annotations
 
+import math
 from itertools import combinations, permutations
 
 import numpy as np
@@ -105,11 +106,10 @@ def es_lmax(inst: ProblemInstance, tree: SpanningTree) -> EdgeSchedule:
     return _order_to_schedule(tree, tail[::-1])
 
 
-def _effective_due_dates(inst: ProblemInstance, tree: SpanningTree) -> dict[int, int]:
+def _effective_due_dates(inst: ProblemInstance, tree: SpanningTree) -> dict[int, float]:
     """Per tree edge: the smallest due date over relevant pairs whose tree
-    path contains the edge; a sentinel above any total length if none."""
-    sentinel = inst.net.total_length + 1
-    d_e = {eid: sentinel for eid in tree.edge_ids}
+    path contains the edge; infinity if none."""
+    d_e = {eid: math.inf for eid in tree.edge_ids}
     for (u, v), d in inst.pair_due_dates.items():
         for eid in tree.path_edges(u, v):
             if d < d_e[eid]:
@@ -182,8 +182,8 @@ def _brute_force_it(inst: ProblemInstance, tree: SpanningTree):
             rec(nxt, t2, p2)
             chosen.pop()
 
-    start = -(10**18) if due is not None else 0
-    rec(kids[net.depot], 0, start)
+    # -inf is below every lateness and max() returns the exact int beside it
+    rec(kids[net.depot], 0, -math.inf if due is not None else 0)
     return best_obj, _order_to_schedule(tree, best_order)
 
 
@@ -197,14 +197,20 @@ def _brute_force_et(inst: ProblemInstance, tree: SpanningTree):
     completions = np.cumsum(lengths[perms], axis=1)
     pos = np.argsort(perms, axis=1)  # pos[p, i]: position of edge i in perm p
     edge_completion = np.take_along_axis(completions, pos, axis=1)
-    obj = np.full(perms.shape[0], -(10**18), dtype=np.int64)
+    # Lateness relative to the smallest due date d0 keeps the int64 sweep
+    # exact.  Completions lie in [0, T], T the total length, so the d0 pair's
+    # relative lateness is >= 0.  An offset due date above T + 1 is cut to
+    # T + 1: that pair's relative lateness stays below 0 and never sets the max.
+    d0 = min(inst.pair_due_dates.values())
+    cap = tree.net.total_length + 1
+    obj = None
     for (u, v), d in sorted(inst.pair_due_dates.items()):
         path = [idx_of[eid] for eid in tree.path_edges(u, v)]
-        c_pair = edge_completion[:, path].max(axis=1)
-        np.maximum(obj, c_pair - d, out=obj)
+        late = edge_completion[:, path].max(axis=1) - min(d - d0, cap)
+        obj = late if obj is None else np.maximum(obj, late, out=obj)
     best = int(obj.argmin())
     order = tuple(edge_ids[i] for i in perms[best])
-    return int(obj[best]), EdgeSchedule(tree, order)
+    return int(obj[best]) - d0, EdgeSchedule(tree, order)
 
 
 def iter_spanning_trees(net: Network):

@@ -227,3 +227,31 @@ def reference_rebuild(net: Network, pairs) -> SpanningTree:
             cg.contract_edge(a, b)
         chosen.update(path)
     return SpanningTree.from_edges(net, chosen)
+
+
+def group_of(starts, position: int) -> int:
+    """Index of the last group starting at or before ``position`` (0 if none)."""
+    g = 0
+    for k, start in enumerate(starts):
+        if start <= position:
+            g = k
+    return g
+
+
+def groups(order, starts) -> list[list]:
+    """``order`` cut into its groups; an empty group gives an empty list."""
+    bounds = list(starts) + [len(order)]
+    return [list(order[bounds[k] : bounds[k + 1]]) for k in range(len(starts))]
+
+
+def reference_shifts(starts, length: int):
+    """Reference shift enumeration: for each position j, the first position
+    of every earlier group than ``group_of(j)``, once per distinct start and
+    only where it lies before j."""
+    for j in range(length):
+        seen = set()
+        for t in range(group_of(starts, j)):
+            i = starts[t]
+            if i < j and i not in seen:
+                seen.add(i)
+                yield j, i

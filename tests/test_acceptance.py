@@ -17,7 +17,6 @@ from netcon import (
     USRT,
     ContractedGraph,
     Solution,
-    VSequence,
     a_et,
     a_it,
     brute_force_instance,
@@ -103,7 +102,7 @@ def _rebuild(inst, sched):
     """One A-IT / A-ET rebuild from the schedule's own sequence."""
     if inst.variant == L_ETPC:
         seq = pairs_connection_sequence(inst, sched, reduced=False)
-        return a_et(inst.net, seq, cached_oracle(inst.net))
+        return a_et(inst.net, seq.order, cached_oracle(inst.net))
     seq = vertex_recovery_sequence(inst, sched)
     return a_it(inst.net, cached_oracle(inst.net), seq)
 
@@ -165,7 +164,7 @@ def test_criterion_4_rebuild_agreement(capsys):
         vseq = vertex_recovery_sequence(inst, sched)
         pseq = pairs_connection_sequence(inst, sched, reduced=False)
         t_it = a_it(inst.net, cached_oracle(inst.net), vseq)
-        t_et = a_et(inst.net, pseq, cached_oracle(inst.net))
+        t_et = a_et(inst.net, pseq.order, cached_oracle(inst.net))
         agree += set(t_it.edge_ids) == set(t_et.edge_ids)
     report(
         capsys,
@@ -341,7 +340,7 @@ def test_criterion_10_complexity_smoke(capsys):
         order = [v for v in range(net.n) if v != net.depot]
         rng.shuffle(order)
         t0 = time.monotonic()
-        tree = a_it(net, oracle, VSequence(tuple(order)))
+        tree = a_it(net, oracle, tuple(order))
         worst_it = max(worst_it, time.monotonic() - t0)
         assert len(tree.edge_ids) == net.n - 1
 

@@ -139,6 +139,21 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", str(bad), "--algo", "mst")
         assert code == 3
 
+    @pytest.mark.parametrize("pairs, message", [
+        ([[1, 2, 0], [1, 2, 50]], "pair_due_dates[1]: duplicate pair [1, 2]"),
+        ([[0, 2, 5], [2, 0, 100]], "pair_due_dates[1]: duplicate pair [2, 0]"),
+    ], ids=["same-order", "reversed"])
+    def test_duplicate_relevant_pair(self, capsys, tmp_path, pairs, message):
+        path = tmp_path / "dup.json"
+        doc = {
+            "format_version": 1, "variant": "L_ETPC", "n": 3, "depot": 0,
+            "edges": [[0, 1, 1], [1, 2, 1], [0, 2, 3]], "pair_due_dates": pairs,
+        }
+        path.write_text(json.dumps(doc))
+        code, stdout, err = run_cli(capsys, "solve", str(path), "--algo", "mst")
+        assert code == 3 and stdout == ""
+        assert message in err
+
     @pytest.mark.parametrize("length", [2**60, 2**63], ids=["2^60", "2^63"])
     def test_lengths_beyond_int64_sums(self, capsys, tmp_path, length):
         from netcon import Network

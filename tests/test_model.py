@@ -24,7 +24,11 @@ from netcon import (
     vertex_recovery_sequence,
 )
 
+from netcon.neighborhoods import enumerate_shifts
+
 from helpers import (
+    group_of,
+    groups,
     random_feasible_order,
     random_instance,
     random_order,
@@ -68,6 +72,11 @@ class TestProblemInstance:
         assert inst.relevant_pairs == [(0, 1), (1, 2)]
         assert inst.q == 2
         assert inst.d_min() == 3
+
+    def test_pair_given_both_ways_rejected(self):
+        # both orientations normalise to (1, 2); keeping either would drop a due date
+        with pytest.raises(ModelError, match="given twice"):
+            ProblemInstance(tri(), L_ETPC, pair_due_dates={(1, 2): 0, (2, 1): 50})
 
     def test_d_min_vertex(self):
         inst = ProblemInstance(tri(), L, vertex_due_dates=(99, 4, 7))
@@ -129,17 +138,17 @@ class TestFeasibility:
 class TestSequences:
     def test_recovery_tri(self):
         inst = ProblemInstance(tri(), USRT)
-        assert vertex_recovery_sequence(inst, tri_sched([0, 2], (0, 2))).order == (1, 2)
+        assert vertex_recovery_sequence(inst, tri_sched([0, 2], (0, 2))) == (1, 2)
 
     def test_recovery_path(self):
         net = Network(3, ((0, 1, 1), (1, 2, 1)))
         inst = ProblemInstance(net, USRT)
         tree = SpanningTree.from_edges(net, [0, 1])
-        assert vertex_recovery_sequence(inst, EdgeSchedule(tree, (0, 1))).order == (1, 2)
+        assert vertex_recovery_sequence(inst, EdgeSchedule(tree, (0, 1))) == (1, 2)
 
     def test_recovery_tri_other_tree(self):
         inst = ProblemInstance(tri(), USRT)
-        assert vertex_recovery_sequence(inst, tri_sched([0, 1], (0, 1))).order == (1, 2)
+        assert vertex_recovery_sequence(inst, tri_sched([0, 1], (0, 1))) == (1, 2)
 
     def test_recovery_rejects_et(self):
         inst = ProblemInstance(tri(), L_ETPC, pair_due_dates={(0, 1): 0})
@@ -149,24 +158,27 @@ class TestSequences:
     def test_pairs_full_tri(self):
         inst = ProblemInstance(tri(), USRT)
         seq = pairs_connection_sequence(inst, tri_sched([0, 2], (0, 2)))
-        assert seq.groups() == [[(0, 1)], [(0, 2), (1, 2)]]
+        assert groups(seq.order, seq.group_starts) == [[(0, 1)], [(0, 2), (1, 2)]]
 
     def test_pairs_single_edge(self):
         net = Network(2, ((0, 1, 3),))
         inst = ProblemInstance(net, USRT)
         sched = EdgeSchedule(SpanningTree.from_edges(net, [0]), (0,))
-        assert pairs_connection_sequence(inst, sched).groups() == [[(0, 1)]]
+        seq = pairs_connection_sequence(inst, sched)
+        assert groups(seq.order, seq.group_starts) == [[(0, 1)]]
 
     def test_pairs_reduced(self):
         inst = ProblemInstance(tri(), L_ETPC, pair_due_dates={(1, 2): 1})
         seq = pairs_connection_sequence(inst, tri_sched([0, 2], (0, 2)), reduced=True)
-        assert seq.groups() == [[], [(1, 2)]]
+        assert groups(seq.order, seq.group_starts) == [[], [(1, 2)]]
 
     def test_group_of_with_empty_groups(self):
         inst = ProblemInstance(tri(), L_ETPC, pair_due_dates={(1, 2): 1})
         seq = pairs_connection_sequence(inst, tri_sched([0, 2], (0, 2)), reduced=True)
         assert seq.group_starts == (0, 0)
-        assert seq.group_of(0) == 1  # the pair belongs to the later group
+        assert group_of(seq.group_starts, 0) == 1  # the pair belongs to the later group
+        # so the empty group before it offers no shift target
+        assert list(enumerate_shifts(seq.group_starts, len(seq.order))) == []
 
 
 class TestGap:

@@ -2,21 +2,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netcon import (
     L_ETPC,
     NET,
     SCH,
     USRT,
-    EdgeExchange,
     EdgeSchedule,
     Network,
-    PairShift,
     ProblemInstance,
-    PSequence,
     SpanningTree,
-    VertexShift,
-    VSequence,
     a_et,
     a_it,
     cached_oracle,
@@ -26,22 +22,17 @@ from netcon import (
     solve_tree,
     vertex_recovery_sequence,
 )
-from netcon.neighborhoods import (
-    apply_edge_exchange,
-    apply_pair_shift,
-    apply_vertex_shift,
-    enumerate_edge_exchange,
-    enumerate_pair_shifts,
-    enumerate_vertex_shifts,
-)
+from netcon.neighborhoods import apply_shift, enumerate_edge_exchange, enumerate_shifts
 
 from helpers import (
     attach_data,
+    group_of,
     random_feasible_order,
     random_instance,
     random_network,
     random_spanning_tree,
     reference_rebuild,
+    reference_shifts,
     tri,
 )
 
@@ -50,7 +41,7 @@ class TestEdgeExchange:
     def test_tri(self):
         tree = SpanningTree.from_edges(tri(), [0, 1])
         moves = set(enumerate_edge_exchange(tri(), tree))
-        assert moves == {EdgeExchange(2, 0), EdgeExchange(2, 1)}
+        assert moves == {(2, 0), (2, 1)}
 
     def test_tree_shaped_empty(self):
         net = Network(3, ((0, 1, 1), (1, 2, 1)))
@@ -63,46 +54,71 @@ class TestEdgeExchange:
         tree = random_spanning_tree(rng, net)
         moves = list(enumerate_edge_exchange(net, tree))
         assert 3 <= len(moves) <= 9
-        for move in moves:
-            t2 = apply_edge_exchange(tree, move)
-            assert move.add in t2.edge_ids and move.remove not in t2.edge_ids
+        inst = attach_data(rng, net, USRT)
+        stream = list(neighbors(inst, solve_tree(inst, tree), NET))
+        assert [attrs for attrs, _ in stream] == moves
+        for (add, remove), sol in stream:
+            assert add in sol.tree.edge_ids and remove not in sol.tree.edge_ids
+            assert set(sol.tree.edge_ids) == set(tree.edge_ids) - {remove} | {add}
 
 
 class TestVertexShift:
+    """A vertex recovery sequence is a shift sequence with one vertex per group."""
+
     def test_length_two(self):
-        assert list(enumerate_vertex_shifts(VSequence((4, 7)))) == [VertexShift(7, 0)]
+        assert list(enumerate_shifts(range(2), 2)) == [(1, 0)]
+        assert apply_shift((4, 7), 1, 0) == (7, 4)
 
     def test_apply(self):
-        seq = apply_vertex_shift(VSequence((1, 2, 3)), VertexShift(3, 0))
-        assert seq.order == (3, 1, 2)
+        assert apply_shift((1, 2, 3), 2, 0) == (3, 1, 2)
+        assert apply_shift((1, 2, 3), 2, 1) == (1, 3, 2)
 
     def test_count(self):
-        seq = VSequence((1, 2, 3, 4))
-        assert len(list(enumerate_vertex_shifts(seq))) == 6  # 1+2+3
+        assert len(list(enumerate_shifts(range(4), 4))) == 6  # 1+2+3
+
+    @given(st.integers(0, 12))
+    @settings(derandomize=True, database=None)
+    def test_every_earlier_position(self, length):
+        every = [(j, i) for j in range(length) for i in range(j)]
+        assert list(enumerate_shifts(range(length), length)) == every
 
 
 class TestPairShift:
     def test_q1_empty(self):
-        seq = PSequence(((0, 1),), (0, 0))
-        assert list(enumerate_pair_shifts(seq)) == []
+        assert list(enumerate_shifts((0, 0), 1)) == []
 
     def test_two_groups(self):
-        seq = PSequence(((0, 1), (1, 2)), (0, 1))
-        moves = list(enumerate_pair_shifts(seq))
-        assert moves == [PairShift((1, 2), 0)]
-        assert apply_pair_shift(seq, moves[0]) == ((1, 2), (0, 1))
+        order = ((0, 1), (1, 2))
+        moves = list(enumerate_shifts((0, 1), len(order)))
+        assert moves == [(1, 0)]
+        assert apply_shift(order, *moves[0]) == ((1, 2), (0, 1))
 
     def test_duplicate_start_groups_deduped(self):
         # groups 0 and 1 are both empty at start 0; only one target offered
-        seq = PSequence(((0, 1),), (0, 0, 1))
-        assert seq.group_of(0) == 1  # last group whose start covers position 0
-        assert list(enumerate_pair_shifts(seq)) == []
+        starts = (0, 0, 1)
+        assert group_of(starts, 0) == 1  # last group whose start covers position 0
+        assert list(enumerate_shifts(starts, 1)) == []
+
+    def test_empty_group_sharing_own_start(self):
+        # group 1 is empty and starts where group 2 does, so position 2 may
+        # move to the start of its own group through it
+        starts = (0, 1, 1)
+        assert list(enumerate_shifts(starts, 3)) == [(1, 0), (2, 0), (2, 1)]
+        assert list(reference_shifts(starts, 3)) == [(1, 0), (2, 0), (2, 1)]
+
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=10))
+    @settings(derandomize=True, database=None, max_examples=300)
+    def test_matches_group_reference(self, sizes):
+        # group sizes of 0 make empty groups, at the start, middle or end
+        starts = tuple(itertools.accumulate([0] + sizes[:-1]))
+        length = sum(sizes)
+        assert list(enumerate_shifts(starts, length)) == list(reference_shifts(starts, length))
 
 
 class TestAIt:
     def test_tri_example(self):
         net = tri()
-        tree = a_it(net, cached_oracle(net), VSequence((2, 1)))
+        tree = a_it(net, cached_oracle(net), (2, 1))
         assert set(tree.edge_ids) == {0, 2}
 
     def test_tree_shaped_identity(self):
@@ -116,7 +132,7 @@ class TestAIt:
     def test_star_unique(self):
         net = Network(4, ((0, 1, 1), (0, 2, 1), (0, 3, 1)))
         for order in ((1, 2, 3), (3, 1, 2), (2, 3, 1)):
-            tree = a_it(net, cached_oracle(net), VSequence(order))
+            tree = a_it(net, cached_oracle(net), order)
             assert set(tree.edge_ids) == {0, 1, 2}
 
     def test_result_spans(self):
@@ -125,7 +141,7 @@ class TestAIt:
             net = random_network(rng, rng.randint(2, 10))
             order = [v for v in range(net.n) if v != net.depot]
             rng.shuffle(order)
-            tree = a_it(net, cached_oracle(net), VSequence(tuple(order)))
+            tree = a_it(net, cached_oracle(net), order)
             assert len(tree.edge_ids) == net.n - 1
 
 
@@ -147,7 +163,7 @@ class TestAEt:
         vseq = vertex_recovery_sequence(inst, sol.schedule)
         pseq = pairs_connection_sequence(inst, sol.schedule, reduced=False)
         t_it = a_it(net, cached_oracle(net), vseq)
-        t_et = a_et(net, pseq)
+        t_et = a_et(net, pseq.order)
         assert set(t_it.edge_ids) == set(t_et.edge_ids)
 
     def test_rebuild_agreement_random(self):
@@ -160,7 +176,7 @@ class TestAEt:
             vseq = vertex_recovery_sequence(inst, sched)
             pseq = pairs_connection_sequence(inst, sched, reduced=False)
             t_it = a_it(net, cached_oracle(net), vseq)
-            t_et = a_et(net, pseq)
+            t_et = a_et(net, pseq.order)
             assert set(t_it.edge_ids) == set(t_et.edge_ids)
 
     def test_rebuilds_match_reference_walk(self):
@@ -173,7 +189,7 @@ class TestAEt:
             order = [v for v in range(net.n) if v != net.depot]
             rng.shuffle(order)
             expected = reference_rebuild(net, [(net.depot, v) for v in order])
-            assert a_it(net, cached_oracle(net), VSequence(tuple(order))) == expected
+            assert a_it(net, cached_oracle(net), order) == expected
             pairs = list(itertools.combinations(range(net.n), 2))
             rng.shuffle(pairs)
             assert a_et(net, pairs) == reference_rebuild(net, pairs)
@@ -188,7 +204,7 @@ class TestAEt:
             pseq = pairs_connection_sequence(
                 inst, EdgeSchedule(tree, tuple(order)), reduced=True
             )
-            rebuilt = a_et(inst.net, pseq)
+            rebuilt = a_et(inst.net, pseq.order)
             assert len(rebuilt.edge_ids) == inst.net.n - 1
 
 
@@ -205,8 +221,20 @@ class TestNeighborStream:
         for variant in (USRT, L_ETPC):
             inst = random_instance(rng, variant, 6)
             current = solve_tree(inst, random_spanning_tree(rng, inst.net))
-            for move, sol in neighbors(inst, current, SCH):
+            for _, sol in neighbors(inst, current, SCH):
                 assert evaluate(inst, sol.schedule)[0] == sol.objective
+
+    def test_tabu_attribute_stream(self):
+        # NET gives (add, remove), IT SCH the shifted vertex, ET SCH the shifted pair
+        net = Network(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 2), (0, 2, 2)))
+        tree = SpanningTree.from_edges(net, [0, 1, 2])
+        usrt = ProblemInstance(net, USRT)
+        etpc = ProblemInstance(net, L_ETPC, pair_due_dates={(1, 3): 2, (0, 2): 1, (2, 3): 4})
+        exchanges = [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1)]
+        for inst, shifts in ((usrt, [(2,), (3,), (3,)]), (etpc, [(1, 3), (2, 3)])):
+            current = solve_tree(inst, tree)
+            assert [a for a, _ in neighbors(inst, current, NET)] == exchanges
+            assert [a for a, _ in neighbors(inst, current, SCH)] == shifts
 
     def test_unknown_kind(self):
         inst = ProblemInstance(tri(), USRT)

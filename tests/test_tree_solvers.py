@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -150,6 +151,15 @@ class TestEsLetpc:
         assert sched.order == (1, 0)
         assert evaluate(inst, sched)[0] == 6 - 5
 
+    def test_due_dates_above_total_length(self):
+        # effective due dates are real due dates however large; a cap at the
+        # total length + 1 tied e0 with e1 here and put e0 first
+        path = Network(3, ((0, 1, 1), (1, 2, 1)))
+        inst = ProblemInstance(path, L_ETPC, pair_due_dates={(0, 2): 10**6, (1, 2): 5})
+        sched = es_letpc(inst, SpanningTree.from_edges(path, [0, 1]))
+        assert sched.order == (1, 0)
+        assert evaluate(inst, sched)[0] == 1 - 5
+
 
 class TestBruteForceTree:
     def test_single_edge(self):
@@ -187,6 +197,36 @@ class TestBruteForceTree:
             exact_obj, _ = solve_obj(inst, tree)
             brute_obj, _ = brute_force_tree(inst, tree)
             assert exact_obj == brute_obj
+
+    def test_due_dates_far_beyond_lengths(self):
+        # the sweeps start from the first real lateness, not from a floor,
+        # and stay exact past int64
+        path = Network(3, ((0, 1, 1), (1, 2, 1)))
+        tree = SpanningTree.from_edges(path, [0, 1])
+        inst = ProblemInstance(path, L, vertex_due_dates=(2 * 10**18,) * 3)
+        assert brute_force_tree(inst, tree)[0] == -1999999999999999998
+        assert solve_obj(inst, tree)[0] == -1999999999999999998
+        for big in (10**6, 2 * 10**18, 2**63, 2**80):
+            inst = ProblemInstance(path, L_ETPC, pair_due_dates={(0, 2): big, (1, 2): 5})
+            assert brute_force_tree(inst, tree)[0] == solve_obj(inst, tree)[0] == 1 - 5
+        inst = ProblemInstance(path, L_ETPC, pair_due_dates={(0, 2): 2**63, (1, 2): 2**63 + 7})
+        assert brute_force_tree(inst, tree)[0] == solve_obj(inst, tree)[0] == 2 - 2**63
+
+    def test_matches_exact_solver_et_wide_due_dates(self):
+        # due dates below, inside and far above the total length
+        rng = random.Random(36)
+        for _ in range(60):
+            net = random_network(rng, rng.randint(2, 6))
+            pairs = list(itertools.combinations(range(net.n), 2))
+            chosen = rng.sample(pairs, rng.randint(1, min(4, len(pairs))))
+            due = {
+                p: rng.choice((-(2**70), -3, 0, 7, net.total_length + 1, 10**9, 2**63))
+                + rng.randint(0, 5)
+                for p in chosen
+            }
+            inst = ProblemInstance(net, L_ETPC, pair_due_dates=due)
+            tree = random_spanning_tree(rng, net)
+            assert solve_obj(inst, tree)[0] == brute_force_tree(inst, tree)[0]
 
 
 class TestSpanningTreeEnumeration:
