@@ -17,7 +17,6 @@ from .instances import (
     InstanceFormatError,
     generate,
     instance_to_dict,
-    read_family,
     read_instance,
     write_instance,
 )
@@ -120,14 +119,14 @@ def _run(path, algorithm: str, time_limit=600.0, seed=0, max_iters=None):
 
     Returns the run record and the solution found.
     """
-    inst = read_instance(path)
+    inst, family = read_instance(path)
     start = time.monotonic()
     sol, params = _run_algorithm(inst, algorithm, time_limit, seed, max_iters)
     wall_ms = int((time.monotonic() - start) * 1000)
     record = RunRecord(
         instance=str(path),
         variant=inst.variant,
-        family=read_family(path) or "",
+        family=family or "",
         n=inst.net.n,
         algorithm=algorithm,
         seed=seed,
@@ -257,7 +256,7 @@ def cmd_report(args) -> int:
     def d_min_of(row) -> int:
         name = row["instance"]
         if name not in d_min_cache:
-            d_min_cache[name] = read_instance(name).d_min()
+            d_min_cache[name] = read_instance(name)[0].d_min()
         return d_min_cache[name]
 
     groups: dict[tuple, dict[str, list]] = {}

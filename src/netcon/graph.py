@@ -58,7 +58,12 @@ class Network:
                 f"total edge length {self.total_length} exceeds 2**62 - 2, "
                 "the largest that int64 distance sums can hold"
             )
-        # connectivity
+        # connectivity; too few edges fail before the union-find allocates n slots
+        if self.m < self.n - 1:
+            raise GraphError(
+                f"network is not connected: {self.n} vertices need at least "
+                f"{self.n - 1} edges, got {self.m}"
+            )
         uf = _UnionFind(self.n)
         for a, b, _ in self.edges:
             uf.union(a, b)

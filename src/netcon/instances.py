@@ -294,7 +294,9 @@ def _check_int_list(name: str, values: list, n: int) -> None:
             raise InstanceFormatError(f"{name}[{k}]", "expected an integer")
 
 
-def read_instance(path) -> ProblemInstance:
+def read_instance(path) -> tuple[ProblemInstance, str | None]:
+    """Parse an instance file once: the instance and its optional ``family``
+    annotation as stored by the generator (None if absent)."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -302,14 +304,4 @@ def read_instance(path) -> ProblemInstance:
             raise InstanceFormatError("<root>", f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError("<root>", "expected a JSON object")
-    return instance_from_dict(doc)
-
-
-def read_family(path) -> str | None:
-    """Optional family annotation stored by the generator, if present."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return doc.get("family")
-    except (OSError, json.JSONDecodeError):
-        return None
+    return instance_from_dict(doc), doc.get("family")

@@ -6,6 +6,7 @@ transportation setting.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from itertools import combinations, permutations
 
@@ -40,69 +41,103 @@ def _order_to_schedule(tree: SpanningTree, vertex_order) -> EdgeSchedule:
     return EdgeSchedule(tree, tuple(tree.parent[v][1] for v in vertex_order))
 
 
+class _Ratio:
+    """Exact heap tie key of a block: the larger weight/length ratio sorts
+    first (cross-multiplied, never rounded), then the smaller head vertex."""
+
+    __slots__ = ("w", "l", "head")
+
+    def __init__(self, w: int, l: int, head: int):
+        self.w, self.l, self.head = w, l, head
+
+    def __lt__(self, other: "_Ratio") -> bool:
+        a, b = self.w * other.l, other.w * self.l
+        return a > b or (a == b and self.head < other.head)
+
+
+def _ratio_entry(w: int, l: int, head: int) -> tuple[float, _Ratio]:
+    """Heap entry ``(-w/l as a float, exact key)``.  Int true division rounds
+    correctly, and correct rounding is monotone, so unequal floats are already
+    in exact order and only equal floats reach the exact key; a ratio beyond
+    the float range saturates to infinity, which keeps the order monotone."""
+    try:
+        f = -(w / l)
+    except OverflowError:
+        f = -math.inf
+    return f, _Ratio(w, l, head)
+
+
 def es_swrt(inst: ProblemInstance, tree: SpanningTree) -> EdgeSchedule:
     """Minimum total weighted recovery time order for an out-tree.
 
-    Iterative ratio merging: the non-root block with the largest
+    Horn's ratio merging in O(n log n): the non-root block with the largest
     weight/length ratio (tie: smallest head vertex) is concatenated onto the
-    block holding its tree parent, until only the root block remains.
+    block holding its tree parent, until only the root block remains.  Blocks
+    sit in one heap with lazy deletion; a block's sequence is a linked list.
     """
     if inst.variant not in (USRT, SWRT):
         raise ValueError(f"es_swrt does not apply to variant {inst.variant}")
     net = tree.net
     depot = net.depot
-    vertices = [v for v in range(net.n) if v != depot]
-    seq: dict[int, list[int]] = {v: [v] for v in vertices}
-    seq[depot] = []
-    weight = {v: inst.weights[v] for v in vertices}
-    length = {v: net.edges[tree.parent[v][1]][2] for v in vertices}
-    leader: dict[int, int] = {v: v for v in range(net.n)}
-
-    def find(v: int) -> int:
-        while leader[v] != v:
-            leader[v] = leader[leader[v]]
-            v = leader[v]
-        return v
-
-    active = set(vertices)
-    while active:
-        best = None
-        for h in sorted(active):
-            if best is None or weight[h] * length[best] > weight[best] * length[h]:
-                best = h
-        p = find(tree.parent[best][0])
-        seq[p].extend(seq[best])
+    parent = tree.parent
+    weight = list(inst.weights)
+    length = [net.edges[eid][2] if p >= 0 else 0 for p, eid in parent]
+    leader = list(range(net.n))
+    # block sequences: head -> nxt -> ... -> tail; the depot block's head is
+    # the depot itself, which is not part of its sequence
+    nxt = [-1] * net.n
+    tail = list(range(net.n))
+    heap = [_ratio_entry(weight[v], length[v], v) for v in range(net.n) if v != depot]
+    heapq.heapify(heap)
+    while heap:
+        key = heapq.heappop(heap)[1]
+        h = key.head
+        # lengths only grow, and a merged head's last entry is the one that
+        # was popped, so an entry is current iff it has its block's length
+        if key.l != length[h]:
+            continue
+        p = parent[h][0]
+        while leader[p] != p:  # path halving
+            leader[p] = leader[leader[p]]
+            p = leader[p]
+        nxt[tail[p]] = h
+        tail[p] = tail[h]
+        leader[h] = p
         if p != depot:
-            weight[p] += weight[best]
-            length[p] += length[best]
-        leader[best] = p
-        active.discard(best)
-    return _order_to_schedule(tree, seq[depot])
+            weight[p] += weight[h]
+            length[p] += length[h]
+            heapq.heappush(heap, _ratio_entry(weight[p], length[p], p))
+    order = []
+    v = nxt[depot]
+    while v >= 0:
+        order.append(v)
+        v = nxt[v]
+    return _order_to_schedule(tree, order)
 
 
 def es_lmax(inst: ProblemInstance, tree: SpanningTree) -> EdgeSchedule:
     """Minimum maximum-lateness order for an out-tree (least-cost-last).
 
-    Builds the sequence backwards: among jobs with no unplaced descendants,
-    the one with the largest due date (tie: smallest vertex) goes last.
+    Builds the sequence backwards in O(n log n): a heap holds the jobs with
+    no unplaced children, and the one with the largest due date (tie:
+    smallest vertex) goes last.
     """
     if inst.variant != L:
         raise ValueError(f"es_lmax does not apply to variant {inst.variant}")
     depot = tree.net.depot
-    pending_kids = [len(k) for k in _children(tree)]
-    remaining = {v for v in range(tree.net.n) if v != depot}
+    parent = tree.parent
     due = inst.vertex_due_dates
+    pending_kids = [len(k) for k in _children(tree)]
+    heap = [(-due[v], v) for v in range(tree.net.n) if v != depot and not pending_kids[v]]
+    heapq.heapify(heap)
     tail: list[int] = []
-    while remaining:
-        best = None
-        for v in sorted(remaining):
-            if pending_kids[v]:
-                continue
-            if best is None or due[v] > due[best]:
-                best = v
-        tail.append(best)
-        remaining.discard(best)
-        pending_kids[tree.parent[best][0]] -= 1
+    while heap:
+        v = heapq.heappop(heap)[1]
+        tail.append(v)
+        p = parent[v][0]
+        pending_kids[p] -= 1
+        if not pending_kids[p] and p != depot:
+            heapq.heappush(heap, (-due[p], p))
     return _order_to_schedule(tree, tail[::-1])
 
 

@@ -255,3 +255,64 @@ def reference_shifts(starts, length: int):
             if i < j and i not in seen:
                 seen.add(i)
                 yield j, i
+
+
+def reference_es_swrt(inst: ProblemInstance, tree: SpanningTree) -> EdgeSchedule:
+    """Quadratic ratio merging, the order oracle for ``es_swrt``: on every
+    step scan all active heads in ascending order and concatenate the first
+    one with the largest weight/length ratio onto the block holding its
+    tree parent."""
+    net = tree.net
+    depot = net.depot
+    vertices = [v for v in range(net.n) if v != depot]
+    seq: dict[int, list[int]] = {v: [v] for v in vertices}
+    seq[depot] = []
+    weight = {v: inst.weights[v] for v in vertices}
+    length = {v: net.edges[tree.parent[v][1]][2] for v in vertices}
+    leader: dict[int, int] = {v: v for v in range(net.n)}
+
+    def find(v: int) -> int:
+        while leader[v] != v:
+            leader[v] = leader[leader[v]]
+            v = leader[v]
+        return v
+
+    active = set(vertices)
+    while active:
+        best = None
+        for h in sorted(active):
+            if best is None or weight[h] * length[best] > weight[best] * length[h]:
+                best = h
+        p = find(tree.parent[best][0])
+        seq[p].extend(seq[best])
+        if p != depot:
+            weight[p] += weight[best]
+            length[p] += length[best]
+        leader[best] = p
+        active.discard(best)
+    return EdgeSchedule(tree, tuple(tree.parent[v][1] for v in seq[depot]))
+
+
+def reference_es_lmax(inst: ProblemInstance, tree: SpanningTree) -> EdgeSchedule:
+    """Quadratic least-cost-last, the order oracle for ``es_lmax``: on every
+    step scan all unplaced vertices in ascending order and place last the
+    first one with no unplaced children and the largest due date."""
+    depot = tree.net.depot
+    pending_kids = [0] * tree.net.n
+    for p, _ in tree.parent:
+        if p >= 0:
+            pending_kids[p] += 1
+    remaining = {v for v in range(tree.net.n) if v != depot}
+    due = inst.vertex_due_dates
+    tail: list[int] = []
+    while remaining:
+        best = None
+        for v in sorted(remaining):
+            if pending_kids[v]:
+                continue
+            if best is None or due[v] > due[best]:
+                best = v
+        tail.append(best)
+        remaining.discard(best)
+        pending_kids[tree.parent[best][0]] -= 1
+    return EdgeSchedule(tree, tuple(tree.parent[v][1] for v in reversed(tail)))

@@ -133,6 +133,20 @@ class TestSolve:
         assert stdout == ""
         assert err.startswith("error:") and message in err
 
+    def test_instance_file_parsed_once(self, capsys, monkeypatch, tmp_path):
+        import netcon.instances
+
+        path = tmp_path / "g.json"
+        inst = generate(GeneratorSpec("planar_road", 6, 0, USRT))
+        write_instance(inst, path, family="planar_road")
+        loads = []
+        real_load = json.load
+        monkeypatch.setattr(
+            netcon.instances.json, "load", lambda fh: loads.append(1) or real_load(fh)
+        )
+        code, _, _ = run_cli(capsys, "solve", str(path), "--algo", "mst")
+        assert code == 0 and len(loads) == 1
+
     def test_malformed_instance(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format_version": 1}')
@@ -153,6 +167,15 @@ class TestSolve:
         code, stdout, err = run_cli(capsys, "solve", str(path), "--algo", "mst")
         assert code == 3 and stdout == ""
         assert message in err
+
+    def test_huge_n_without_edges(self, capsys, tmp_path):
+        # rejected from the edge count before anything of size n is allocated
+        path = tmp_path / "huge.json"
+        doc = {"format_version": 1, "variant": "USRT", "n": 10**10, "depot": 0, "edges": []}
+        path.write_text(json.dumps(doc))
+        code, stdout, err = run_cli(capsys, "solve", str(path), "--algo", "mst")
+        assert code == 3 and stdout == ""
+        assert "10000000000 vertices need at least 9999999999 edges, got 0" in err
 
     @pytest.mark.parametrize("length", [2**60, 2**63], ids=["2^60", "2^63"])
     def test_lengths_beyond_int64_sums(self, capsys, tmp_path, length):

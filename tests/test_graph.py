@@ -38,6 +38,13 @@ class TestNetwork:
             Network(2, ((0, 1, 1), (1, 0, 2)))  # duplicate
         with pytest.raises(GraphError):
             Network(3, ((0, 1, 1),))  # disconnected
+        with pytest.raises(GraphError, match="^network is not connected$"):
+            Network(4, ((0, 1, 1), (1, 2, 1), (0, 2, 1)))  # n - 1 edges, disconnected
+        # too few edges fail on the count, before a union-find over
+        # 10**10 vertices would ask for a 10**10-entry list
+        message = "10000000000 vertices need at least 9999999999 edges, got 1"
+        with pytest.raises(GraphError, match=message):
+            Network(10**10, ((0, 1, 1),))
         with pytest.raises(GraphError):
             Network(2, ((0, 1, 1),), depot=5)
 

@@ -121,14 +121,18 @@ class TestSerialization:
                     path = tmp_path / f"i{k}.json"
                     k += 1
                     write_instance(inst, path, family=family)
-                    back = read_instance(path)
+                    back, back_family = read_instance(path)
                     assert instance_to_dict(back) == instance_to_dict(inst)
+                    assert back_family == family
 
     def test_family_annotation(self, tmp_path):
         inst = generate(GeneratorSpec("planar_road", 6, 0, USRT))
         path = tmp_path / "i.json"
         write_instance(inst, path, family="planar_road")
         assert json.loads(path.read_text())["family"] == "planar_road"
+        assert read_instance(path)[1] == "planar_road"
+        write_instance(inst, path)
+        assert read_instance(path)[1] is None
 
     def test_missing_weights_named(self):
         doc = instance_to_dict(generate(GeneratorSpec("euclidean_complete", 5, 0, SWRT)))

@@ -77,7 +77,6 @@ class TestVertexShift:
         assert len(list(enumerate_shifts(range(4), 4))) == 6  # 1+2+3
 
     @given(st.integers(0, 12))
-    @settings(derandomize=True, database=None)
     def test_every_earlier_position(self, length):
         every = [(j, i) for j in range(length) for i in range(j)]
         assert list(enumerate_shifts(range(length), length)) == every
@@ -107,7 +106,7 @@ class TestPairShift:
         assert list(reference_shifts(starts, 3)) == [(1, 0), (2, 0), (2, 1)]
 
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=10))
-    @settings(derandomize=True, database=None, max_examples=300)
+    @settings(max_examples=300)
     def test_matches_group_reference(self, sizes):
         # group sizes of 0 make empty groups, at the start, middle or end
         starts = tuple(itertools.accumulate([0] + sizes[:-1]))

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netcon import (
     L,
@@ -23,7 +24,14 @@ from netcon import (
     optimal_schedule,
 )
 
-from helpers import attach_data, random_network, random_spanning_tree, tri
+from helpers import (
+    attach_data,
+    random_network,
+    random_spanning_tree,
+    reference_es_lmax,
+    reference_es_swrt,
+    tri,
+)
 
 
 def unit_star() -> Network:
@@ -117,6 +125,97 @@ class TestEsLmax:
         inst = ProblemInstance(net, L, vertex_due_dates=(4,) * 5)
         sched = es_lmax(inst, SpanningTree.from_edges(net, range(4)))
         assert sched.order == (1, 3, 0, 2)
+
+
+@st.composite
+def tied_trees(draw, values=st.integers(0, 3)):
+    """A random tree (n <= 14, random depot, lengths 1-3) and one value per
+    vertex, drawn from a small range so that ratios and due dates tie often."""
+    n = draw(st.integers(1, 14))
+    perm = draw(st.permutations(range(n)))
+    edges = []
+    for i in range(1, n):
+        a, b = sorted((perm[i], perm[draw(st.integers(0, i - 1))]))
+        edges.append((a, b, draw(st.integers(1, 3))))
+    net = Network(n, tuple(edges), depot=draw(st.integers(0, n - 1)))
+    tree = SpanningTree.from_edges(net, range(n - 1))
+    return tree, tuple(draw(st.lists(values, min_size=n, max_size=n)))
+
+
+# 2**53 and 2**53 + 1 round to the same float; 2**1100 over a small length
+# overflows a float
+HUGE_VALUES = st.integers(0, 3) | st.sampled_from((2**53, 2**53 + 1, 2**1100, 2**1100 + 1))
+
+
+class TestHeapSolversMatchReferences:
+    """The heap solvers give the quadratic references' orders, edge for edge."""
+
+    @given(tied_trees())
+    @settings(max_examples=400)
+    def test_swrt(self, case):
+        tree, weights = case
+        inst = ProblemInstance(tree.net, SWRT, weights=weights)
+        assert es_swrt(inst, tree).order == reference_es_swrt(inst, tree).order
+
+    @given(tied_trees())
+    @settings(max_examples=100)
+    def test_usrt(self, case):
+        inst = ProblemInstance(case[0].net, USRT)
+        assert es_swrt(inst, case[0]).order == reference_es_swrt(inst, case[0]).order
+
+    @given(tied_trees(HUGE_VALUES))
+    @settings(max_examples=300)
+    def test_swrt_huge_weights(self, case):
+        tree, weights = case
+        inst = ProblemInstance(tree.net, SWRT, weights=weights)
+        assert es_swrt(inst, tree).order == reference_es_swrt(inst, tree).order
+
+    @given(tied_trees())
+    @settings(max_examples=400)
+    def test_lmax(self, case):
+        tree, due = case
+        inst = ProblemInstance(tree.net, L, vertex_due_dates=due)
+        assert es_lmax(inst, tree).order == reference_es_lmax(inst, tree).order
+
+    @given(tied_trees(HUGE_VALUES | st.sampled_from((2**80, 2**80 + 1))))
+    @settings(max_examples=200)
+    def test_lmax_huge_due_dates(self, case):
+        tree, due = case
+        inst = ProblemInstance(tree.net, L, vertex_due_dates=due)
+        assert es_lmax(inst, tree).order == reference_es_lmax(inst, tree).order
+
+    def test_float_colliding_ratios(self):
+        # float(2**53 + 1) == float(2**53): only the exact key puts vertex 2,
+        # the larger ratio, before the smaller head 1
+        inst = ProblemInstance(unit_star(), SWRT, weights=(0, 2**53, 2**53 + 1, 2**53, 1))
+        tree = SpanningTree.from_edges(unit_star(), range(4))
+        assert es_swrt(inst, tree).order == reference_es_swrt(inst, tree).order == (1, 0, 2, 3)
+
+    def test_overflowing_ratios(self):
+        # every w/l here overflows a float; the exact key still ranks 2**1101/3
+        # last and breaks the tie of 2**1100/1 with 2**1101/2 on the smaller head
+        big = 2**1100
+        net = Network(5, ((0, 1, 1), (0, 2, 2), (0, 3, 3), (0, 4, 2)))
+        inst = ProblemInstance(net, SWRT, weights=(0, big, 2 * big, 2 * big, 2 * big))
+        tree = SpanningTree.from_edges(net, range(4))
+        assert es_swrt(inst, tree).order == reference_es_swrt(inst, tree).order == (0, 1, 3, 2)
+
+    def test_overflowing_merged_blocks(self):
+        # a huge child merges into its small parent; the merged block's ratio
+        # still overflows and is compared exactly against a sibling
+        big = 2**1100
+        net = Network(4, ((0, 1, 1), (1, 2, 1), (0, 3, 1)))
+        inst = ProblemInstance(net, SWRT, weights=(0, 1, 2 * big, big))
+        tree = SpanningTree.from_edges(net, range(3))
+        assert es_swrt(inst, tree).order == reference_es_swrt(inst, tree).order == (0, 1, 2)
+
+    def test_huge_due_dates(self):
+        # last come 2 (due 2**80 + 1, beats 4 on the vertex), 4, then 1 and 3
+        # (due 2**80, 1 beats 3 on the vertex)
+        net = Network(5, ((0, 1, 1), (1, 2, 1), (0, 3, 2), (0, 4, 1)))
+        inst = ProblemInstance(net, L, vertex_due_dates=(0, 2**80, 2**80 + 1, 2**80, 2**80 + 1))
+        tree = SpanningTree.from_edges(net, range(4))
+        assert es_lmax(inst, tree).order == reference_es_lmax(inst, tree).order == (2, 0, 3, 1)
 
 
 class TestEsLetpc:
