@@ -94,6 +94,11 @@ class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
 
+    def copy(self) -> "_UnionFind":
+        new = _UnionFind(0)
+        new.parent = self.parent.copy()
+        return new
+
     def find(self, x: int) -> int:
         parent = self.parent
         root = x
@@ -301,6 +306,16 @@ class ContractedGraph:
             oracle = all_pairs_shortest_paths(net)
         self.dist = oracle.dist.copy()
 
+    def copy(self) -> "ContractedGraph":
+        """An independent copy of this state."""
+        new = object.__new__(ContractedGraph)
+        new.net = self.net
+        new._uf = self._uf.copy()
+        new.active = self.active.copy()
+        new.adj = [a.copy() for a in self.adj]
+        new.dist = self.dist.copy()
+        return new
+
     def find(self, v: int) -> int:
         return self._uf.find(v)
 
@@ -327,20 +342,16 @@ class ContractedGraph:
         dist[z, :] = dz
         dist[z, z] = 0
 
-        del self.adj[x][y]
-        del self.adj[y][x]
-        merged: dict[int, tuple[int, int]] = {}
-        for side in (x, y):
-            for u, entry in self.adj[side].items():
-                if u not in merged or entry < merged[u]:
-                    merged[u] = entry
-        for u in set(self.adj[x]) | set(self.adj[y]):
-            self.adj[u].pop(x, None)
-            self.adj[u].pop(y, None)
-        for u, entry in merged.items():
-            self.adj[u][z] = entry
-        self.adj[z] = merged
-        self.adj[gone] = {}
+        # z keeps the shorter of each pair of parallel edges (tie: edge id)
+        adj = self.adj
+        keep, drop = adj[z], adj[gone]
+        del keep[gone], drop[z]
+        for u, entry in drop.items():
+            other = adj[u]
+            del other[gone]
+            if u not in keep or entry < keep[u]:
+                keep[u] = other[z] = entry
+        adj[gone] = {}
         self._uf.union(x, y)
         self.active[gone] = False
         return z

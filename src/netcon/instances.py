@@ -50,6 +50,11 @@ class GeneratorSpec:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.n < 2:
             raise ValueError("n must be at least 2")
+        if self.family != RANDOM_METRIC and self.n > (GRID + 1) ** 2:
+            raise ValueError(
+                f"--n {self.n} exceeds the {(GRID + 1) ** 2} distinct grid points "
+                f"that {self.family} places vertices on"
+            )
 
 
 def _rounded_dist(p: tuple[int, int], q: tuple[int, int]) -> int:
@@ -302,6 +307,8 @@ def read_instance(path) -> tuple[ProblemInstance, str | None]:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InstanceFormatError("<root>", f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise InstanceFormatError("<root>", "JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError("<root>", "expected a JSON object")
     return instance_from_dict(doc), doc.get("family")

@@ -14,6 +14,7 @@ sequence yields the same tree.
 from __future__ import annotations
 
 import bisect
+import itertools
 
 import numpy as np
 
@@ -95,84 +96,119 @@ def rebuild(inst: ProblemInstance, order, oracle: DistanceOracle) -> Solution:
     return solve_tree(inst, tree)
 
 
-def a_it(net: Network, oracle: DistanceOracle, order) -> SpanningTree:
-    """Grow a depot tree by attaching the first unspanned vertex of ``order``
-    via a shortest path to the current tree.
+class _ITState:
+    """A-IT after a prefix of a vertex order: the depot tree grown so far,
+    which its chosen edge set alone determines.
 
     The path is the one ``a_et`` would choose on the state "tree plus
     singletons": the tree acts as one super-vertex whose id is its smallest
     member ``root``, and the walk starts from the larger of ``v`` and ``root``.
     """
-    n = net.n
-    dist = oracle.dist
-    adjacency = net.adjacency
-    in_tree = [False] * n
-    in_tree[net.depot] = True
-    root = net.depot
-    # nearest-tree-vertex distance per vertex
-    d_tree = dist[net.depot].copy()
-    chosen: set[int] = set()
 
-    def into_tree(x: int):
-        """Shortest (length, edge id) from singleton ``x`` into the tree."""
-        best = None
-        for y, eid, length in adjacency[x]:
-            if in_tree[y] and (best is None or (length, eid) < best):
-                best = (length, eid)
-        return best
+    def __init__(self, net: Network, oracle: DistanceOracle):
+        self.net = net
+        self.dist = oracle.dist
+        self.in_tree = [False] * net.n
+        self.in_tree[net.depot] = True
+        self.root = net.depot
+        # nearest-tree-vertex distance per vertex
+        self.d_tree = oracle.dist[net.depot].copy()
+        # per vertex outside the tree: its shortest (length, edge id) into it
+        self.into: list = [None] * net.n
+        for y, eid, length in net.adjacency[net.depot]:
+            self.into[y] = (length, eid)
+        self.chosen: set[int] = set()
 
-    def nbrs(x: int):
-        if x == root:  # the tree's neighbors, scanned lazily
-            return ((y, *e) for y in range(n) if not in_tree[y] and (e := into_tree(y)))
-        singles = [(y, length, eid) for y, eid, length in adjacency[x] if not in_tree[y]]
-        entry = into_tree(x)
-        if entry:
-            bisect.insort(singles, (root, *entry))
-        return singles
+    def copy(self) -> "_ITState":
+        new = object.__new__(_ITState)
+        new.net, new.dist, new.root = self.net, self.dist, self.root
+        new.in_tree = self.in_tree.copy()
+        new.d_tree = self.d_tree.copy()
+        new.into = self.into.copy()
+        new.chosen = self.chosen.copy()
+        return new
 
-    for v in order:
+    def _nbrs(self, x: int):
+        """Neighbors of ``x`` with the tree as the one vertex ``root``, in
+        ascending order and lazily: a walk stops at its first match."""
+        in_tree, into, root = self.in_tree, self.into, self.root
+        if x == root:
+            yield from ((y, *into[y]) for y in range(len(in_tree)) if not in_tree[y] and into[y])
+            return
+        tree = into[x]  # x's shortest edge into the tree, placed at root
+        for y, eid, length in self.net.adjacency[x]:
+            if tree and y > root:
+                yield (root, *tree)
+                tree = None
+            if not in_tree[y]:
+                yield (y, length, eid)
+        if tree:
+            yield (root, *tree)
+
+    def attach(self, v: int):
+        """Connect vertex ``v`` to the tree unless it is in already; O(deg)
+        per joining vertex keeps ``into`` current."""
+        in_tree = self.in_tree
         if in_tree[v]:
-            continue
+            return
+        root, d_tree, dist = self.root, self.d_tree, self.dist
         if v > root:
             d = d_tree.tolist()
         else:
             d = np.minimum(dist[v], d_tree[v] + d_tree).tolist()
-        path = _walk_back(max(v, root), d, nbrs)
-        chosen.update(path)
+        path = _walk_back(max(v, root), d, self._nbrs)
+        self.chosen.update(path)
+        into, adjacency, edges = self.into, self.net.adjacency, self.net.edges
         for eid in path:
-            for x in net.edges[eid][:2]:
-                if not in_tree[x]:
-                    in_tree[x] = True
-                    np.minimum(d_tree, dist[x], out=d_tree)
-                    root = min(root, x)
-    return SpanningTree.from_edges(net, chosen)
+            for x in edges[eid][:2]:
+                if in_tree[x]:
+                    continue
+                in_tree[x] = True
+                np.minimum(d_tree, dist[x], out=d_tree)
+                root = min(root, x)
+                for y, e, length in adjacency[x]:
+                    if not in_tree[y] and (into[y] is None or (length, e) < into[y]):
+                        into[y] = (length, e)
+        self.root = root
+
+    def finish(self):
+        """A vertex order names every vertex, so the tree spans already."""
 
 
-def a_et(net: Network, order, oracle: DistanceOracle | None = None) -> SpanningTree:
-    """Join the first unconnected pair of ``order`` via a shortest path in the
-    contracted graph, then contract that path; greedy completion if a reduced
-    sequence leaves a forest."""
-    cg = ContractedGraph(net, oracle if oracle is not None else cached_oracle(net))
-    chosen: set[int] = set()
-    ptr = 0
-    while cg.num_components() > 1:
-        pair = None
-        while ptr < len(order):
-            u, v = order[ptr]
-            if cg.find(u) != cg.find(v):
-                pair = (u, v)
-                break
-            ptr += 1
-        if pair is None:
-            _greedy_join(cg, chosen)
-            continue
-        path = cg.shortest_path_edges(*pair)
-        chosen.update(path)
+class _ETState:
+    """A-ET after a prefix of a pairs order: the contracted graph and the
+    edges contracted so far, which alone determine it."""
+
+    def __init__(self, net: Network, oracle: DistanceOracle):
+        self.net = net
+        self.cg = ContractedGraph(net, oracle)
+        self.chosen: set[int] = set()
+
+    def copy(self) -> "_ETState":
+        new = object.__new__(_ETState)
+        new.net = self.net
+        new.cg = self.cg.copy()
+        new.chosen = self.chosen.copy()
+        return new
+
+    def attach(self, pair):
+        """Join the pair via a shortest path in the contracted graph and
+        contract that path, unless the pair is joined already."""
+        cg = self.cg
+        u, v = pair
+        if cg.find(u) == cg.find(v):
+            return
+        path = cg.shortest_path_edges(u, v)
+        self.chosen.update(path)
         for eid in path:
-            a, b, _ = net.edges[eid]
+            a, b, _ = self.net.edges[eid]
             if cg.find(a) != cg.find(b):
                 cg.contract_edge(a, b)
-    return SpanningTree.from_edges(net, chosen)
+
+    def finish(self):
+        """Greedy completion of the forest a reduced sequence leaves."""
+        while self.cg.num_components() > 1:
+            _greedy_join(self.cg, self.chosen)
 
 
 def _greedy_join(cg: ContractedGraph, chosen: set[int]):
@@ -188,6 +224,50 @@ def _greedy_join(cg: ContractedGraph, chosen: set[int]):
     cg.contract_edge(best[2], best[3])
 
 
+def _fold(state, order) -> SpanningTree:
+    attach = state.attach
+    for item in order:
+        attach(item)
+    state.finish()
+    return SpanningTree.from_edges(state.net, state.chosen)
+
+
+def a_it(net: Network, oracle: DistanceOracle, order) -> SpanningTree:
+    """Grow a depot tree by attaching the first unspanned vertex of ``order``
+    via a shortest path to the current tree (``_ITState``)."""
+    return _fold(_ITState(net, oracle), order)
+
+
+def a_et(net: Network, order, oracle: DistanceOracle | None = None) -> SpanningTree:
+    """Join the first unconnected pair of ``order`` via a shortest path in the
+    contracted graph, then contract that path; greedy completion if a reduced
+    sequence leaves a forest (``_ETState``)."""
+    return _fold(_ETState(net, oracle if oracle is not None else cached_oracle(net)), order)
+
+
+def _replay(snap, order, sets, j, i):
+    """Chosen edges of the shift (j, i) replayed from ``snap``, the state
+    after ``order[:i]``: ``order[j]``, then ``order[i:j]``, then the suffix.
+    None once the replay meets the base run, whose final tree it then ends in.
+
+    A state is a function of its chosen edge set, and attaching an item that
+    is joined already does nothing.  So if, before the replay attaches
+    ``order[k]`` (k != j), its edges equal the base run's after ``order[:k]``,
+    both runs go on from equal states with ``order[k:]``, except that the
+    base run also attaches ``order[j]``, which the replay has joined.
+    """
+    s = snap.copy()
+    s.attach(order[j])
+    for k in itertools.chain(range(i, j), range(j + 1, len(order))):
+        if s.chosen == sets[k]:
+            return None
+        s.attach(order[k])
+    if s.chosen == sets[-1]:
+        return None
+    s.finish()
+    return frozenset(s.chosen)
+
+
 def neighbors(inst: ProblemInstance, current: Solution, kind: str):
     """Stream of (tabu attributes, rebuilt solution) in deterministic order:
     a NET exchange gives (add, remove), an SCH shift the moved vertex (v,) or
@@ -201,8 +281,29 @@ def neighbors(inst: ProblemInstance, current: Solution, kind: str):
         oracle = cached_oracle(inst.net)
         order, starts = sequence(inst, current.schedule, True)
         pairs = inst.variant not in IT_VARIANTS
-        for j, i in enumerate_shifts(starts, len(order)):
-            attrs = order[j] if pairs else (order[j],)
-            yield attrs, rebuild(inst, apply_shift(order, j, i), oracle)
+        shifts = list(enumerate_shifts(starts, len(order)))
+        if not shifts:
+            return
+        # the base run: snapshots at the shift targets, chosen edges per prefix
+        state = _ETState(inst.net, oracle) if pairs else _ITState(inst.net, oracle)
+        targets = {i for _, i in shifts}
+        snaps = {}
+        sets = [frozenset()]  # sets[k]: the base run's chosen edges after order[:k]
+        for k, item in enumerate(order):
+            if k in targets:
+                snaps[k] = state.copy()
+            state.attach(item)
+            sets.append(sets[-1] if len(state.chosen) == len(sets[-1]) else frozenset(state.chosen))
+        state.finish()
+        final = frozenset(state.chosen)
+        solved = {}  # chosen edges -> Solution: one ES(T) per distinct tree
+        for j, i in shifts:
+            edges = _replay(snaps[i], order, sets, j, i)
+            if edges is None:
+                edges = final
+            sol = solved.get(edges)
+            if sol is None:
+                sol = solved[edges] = solve_tree(inst, SpanningTree.from_edges(inst.net, edges))
+            yield (order[j] if pairs else (order[j],)), sol
     else:
         raise ValueError(f"unknown neighborhood kind {kind!r}")

@@ -8,6 +8,7 @@ import networkx as nx
 import numpy as np
 
 from netcon import (
+    IT_VARIANTS,
     L,
     L_ETPC,
     SWRT,
@@ -17,8 +18,10 @@ from netcon import (
     Network,
     ProblemInstance,
     SpanningTree,
+    cached_oracle,
 )
 from netcon.graph import _floyd_warshall
+from netcon.neighborhoods import apply_shift, enumerate_shifts, rebuild, sequence
 
 
 def tri() -> Network:
@@ -255,6 +258,19 @@ def reference_shifts(starts, length: int):
             if i < j and i not in seen:
                 seen.add(i)
                 yield j, i
+
+
+def reference_sch_neighbors(inst: ProblemInstance, current) -> list:
+    """The SCH stream with every neighbour rebuilt from scratch: ``rebuild``
+    of each shift of ``enumerate_shifts``, in its order, with its tabu
+    attributes (the moved vertex (v,) or pair (u, v))."""
+    oracle = cached_oracle(inst.net)
+    order, starts = sequence(inst, current.schedule, True)
+    it = inst.variant in IT_VARIANTS
+    return [
+        ((order[j],) if it else order[j], rebuild(inst, apply_shift(order, j, i), oracle))
+        for j, i in enumerate_shifts(starts, len(order))
+    ]
 
 
 def reference_es_swrt(inst: ProblemInstance, tree: SpanningTree) -> EdgeSchedule:

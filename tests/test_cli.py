@@ -68,6 +68,22 @@ class TestGenerate:
         assert code == 3
         assert "n must be at least 2" in err
 
+    @pytest.mark.parametrize("family", ["euclidean_complete", "planar_road"])
+    def test_n_beyond_grid_points(self, capsys, monkeypatch, family):
+        # a 3 x 3 grid has 9 distinct points, so a tenth vertex could never be placed
+        monkeypatch.setattr(netcon.instances, "GRID", 2)
+        code, stdout, err = run_cli(capsys, "generate", "--family", family, "--n", "10",
+                                    "--variant", "USRT")
+        assert code == 3 and stdout == ""
+        assert "--n 10 exceeds the 9 distinct grid points" in err
+        code, stdout, _ = run_cli(capsys, "generate", "--family", family, "--n", "9",
+                                  "--variant", "USRT")
+        assert code == 0 and json.loads(stdout)["n"] == 9
+
+    def test_random_metric_has_no_grid_bound(self, monkeypatch):
+        monkeypatch.setattr(netcon.instances, "GRID", 2)
+        assert generate(GeneratorSpec("random_metric", 10, 0, USRT)).net.n == 10
+
 
 class TestSolve:
     def test_ils_net_tri(self, capsys, tri_usrt):
@@ -152,6 +168,14 @@ class TestSolve:
         bad.write_text('{"format_version": 1}')
         code, _, err = run_cli(capsys, "solve", str(bad), "--algo", "mst")
         assert code == 3
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        # the JSON decoder recurses once per bracket
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, stdout, err = run_cli(capsys, "solve", str(path), "--algo", "mst")
+        assert code == 3 and stdout == ""
+        assert "<root>: JSON nested too deeply" in err
 
     @pytest.mark.parametrize("pairs, message", [
         ([[1, 2, 0], [1, 2, 50]], "pair_due_dates[1]: duplicate pair [1, 2]"),

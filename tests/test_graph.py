@@ -253,6 +253,24 @@ class TestContraction:
                 for a, b in itertools.combinations(act, 2):
                     assert cg.shortest_path_edges(a, b) == tip_path(cg, tips, a, b)
 
+    def test_copy_is_independent(self):
+        rng = random.Random(15)
+        for _ in range(20):
+            net = random_network(rng, rng.randint(4, 9))
+            cg = ContractedGraph(net)
+            a, b, _ = net.edges[0]
+            cg.contract_edge(a, b)
+            before = (cg.dist.copy(), [dict(d) for d in cg.adj], cg.active_vertices())
+            twin = cg.copy()
+            x = twin.active_vertices()[-1]
+            twin.contract_edge(x, min(twin.adj[x]))
+            assert np.array_equal(cg.dist, before[0]) and cg.adj == before[1]
+            assert cg.active_vertices() == before[2] and cg.find(x) == x
+            for state in (cg, twin):
+                dist, _ = recompute_contracted(state)
+                ix = np.ix_(state.active_vertices(), state.active_vertices())
+                assert np.array_equal(state.dist[ix], dist[ix])
+
     def test_shortest_path_edges(self):
         net = tri()
         cg = ContractedGraph(net)

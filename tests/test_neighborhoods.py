@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -5,11 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netcon import (
+    FAMILIES,
     L_ETPC,
     NET,
     SCH,
     USRT,
+    VARIANTS,
     EdgeSchedule,
+    GeneratorSpec,
     Network,
     ProblemInstance,
     SpanningTree,
@@ -17,11 +21,15 @@ from netcon import (
     a_it,
     cached_oracle,
     evaluate,
+    generate,
+    minimum_spanning_tree,
+    mst_heuristic,
     neighbors,
     pairs_connection_sequence,
     solve_tree,
     vertex_recovery_sequence,
 )
+from netcon import neighborhoods
 from netcon.neighborhoods import apply_shift, enumerate_edge_exchange, enumerate_shifts
 
 from helpers import (
@@ -32,6 +40,7 @@ from helpers import (
     random_network,
     random_spanning_tree,
     reference_rebuild,
+    reference_sch_neighbors,
     reference_shifts,
     tri,
 )
@@ -248,3 +257,112 @@ class TestNeighborStream:
         first = [(m, s.objective) for m, s in neighbors(inst, current, NET)]
         second = [(m, s.objective) for m, s in neighbors(inst, current, NET)]
         assert first == second
+
+
+@st.composite
+def small_instances(draw):
+    """A generated instance of any family and variant, n <= 7, with a random
+    depot; lengths folded into 1..k for k <= 3 when ``ties`` is drawn, and
+    for L_ETPC a drawn share of the relevant pairs, so that reduced
+    sequences leave forests."""
+    family = draw(st.sampled_from(FAMILIES))
+    variant = draw(st.sampled_from(VARIANTS))
+    n = draw(st.sampled_from(range(2, 8)))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    inst = generate(GeneratorSpec(family, n, rng.randrange(2**16), variant))
+    edges = inst.net.edges
+    ties = draw(st.sampled_from((None, 1, 2, 3)))
+    if ties is not None:
+        edges = tuple((a, b, 1 + w % ties) for a, b, w in edges)
+    net = Network(n, edges, depot=draw(st.integers(0, n - 1)))
+    if variant != L_ETPC:
+        return dataclasses.replace(inst, net=net)
+    pairs = rng.sample(inst.relevant_pairs, rng.randint(1, inst.q))
+    return dataclasses.replace(
+        inst, net=net, pair_due_dates={p: inst.pair_due_dates[p] for p in pairs}
+    )
+
+
+def spy_on(monkeypatch, name: str) -> list:
+    """Record the return value of every call of ``neighborhoods.<name>``."""
+    seen = []
+    real = getattr(neighborhoods, name)
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(neighborhoods, name, spy)
+    return seen
+
+
+class TestSchReplay:
+    """The SCH scan replays each shift from a prefix snapshot, stops where it
+    meets the base run, and solves each distinct tree once; its stream must
+    equal the one that rebuilds every shift from scratch."""
+
+    @given(small_instances(), st.lists(st.integers(0, 10**6), max_size=3))
+    @settings(max_examples=150)
+    def test_stream_equals_reference(self, inst, picks):
+        # several steps from the MST solution, each to a drawn neighbour
+        current = mst_heuristic(inst)
+        for pick in [*picks, None]:
+            stream = list(neighbors(inst, current, SCH))
+            assert stream == reference_sch_neighbors(inst, current)
+            if pick is None or not stream:
+                break
+            current = stream[pick % len(stream)][1]
+
+    @pytest.mark.parametrize("ids, met, trees", [
+        ((0, 1, 2), [False, False, False], [(0, 2, 4), (0, 1, 3), (0, 1, 3)]),
+        ((1, 2, 4), [False, False, True], [(0, 1, 2), (0, 2, 3), (0, 2, 4)]),
+        ((0, 2, 3), [True, False, False], [(0, 1, 3), (0, 2, 4), (0, 1, 2)]),
+    ])
+    def test_vertex_shortcut_pinned(self, monkeypatch, ids, met, trees):
+        # met: the replay reached the base run's edges and took its final tree
+        net = Network(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 2), (0, 2, 2)))
+        inst = ProblemInstance(net, USRT)
+        current = solve_tree(inst, SpanningTree.from_edges(net, ids))
+        seen = spy_on(monkeypatch, "_replay")
+        stream = list(neighbors(inst, current, SCH))
+        assert [edges is None for edges in seen] == met
+        assert [sol.tree.edge_ids for _, sol in stream] == trees
+        assert stream == reference_sch_neighbors(inst, current)
+
+    def test_pair_shortcut_with_greedy_base(self, monkeypatch):
+        # the reduced sequence leaves a forest, so the base run ends greedily;
+        # the one shift meets it and shares its tree
+        net = Network(5, ((0, 2, 2), (0, 3, 3), (0, 4, 1), (1, 2, 2), (1, 4, 1), (2, 4, 3)))
+        inst = ProblemInstance(net, L_ETPC, pair_due_dates={(3, 4): 0, (0, 4): 1})
+        current = mst_heuristic(inst)
+        seen = spy_on(monkeypatch, "_replay")
+        joins = spy_on(monkeypatch, "_greedy_join")
+        stream = list(neighbors(inst, current, SCH))
+        assert seen == [None] and joins
+        assert stream == reference_sch_neighbors(inst, current)
+
+    def test_pair_replay_needs_greedy_join(self, monkeypatch):
+        net = Network(5, (
+            (0, 1, 1), (0, 3, 1), (0, 4, 3), (1, 2, 1), (1, 4, 2), (2, 3, 2), (2, 4, 1), (3, 4, 2),
+        ))
+        inst = ProblemInstance(net, L_ETPC, pair_due_dates={(0, 2): 3, (0, 3): 1})
+        current = mst_heuristic(inst)
+        seen = spy_on(monkeypatch, "_replay")
+        joins = spy_on(monkeypatch, "_greedy_join")
+        stream = list(neighbors(inst, current, SCH))
+        assert seen == [frozenset({0, 1, 3, 6})] and joins
+        assert stream == reference_sch_neighbors(inst, current)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_solve_per_distinct_tree(self, monkeypatch, variant):
+        inst = generate(GeneratorSpec("euclidean_complete", 7, 3, variant))
+        current = solve_tree(inst, minimum_spanning_tree(inst.net))
+        calls = []
+        real = neighborhoods.solve_tree
+        monkeypatch.setattr(
+            neighborhoods, "solve_tree", lambda inst, tree: calls.append(tree) or real(inst, tree)
+        )
+        stream = list(neighbors(inst, current, SCH))
+        distinct = {sol.tree.edge_ids for _, sol in stream}
+        assert len(calls) == len(distinct) < len(stream)
+        assert stream == reference_sch_neighbors(inst, current)
