@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .instances import (
@@ -48,6 +49,17 @@ CSV_COLUMNS = (
     "objective",
     "wall_ms",
     "params",
+)
+
+REPORT_COLUMNS = (
+    "variant",
+    "family",
+    "n",
+    "algorithm",
+    "runs",
+    "num_best",
+    "avg_gap",
+    "max_gap",
 )
 
 EXIT_OK = 0
@@ -219,7 +231,7 @@ def cmd_bench(args) -> int:
     if args.jobs == 1:
         records = [_solve_one(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             records = list(pool.map(_solve_one, tasks))
     records.sort(key=lambda r: (r.instance, r.algorithm, r.seed))
     _append_csv(args.out, records)
@@ -235,116 +247,62 @@ def cmd_report(args) -> int:
     rows = _read_results(args.results)
     if args.best:
         rows += _read_results(args.best)
-    # best value per instance over everything supplied
-    best: dict[str, int] = {}
-    missing = []
-    by_instance: dict[str, list[dict]] = {}
+    # best value per instance over everything supplied; None until a run completes
+    best: dict[str, int | None] = {}
+    groups: dict[tuple, list[dict]] = {}
     for row in rows:
-        by_instance.setdefault(row["instance"], []).append(row)
-    for name, group in sorted(by_instance.items()):
-        objectives = [r["objective"] for r in group if r["objective"] is not None]
-        if not objectives:
-            missing.append(name)
-        else:
-            best[name] = min(objectives)
+        name, objective = row["instance"], row["objective"]
+        best.setdefault(name, objective)
+        if objective is not None:
+            if best[name] is None or objective < best[name]:
+                best[name] = objective
+            key = (row["variant"], row["family"], row["n"], row["algorithm"])
+            groups.setdefault(key, []).append(row)
+    missing = sorted(name for name, value in best.items() if value is None)
     if missing:
         raise InstanceFormatError(
             "results", "no completed run for instances: " + ", ".join(missing)
         )
-    d_min_cache: dict[str, int] = {}
-
-    def d_min_of(row) -> int:
-        name = row["instance"]
-        if name not in d_min_cache:
-            d_min_cache[name] = read_instance(name)[0].d_min()
-        return d_min_cache[name]
-
-    groups: dict[tuple, dict[str, list]] = {}
-    for row in rows:
-        if row["objective"] is None:
-            continue
-        key = (row["variant"], row["family"], row["n"])
-        algo_rows = groups.setdefault(key, {}).setdefault(row["algorithm"], [])
-        algo_rows.append(row)
-    out_rows = []
-    for key in sorted(groups):
-        variant, family, n = key
-        for algo in sorted(groups[key]):
-            algo_rows = groups[key][algo]
-            gaps: list[Fraction | None] = []
-            n_best = 0
-            for row in algo_rows:
-                b = best[row["instance"]]
-                if row["objective"] == b:
-                    n_best += 1
-                d_min = d_min_of(row) if variant not in ("USRT", "SWRT") else 0
-                try:
-                    gaps.append(gap(row["objective"], b, d_min, variant))
-                except UndefinedGapError:
-                    gaps.append(None)
-            defined = [g for g in gaps if g is not None]
-            if defined and len(defined) == len(gaps):
-                avg = format_gap(sum(defined) / len(defined))
-                worst = format_gap(max(defined))
-            elif defined:
-                avg = "n/a"
-                worst = format_gap(max(defined))
-            else:
-                avg = worst = "n/a"
-            out_rows.append(
-                {
-                    "variant": variant,
-                    "family": family,
-                    "n": n,
-                    "algorithm": algo,
-                    "runs": len(algo_rows),
-                    "num_best": n_best,
-                    "avg_gap": avg,
-                    "max_gap": worst,
-                }
-            )
-    fieldnames = [
-        "variant",
-        "family",
-        "n",
-        "algorithm",
-        "runs",
-        "num_best",
-        "avg_gap",
-        "max_gap",
-    ]
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
-        writer = csv.DictWriter(out, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(out_rows)
-    finally:
-        if args.out:
-            out.close()
+    d_min_of = functools.cache(lambda name: read_instance(name)[0].d_min())
+    table = []
+    for key, group in sorted(groups.items()):
+        variant = key[0]
+        gaps = []  # defined gaps only
+        for row in group:
+            name = row["instance"]
+            d_min = 0 if variant in ("USRT", "SWRT") else d_min_of(name)
+            with contextlib.suppress(UndefinedGapError):
+                gaps.append(gap(row["objective"], best[name], d_min, variant))
+        n_best = sum(row["objective"] == best[row["instance"]] for row in group)
+        avg = format_gap(sum(gaps) / len(gaps)) if len(gaps) == len(group) else "n/a"
+        worst = format_gap(max(gaps)) if gaps else "n/a"
+        table.append((*key, len(group), n_best, avg, worst))
+    stdout = contextlib.nullcontext(sys.stdout)
+    with open(args.out, "w", newline="", encoding="utf-8") if args.out else stdout as out:
+        writer = csv.writer(out)
+        writer.writerow(REPORT_COLUMNS)
+        writer.writerows(table)
     return EXIT_OK
 
 
 def _read_results(path) -> list[dict]:
-    rows = []
+    """Parse a results CSV; every malformed part raises ``<path>:<line>: ...``."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(CSV_COLUMNS) - set(reader.fieldnames):
-            raise InstanceFormatError(str(path), "missing required CSV columns")
-        for k, raw in enumerate(reader):
-            try:
-                rows.append(
-                    {
-                        "instance": raw["instance"],
-                        "variant": raw["variant"],
-                        "family": raw["family"],
-                        "n": int(raw["n"]),
-                        "algorithm": raw["algorithm"],
-                        "seed": int(raw["seed"]),
-                        "objective": int(raw["objective"]) if raw["objective"] else None,
-                    }
-                )
-            except ValueError as exc:
-                raise InstanceFormatError(f"{path}:{k + 2}", str(exc)) from exc
+        rows = []
+        try:
+            if set(CSV_COLUMNS) - set(reader.fieldnames or ()):
+                raise ValueError("missing required CSV columns")
+            for raw in reader:
+                if None in raw.values():
+                    raise ValueError("fewer fields than the header")
+                objective = int(raw["objective"]) if raw["objective"] else None
+                rows.append({**raw, "n": int(raw["n"]), "seed": int(raw["seed"]),
+                             "objective": objective})
+        except (ValueError, csv.Error) as exc:
+            # DictReader.line_num lags a failed read; its inner reader counts that line
+            line = reader.reader.line_num or 1
+            raise InstanceFormatError(f"{path}:{line}", str(exc)) from exc
     return rows
 
 

@@ -241,6 +241,13 @@ class TestBenchReport:
             write_instance(inst, d / f"i{k}.json", family="euclidean_complete")
         return d
 
+    def write_results(self, path, rows):
+        with path.open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["instance", "variant", "family", "n", "algorithm",
+                        "seed", "objective", "wall_ms", "params"])
+            w.writerows(rows)
+
     def test_bench_then_report(self, capsys, tmp_path):
         d = self.make_dir(tmp_path)
         out = tmp_path / "res.csv"
@@ -263,12 +270,10 @@ class TestBenchReport:
 
     def test_report_eq1_example(self, capsys, tmp_path, tri_usrt):
         res = tmp_path / "r.csv"
-        with res.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["instance", "variant", "family", "n", "algorithm",
-                        "seed", "objective", "wall_ms", "params"])
-            w.writerow([tri_usrt, "USRT", "f", 3, "mst", 0, 110, 1, "{}"])
-            w.writerow([tri_usrt, "USRT", "f", 3, "oracle", 0, 100, 1, "{}"])
+        self.write_results(res, [
+            [tri_usrt, "USRT", "f", 3, "mst", 0, 110, 1, "{}"],
+            [tri_usrt, "USRT", "f", 3, "oracle", 0, 100, 1, "{}"],
+        ])
         code, table, _ = run_cli(capsys, "report", "--results", str(res))
         assert code == 0
         parsed = {r["algorithm"]: r for r in csv.DictReader(table.splitlines())}
@@ -282,12 +287,10 @@ class TestBenchReport:
         path = tmp_path / "lat.json"
         write_instance(inst, path)
         res = tmp_path / "r.csv"
-        with res.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["instance", "variant", "family", "n", "algorithm",
-                        "seed", "objective", "wall_ms", "params"])
-            w.writerow([str(path), "L", "f", 2, "mst", 0, 50, 1, "{}"])
-            w.writerow([str(path), "L", "f", 2, "oracle", 0, 40, 1, "{}"])
+        self.write_results(res, [
+            [str(path), "L", "f", 2, "mst", 0, 50, 1, "{}"],
+            [str(path), "L", "f", 2, "oracle", 0, 40, 1, "{}"],
+        ])
         code, table, _ = run_cli(capsys, "report", "--results", str(res))
         assert code == 0
         parsed = {r["algorithm"]: r for r in csv.DictReader(table.splitlines())}
@@ -295,11 +298,7 @@ class TestBenchReport:
 
     def test_report_missing_objective_error(self, capsys, tmp_path, tri_usrt):
         res = tmp_path / "r.csv"
-        with res.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["instance", "variant", "family", "n", "algorithm",
-                        "seed", "objective", "wall_ms", "params"])
-            w.writerow([tri_usrt, "USRT", "f", 3, "mst", 0, "", 1, "{}"])
+        self.write_results(res, [[tri_usrt, "USRT", "f", 3, "mst", 0, "", 1, "{}"]])
         code, _, err = run_cli(capsys, "report", "--results", str(res))
         assert code == 3
         assert tri_usrt in err
@@ -323,11 +322,92 @@ class TestBenchReport:
         assert err.startswith("error:") and message in err
         assert not out.exists()
 
+    def test_bench_jobs_capped_by_tasks(self, capsys, tmp_path, monkeypatch):
+        # a fork-based pool starts all max_workers at the first submit
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("netcon.cli.ProcessPoolExecutor", SerialPool)
+        d = self.make_dir(tmp_path)
+        code, _, _ = run_cli(
+            capsys, "bench", "--instances-dir", str(d), "--algos", "mst",
+            "--jobs", "500", "--out", str(tmp_path / "res.csv"),
+        )
+        assert code == 0
+        assert seen == [2]
+
+    def test_report_undefined_gaps(self, capsys, tmp_path):
+        from netcon import L, Network
+
+        # d_min = 50, so the gap denominator ub + 50 is positive only for ub > -50
+        net = Network(2, ((0, 1, 60),))
+        path = tmp_path / "lat.json"
+        write_instance(ProblemInstance(net, L, vertex_due_dates=(0, 50)), path)
+        res = tmp_path / "r.csv"
+        self.write_results(res, [
+            [str(path), "L", "f", 2, "oracle", 0, -60, 1, "{}"],
+            [str(path), "L", "f", 2, "oracle", 1, -60, 1, "{}"],
+            [str(path), "L", "f", 2, "mst", 0, -45, 1, "{}"],
+            [str(path), "L", "f", 2, "mst", 1, -55, 1, "{}"],
+        ])
+        code, table, _ = run_cli(capsys, "report", "--results", str(res))
+        assert code == 0
+        assert table.splitlines() == [
+            "variant,family,n,algorithm,runs,num_best,avg_gap,max_gap",
+            "L,f,2,mst,2,0,n/a,300.00",  # 100 * 15 / 5 defined, -55 + 50 not
+            "L,f,2,oracle,2,2,n/a,n/a",
+        ]
+
+    def test_report_best_file(self, capsys, tmp_path, tri_usrt):
+        res, best = tmp_path / "r.csv", tmp_path / "best.csv"
+        self.write_results(res, [
+            [tri_usrt, "USRT", "f", 3, "mst", 0, 110, 1, "{}"],
+            [tri_usrt, "USRT", "f", 3, "ts-net", 0, 105, 1, "{}"],
+        ])
+        self.write_results(best, [[tri_usrt, "USRT", "f", 3, "known", 0, 100, 0, "{}"]])
+        code, table, _ = run_cli(
+            capsys, "report", "--results", str(res), "--best", str(best)
+        )
+        assert code == 0
+        # the best file's rows are also table rows
+        assert table.splitlines() == [
+            "variant,family,n,algorithm,runs,num_best,avg_gap,max_gap",
+            "USRT,f,3,known,1,1,0.00,0.00",
+            "USRT,f,3,mst,1,0,9.09,9.09",
+            "USRT,f,3,ts-net,1,0,4.76,4.76",
+        ]
+
     def test_report_bad_columns(self, capsys, tmp_path):
         res = tmp_path / "r.csv"
         res.write_text("a,b\n1,2\n")
-        code, _, _ = run_cli(capsys, "report", "--results", str(res))
+        code, _, err = run_cli(capsys, "report", "--results", str(res))
         assert code == 3
+        assert err.startswith(f"error: {res}:1: ")
+
+    @pytest.mark.parametrize("row, message", [
+        ("t.json,USRT,f", "fewer fields than the header"),
+        ('t.json,USRT,f,3,mst,0,1,1,"' + "x" * 131073 + '"', "field larger"),
+        ("t.json,USRT,f,three,mst,0,1,1,{}", "invalid literal"),
+    ], ids=["short-row", "oversized-field", "non-integer-n"])
+    def test_report_malformed_row(self, capsys, tmp_path, row, message):
+        res = tmp_path / "r.csv"
+        header = "instance,variant,family,n,algorithm,seed,objective,wall_ms,params"
+        res.write_text(f"{header}\n{row}\n")
+        code, _, err = run_cli(capsys, "report", "--results", str(res))
+        assert code == 3
+        assert err.startswith(f"error: {res}:2: ") and message in err
 
 
 def test_version_matches_pyproject():
