@@ -245,19 +245,24 @@ def _solve_one(task) -> RunRecord:
 
 def cmd_report(args) -> int:
     rows = _read_results(args.results)
+    runs = len(rows)
     if args.best:
         rows += _read_results(args.best)
-    # best value per instance over everything supplied; None until a run completes
+    # best value per reported instance over everything supplied, None until
+    # a run completes; rows of the --best file only lower these values
     best: dict[str, int | None] = {}
     groups: dict[tuple, list[dict]] = {}
-    for row in rows:
+    for k, row in enumerate(rows):
         name, objective = row["instance"], row["objective"]
+        if k >= runs and name not in best:
+            continue
         best.setdefault(name, objective)
         if objective is not None:
             if best[name] is None or objective < best[name]:
                 best[name] = objective
-            key = (row["variant"], row["family"], row["n"], row["algorithm"])
-            groups.setdefault(key, []).append(row)
+            if k < runs:
+                key = (row["variant"], row["family"], row["n"], row["algorithm"])
+                groups.setdefault(key, []).append(row)
     missing = sorted(name for name, value in best.items() if value is None)
     if missing:
         raise InstanceFormatError(

@@ -5,6 +5,7 @@ tolerances anywhere in this module.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -198,6 +199,39 @@ class SpanningTree:
             raise GraphError("edge set does not span all vertices")
         return cls(net, ids, tuple(parent))
 
+    def exchange(self, add: int, remove: int) -> "SpanningTree":
+        """This tree with tree edge ``remove`` swapped for non-tree edge
+        ``add``: the tree ``from_edges`` builds from the swapped id set,
+        derived from this parent map.
+
+        ``remove`` cuts off the subtree under its far endpoint ``c``, and
+        ``add`` must join it back: exactly one endpoint ``x`` of ``add`` lies
+        under ``c``.  The parent pointers on the path from ``x`` up to ``c``
+        reverse, and ``x`` hangs on ``add``.
+        """
+        net, parent = self.net, self.parent
+        if not (0 <= add < net.m and 0 <= remove < net.m):
+            raise GraphError(f"edge ids must lie in [0, {net.m})")
+        a, b, _ = net.edges[add]
+        if add in (parent[a][1], parent[b][1]):
+            raise GraphError(f"edge {add} is already in the tree")
+        r0, r1, _ = net.edges[remove]
+        if remove not in (parent[r0][1], parent[r1][1]):
+            raise GraphError(f"edge {remove} is not in the tree")
+        c = r0 if parent[r0][1] == remove else r1
+        under_a, under_b = _path_up(parent, a, c), _path_up(parent, b, c)
+        if (under_a is None) == (under_b is None):
+            raise GraphError(f"edge {remove} is not on the cycle of edge {add}")
+        (x, y), path = ((a, b), under_a) if under_a else ((b, a), under_b)
+        new = list(parent)
+        new[x] = (y, add)
+        for child, v in zip(path, path[1:]):
+            new[v] = (child, parent[child][1])
+        ids = list(self.edge_ids)
+        del ids[bisect.bisect_left(ids, remove)]
+        bisect.insort(ids, add)
+        return SpanningTree(net, tuple(ids), tuple(new))
+
     @cached_property
     def depth(self) -> tuple[int, ...]:
         d = [-1] * self.net.n
@@ -236,6 +270,18 @@ class SpanningTree:
         return up + down[::-1]
 
 
+def _path_up(parent, x: int, c: int) -> list[int] | None:
+    """Vertices from ``x`` up to its ancestor ``c``, both included; None if
+    ``c`` is not ``x`` or an ancestor of it."""
+    path = [x]
+    while x != c:
+        x = parent[x][0]
+        if x < 0:
+            return None
+        path.append(x)
+    return path
+
+
 def minimum_spanning_tree(net: Network) -> SpanningTree:
     """Kruskal with ascending (length, edge id) order for deterministic ties."""
     uf = _UnionFind(net.n)
@@ -252,9 +298,10 @@ def minimum_spanning_tree(net: Network) -> SpanningTree:
 
 def spanning_tree_cycle(tree: SpanningTree, non_tree_edge: int) -> list[int]:
     """Tree edges of the cycle closed by inserting ``non_tree_edge``."""
-    if non_tree_edge in set(tree.edge_ids):
-        raise GraphError(f"edge {non_tree_edge} is already in the tree")
     a, b, _ = tree.net.edges[non_tree_edge]
+    # a tree edge is the parent edge of one of its endpoints
+    if non_tree_edge in (tree.parent[a][1], tree.parent[b][1]):
+        raise GraphError(f"edge {non_tree_edge} is already in the tree")
     return tree.path_edges(a, b)
 
 

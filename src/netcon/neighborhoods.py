@@ -1,6 +1,7 @@
 """Neighborhood moves and the sequence-to-tree rebuild procedures.
 
-NET exchanges one tree edge for a non-tree edge.  SCH is one shift move for
+NET exchanges one tree edge for a non-tree edge and derives the new tree
+from the current one (``SpanningTree.exchange``).  SCH is one shift move for
 every variant: move one element of the solution's connection sequence to the
 start of an earlier group and rebuild; a vertex recovery sequence is the case
 of one vertex per group.
@@ -273,10 +274,9 @@ def neighbors(inst: ProblemInstance, current: Solution, kind: str):
     a NET exchange gives (add, remove), an SCH shift the moved vertex (v,) or
     pair (u, v)."""
     if kind == NET:
-        ids = set(current.tree.edge_ids)
-        for add, remove in enumerate_edge_exchange(inst.net, current.tree):
-            tree = SpanningTree.from_edges(inst.net, ids - {remove} | {add})
-            yield (add, remove), solve_tree(inst, tree)
+        tree = current.tree
+        for add, remove in enumerate_edge_exchange(inst.net, tree):
+            yield (add, remove), solve_tree(inst, tree.exchange(add, remove))
     elif kind == SCH:
         oracle = cached_oracle(inst.net)
         order, starts = sequence(inst, current.schedule, True)

@@ -143,12 +143,36 @@ def es_lmax(inst: ProblemInstance, tree: SpanningTree) -> EdgeSchedule:
 
 def _effective_due_dates(inst: ProblemInstance, tree: SpanningTree) -> dict[int, float]:
     """Per tree edge: the smallest due date over relevant pairs whose tree
-    path contains the edge; infinity if none."""
+    path contains the edge; infinity if none.
+
+    Offline path painting: pairs in ascending due date paint the unpainted
+    edges of their tree paths, so each edge is written once, by its smallest
+    due date.  Vertices joined by painted edges share a union-find set, and
+    ``top`` names each set's highest vertex, the one whose parent edge is
+    still unpainted (or the depot); a path walk jumps from top to top.  Once
+    every edge is painted the remaining pairs change nothing.
+    """
     d_e = {eid: math.inf for eid in tree.edge_ids}
-    for (u, v), d in inst.pair_due_dates.items():
-        for eid in tree.path_edges(u, v):
-            if d < d_e[eid]:
-                d_e[eid] = d
+    parent, depth = tree.parent, tree.depth
+    uf = _UnionFind(tree.net.n)
+    find = uf.find
+    top = list(range(tree.net.n))  # per set representative
+    unpainted = len(d_e)
+    for (u, v), d in sorted(inst.pair_due_dates.items(), key=lambda item: item[1]):
+        if not unpainted:
+            break
+        x, y = top[find(u)], top[find(v)]
+        while x != y:
+            # the deeper top lies strictly below the pair's lowest common
+            # ancestor, so its parent edge is an unpainted edge of the path
+            if depth[x] < depth[y]:
+                x, y = y, x
+            p, eid = parent[x]
+            d_e[eid] = d
+            unpainted -= 1
+            t = top[find(p)]
+            uf.union(x, p)
+            top[find(p)] = x = t
     return d_e
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import networkx as nx
@@ -19,9 +20,16 @@ from netcon import (
     ProblemInstance,
     SpanningTree,
     cached_oracle,
+    solve_tree,
 )
 from netcon.graph import _floyd_warshall
-from netcon.neighborhoods import apply_shift, enumerate_shifts, rebuild, sequence
+from netcon.neighborhoods import (
+    apply_shift,
+    enumerate_edge_exchange,
+    enumerate_shifts,
+    rebuild,
+    sequence,
+)
 
 
 def tri() -> Network:
@@ -271,6 +279,28 @@ def reference_sch_neighbors(inst: ProblemInstance, current) -> list:
         ((order[j],) if it else order[j], rebuild(inst, apply_shift(order, j, i), oracle))
         for j, i in enumerate_shifts(starts, len(order))
     ]
+
+
+def reference_net_neighbors(inst: ProblemInstance, current) -> list:
+    """The NET stream with every neighbour tree rebuilt from scratch:
+    ``from_edges`` of the swapped id set, then ES(T), for each exchange of
+    ``enumerate_edge_exchange``, in its order."""
+    ids = set(current.tree.edge_ids)
+    return [
+        ((add, remove), solve_tree(inst, SpanningTree.from_edges(inst.net, ids - {remove} | {add})))
+        for add, remove in enumerate_edge_exchange(inst.net, current.tree)
+    ]
+
+
+def reference_effective_due_dates(inst: ProblemInstance, tree: SpanningTree) -> dict:
+    """Per-pair path walk, the oracle for the painted effective due dates:
+    every relevant pair lowers each edge of its tree path to its due date."""
+    d_e = {eid: math.inf for eid in tree.edge_ids}
+    for (u, v), d in inst.pair_due_dates.items():
+        for eid in tree.path_edges(u, v):
+            if d < d_e[eid]:
+                d_e[eid] = d
+    return d_e
 
 
 def reference_es_swrt(inst: ProblemInstance, tree: SpanningTree) -> EdgeSchedule:

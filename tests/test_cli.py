@@ -376,15 +376,18 @@ class TestBenchReport:
             [tri_usrt, "USRT", "f", 3, "mst", 0, 110, 1, "{}"],
             [tri_usrt, "USRT", "f", 3, "ts-net", 0, 105, 1, "{}"],
         ])
-        self.write_results(best, [[tri_usrt, "USRT", "f", 3, "known", 0, 100, 0, "{}"]])
+        self.write_results(best, [
+            [tri_usrt, "USRT", "f", 3, "known", 0, 100, 0, "{}"],
+            # an instance the results do not report is never read
+            [str(tmp_path / "absent.json"), "L", "f", 3, "known", 0, 1, 0, "{}"],
+        ])
         code, table, _ = run_cli(
             capsys, "report", "--results", str(res), "--best", str(best)
         )
         assert code == 0
-        # the best file's rows are also table rows
+        # the best file's value is the gap base; its rows are not table rows
         assert table.splitlines() == [
             "variant,family,n,algorithm,runs,num_best,avg_gap,max_gap",
-            "USRT,f,3,known,1,1,0.00,0.00",
             "USRT,f,3,mst,1,0,9.09,9.09",
             "USRT,f,3,ts-net,1,0,4.76,4.76",
         ]

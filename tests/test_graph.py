@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netcon import (
     ContractedGraph,
@@ -15,6 +16,7 @@ from netcon import (
     reconstruct_path,
     spanning_tree_cycle,
 )
+from netcon.neighborhoods import enumerate_edge_exchange
 
 from helpers import (
     nx_distances,
@@ -200,6 +202,76 @@ class TestSpanningTree:
                         a, b, _ = net.edges[eid]
                         cur = b if cur == a else a
                     assert cur == v
+
+
+@st.composite
+def random_trees(draw):
+    """A random spanning tree of a random network: complete or sparse,
+    n <= 9, random depot, lengths 1-3."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    net = random_network(rng, draw(st.integers(2, 9)), max_len=3, complete=draw(st.booleans()))
+    return random_spanning_tree(rng, net)
+
+
+class TestExchange:
+    """``exchange`` derives the swapped tree from the parent map; a
+    depot-rooted tree has one parent map, so it must equal the rebuild."""
+
+    def test_tri(self):
+        tree = SpanningTree.from_edges(tri(), [0, 1])
+        # cut e1 (0-2), hang 2 on e2 (1-2)
+        assert tree.exchange(2, 1) == SpanningTree.from_edges(tri(), [0, 2])
+        assert tree.exchange(2, 1).parent == ((-1, -1), (0, 0), (1, 2))
+
+    def test_reverses_cut_path(self):
+        # path 0-1-2-3 rooted at 0, swap e0 (0-1) for e3 (0-3): 3 becomes
+        # the child of 0, and 2, 1 hang below it in reverse
+        net = Network(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)))
+        tree = SpanningTree.from_edges(net, [0, 1, 2]).exchange(3, 0)
+        assert tree.edge_ids == (1, 2, 3)
+        assert tree.parent == ((-1, -1), (2, 1), (3, 2), (0, 3))
+
+    @given(random_trees(), st.lists(st.integers(0, 10**6), max_size=4))
+    @settings(max_examples=300)
+    def test_equals_rebuild(self, tree, picks):
+        # every exchange of a chain of trees, each derived by the last step
+        net = tree.net
+        for pick in [*picks, None]:
+            ids = set(tree.edge_ids)
+            moves = list(enumerate_edge_exchange(net, tree))
+            for add, remove in moves:
+                expected = SpanningTree.from_edges(net, ids - {remove} | {add})
+                assert tree.exchange(add, remove) == expected
+            if pick is None or not moves:
+                break
+            tree = tree.exchange(*moves[pick % len(moves)])
+
+    @given(random_trees())
+    @settings(max_examples=200)
+    def test_preconditions(self, tree):
+        net = tree.net
+        ids = set(tree.edge_ids)
+        for add in range(net.m):
+            if add in ids:
+                with pytest.raises(GraphError, match="already in the tree"):
+                    spanning_tree_cycle(tree, add)
+            for remove in range(net.m):
+                if add in ids:
+                    error = "already in the tree"
+                elif remove not in ids:
+                    error = "not in the tree"
+                elif remove not in spanning_tree_cycle(tree, add):
+                    error = "not on the cycle"
+                else:
+                    continue
+                with pytest.raises(GraphError, match=error):
+                    tree.exchange(add, remove)
+
+    def test_ids_out_of_range(self):
+        tree = SpanningTree.from_edges(tri(), [0, 1])
+        for add, remove in ((3, 0), (-1, 0), (2, 3), (2, -1)):
+            with pytest.raises(GraphError, match="edge ids"):
+                tree.exchange(add, remove)
 
 
 class TestContraction:

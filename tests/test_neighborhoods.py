@@ -39,6 +39,7 @@ from helpers import (
     random_instance,
     random_network,
     random_spanning_tree,
+    reference_net_neighbors,
     reference_rebuild,
     reference_sch_neighbors,
     reference_shifts,
@@ -294,6 +295,31 @@ def spy_on(monkeypatch, name: str) -> list:
 
     monkeypatch.setattr(neighborhoods, name, spy)
     return seen
+
+
+class TestNetExchange:
+    """Each NET neighbour's tree is derived from the current tree; the
+    stream must equal the one that rebuilds every tree from scratch."""
+
+    @given(small_instances(), st.lists(st.integers(0, 10**6), max_size=3))
+    @settings(max_examples=150)
+    def test_stream_equals_reference(self, inst, picks):
+        # several steps from the MST solution, each to a drawn neighbour
+        current = mst_heuristic(inst)
+        for pick in [*picks, None]:
+            stream = list(neighbors(inst, current, NET))
+            assert stream == reference_net_neighbors(inst, current)
+            if pick is None or not stream:
+                break
+            current = stream[pick % len(stream)][1]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_generated_stream(self, family, variant):
+        inst = generate(GeneratorSpec(family, 9, 5, variant))
+        current = mst_heuristic(inst)
+        stream = list(neighbors(inst, current, NET))
+        assert stream and stream == reference_net_neighbors(inst, current)
 
 
 class TestSchReplay:

@@ -23,11 +23,13 @@ from netcon import (
     iter_spanning_trees,
     optimal_schedule,
 )
+from netcon import tree_solvers
 
 from helpers import (
     attach_data,
     random_network,
     random_spanning_tree,
+    reference_effective_due_dates,
     reference_es_lmax,
     reference_es_swrt,
     tri,
@@ -218,7 +220,28 @@ class TestHeapSolversMatchReferences:
         assert es_lmax(inst, tree).order == reference_es_lmax(inst, tree).order == (2, 0, 3, 1)
 
 
+@st.composite
+def tied_pair_trees(draw):
+    """A tie-heavy tree (n >= 2) and an L_ETPC instance on it: a drawn share
+    of the vertex pairs, due dates equal, negative or 2**80-sized."""
+    tree, _ = draw(tied_trees().filter(lambda case: case[0].net.n >= 2))
+    pairs = draw(st.lists(
+        st.sampled_from(list(itertools.combinations(range(tree.net.n), 2))),
+        min_size=1, unique=True,
+    ))
+    due = st.integers(-3, 3) | st.sampled_from((-(2**80), 2**80, 2**80 + 1))
+    dates = draw(st.lists(due, min_size=len(pairs), max_size=len(pairs)))
+    return tree, ProblemInstance(tree.net, L_ETPC, pair_due_dates=dict(zip(pairs, dates)))
+
+
 class TestEsLetpc:
+    @given(tied_pair_trees())
+    @settings(max_examples=400)
+    def test_painted_due_dates_match_reference(self, case):
+        tree, inst = case
+        painted = tree_solvers._effective_due_dates(inst, tree)
+        assert painted == reference_effective_due_dates(inst, tree)
+
     def test_tri_pairs(self):
         inst = ProblemInstance(tri(), L_ETPC, pair_due_dates={(1, 2): 1, (0, 1): 3})
         tree = SpanningTree.from_edges(tri(), [0, 2])
