@@ -23,7 +23,7 @@ from .instances import (
 )
 from .local_search import mst_heuristic, mst_loc
 from .metaheuristics import ILS, TS, check_limits, default_config, run
-from .model import VARIANTS, UndefinedGapError, format_gap, gap
+from .model import VARIANTS, UndefinedGapError, evaluate, format_gap, gap
 from .neighborhoods import NET, SCH
 from .solution import Solution
 from .tree_solvers import brute_force_instance
@@ -129,12 +129,19 @@ def _run_algorithm(inst, algorithm: str, time_limit: float, seed: int, max_iters
 def _run(path, algorithm: str, time_limit=600.0, seed=0, max_iters=None):
     """Read one instance file and time one algorithm on it.
 
-    Returns the run record and the solution found.
+    Returns the run record and the solution found.  Search takes objectives
+    from ES(T); the reported one is checked once against ``evaluate``.
     """
     inst, family = read_instance(path)
     start = time.monotonic()
     sol, params = _run_algorithm(inst, algorithm, time_limit, seed, max_iters)
     wall_ms = int((time.monotonic() - start) * 1000)
+    checked, _ = evaluate(inst, sol.schedule)
+    if checked != sol.objective:
+        raise RuntimeError(
+            f"internal error: {algorithm} reports objective {sol.objective}, "
+            f"evaluate gives {checked}"
+        )
     record = RunRecord(
         instance=str(path),
         variant=inst.variant,

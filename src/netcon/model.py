@@ -72,6 +72,9 @@ class ProblemInstance:
                 raise ModelError("vertex_due_dates: expected one value per vertex")
             if self.weights is not None or self.pair_due_dates is not None:
                 raise ModelError("L takes only vertex_due_dates")
+            if n < 2:
+                # the maximum lateness over no vertices is undefined
+                raise ModelError("L needs at least one non-depot vertex")
         else:
             if not self.pair_due_dates:
                 raise ModelError("pair_due_dates: at least one relevant pair required")

@@ -4,8 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import SpanningTree
-from .model import EdgeSchedule, ProblemInstance, evaluate
-from .tree_solvers import optimal_schedule
+from .model import EdgeSchedule, ProblemInstance
+from .tree_solvers import _solve
 
 
 @dataclass(frozen=True)
@@ -16,7 +16,6 @@ class Solution:
 
 
 def solve_tree(inst: ProblemInstance, tree: SpanningTree) -> Solution:
-    """ES(T) plus its objective, wrapped as a Solution."""
-    sched = optimal_schedule(inst, tree)
-    obj, _ = evaluate(inst, sched)
+    """ES(T) and the objective it returns, wrapped as a Solution."""
+    sched, obj = _solve(inst, tree)
     return Solution(tree, sched, obj)

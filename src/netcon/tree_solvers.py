@@ -67,13 +67,16 @@ def _ratio_entry(w: int, l: int, head: int) -> tuple[float, _Ratio]:
     return f, _Ratio(w, l, head)
 
 
-def es_swrt(inst: ProblemInstance, tree: SpanningTree) -> EdgeSchedule:
-    """Minimum total weighted recovery time order for an out-tree.
+def es_swrt(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, int]:
+    """Minimum total weighted recovery time order for an out-tree, and its
+    objective.
 
     Horn's ratio merging in O(n log n): the non-root block with the largest
     weight/length ratio (tie: smallest head vertex) is concatenated onto the
     block holding its tree parent, until only the root block remains.  Blocks
     sit in one heap with lazy deletion; a block's sequence is a linked list.
+    The objective is summed over the finished sequence with the original
+    weights and lengths, not the merged block sums.
     """
     if inst.variant not in (USRT, SWRT):
         raise ValueError(f"es_swrt does not apply to variant {inst.variant}")
@@ -108,19 +111,25 @@ def es_swrt(inst: ProblemInstance, tree: SpanningTree) -> EdgeSchedule:
             length[p] += length[h]
             heapq.heappush(heap, _ratio_entry(weight[p], length[p], p))
     order = []
+    t = obj = 0
     v = nxt[depot]
     while v >= 0:
-        order.append(v)
+        eid = parent[v][1]
+        order.append(eid)
+        t += net.edges[eid][2]
+        obj += inst.weights[v] * t
         v = nxt[v]
-    return _order_to_schedule(tree, order)
+    return EdgeSchedule(tree, tuple(order)), obj
 
 
-def es_lmax(inst: ProblemInstance, tree: SpanningTree) -> EdgeSchedule:
-    """Minimum maximum-lateness order for an out-tree (least-cost-last).
+def es_lmax(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, int]:
+    """Minimum maximum-lateness order for an out-tree (least-cost-last), and
+    its objective.
 
     Builds the sequence backwards in O(n log n): a heap holds the jobs with
     no unplaced children, and the one with the largest due date (tie:
-    smallest vertex) goes last.
+    smallest vertex) goes last.  The maximum lateness is taken in one forward
+    pass over the finished sequence.
     """
     if inst.variant != L:
         raise ValueError(f"es_lmax does not apply to variant {inst.variant}")
@@ -138,7 +147,19 @@ def es_lmax(inst: ProblemInstance, tree: SpanningTree) -> EdgeSchedule:
         pending_kids[p] -= 1
         if not pending_kids[p] and p != depot:
             heapq.heappush(heap, (-due[p], p))
-    return _order_to_schedule(tree, tail[::-1])
+    edges = tree.net.edges
+    order = []
+    t = 0
+    # -inf is below every lateness; ProblemInstance rejects L without a
+    # non-depot vertex, so the result is the exact int of one of them
+    obj = -math.inf
+    for v in reversed(tail):
+        eid = parent[v][1]
+        order.append(eid)
+        t += edges[eid][2]
+        if t - due[v] > obj:
+            obj = t - due[v]
+    return EdgeSchedule(tree, tuple(order)), obj
 
 
 def _effective_due_dates(inst: ProblemInstance, tree: SpanningTree) -> dict[int, float]:
@@ -176,26 +197,46 @@ def _effective_due_dates(inst: ProblemInstance, tree: SpanningTree) -> dict[int,
     return d_e
 
 
-def es_letpc(inst: ProblemInstance, tree: SpanningTree) -> EdgeSchedule:
-    """Minimum maximum pair lateness order in the external setting.
+def es_letpc(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, int]:
+    """Minimum maximum pair lateness order in the external setting, and its
+    objective.
 
     Edges get effective due dates (minimum over covering relevant pairs) and
-    are sequenced in ascending (due date, edge id) order.
+    are sequenced in ascending (due date, edge id) order.  A pair connects
+    when the last edge of its tree path completes, so swapping the two maxima
+    gives max over pairs p of max over e in P(p) of (C_e - d_p) = max over
+    covered edges e of (C_e - d_e): one pass over the order.
     """
     if inst.variant != L_ETPC:
         raise ValueError(f"es_letpc does not apply to variant {inst.variant}")
     d_e = _effective_due_dates(inst, tree)
     order = sorted(tree.edge_ids, key=lambda eid: (d_e[eid], eid))
-    return EdgeSchedule(tree, tuple(order))
+    edges = tree.net.edges
+    t = 0
+    # every relevant pair covers at least one edge, so the result is an int
+    obj = -math.inf
+    for eid in order:
+        d = d_e[eid]
+        if d == math.inf:
+            break  # uncovered edges sort last and set no lateness
+        t += edges[eid][2]
+        if t - d > obj:
+            obj = t - d
+    return EdgeSchedule(tree, tuple(order)), obj
 
 
-def optimal_schedule(inst: ProblemInstance, tree: SpanningTree) -> EdgeSchedule:
-    """ES(T): the exact tree-restricted solver for the instance's variant."""
+def _solve(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, int]:
+    """ES(T) and its objective, by the instance's variant."""
     if inst.variant in (USRT, SWRT):
         return es_swrt(inst, tree)
     if inst.variant == L:
         return es_lmax(inst, tree)
     return es_letpc(inst, tree)
+
+
+def optimal_schedule(inst: ProblemInstance, tree: SpanningTree) -> EdgeSchedule:
+    """ES(T): the exact tree-restricted solver for the instance's variant."""
+    return _solve(inst, tree)[0]
 
 
 def brute_force_tree(inst: ProblemInstance, tree: SpanningTree):

@@ -18,16 +18,19 @@ from netcon import (
     EdgeSchedule,
     Network,
     ProblemInstance,
+    Solution,
     SpanningTree,
+    a_et,
+    a_it,
     cached_oracle,
-    solve_tree,
+    evaluate,
+    optimal_schedule,
 )
 from netcon.graph import _floyd_warshall
 from netcon.neighborhoods import (
     apply_shift,
     enumerate_edge_exchange,
     enumerate_shifts,
-    rebuild,
     sequence,
 )
 
@@ -268,26 +271,41 @@ def reference_shifts(starts, length: int):
                 yield j, i
 
 
+def reference_solution(inst: ProblemInstance, tree: SpanningTree) -> Solution:
+    """ES(T)'s order with the objective ``evaluate`` computes from scratch,
+    not the one the solver returns."""
+    sched = optimal_schedule(inst, tree)
+    return Solution(tree, sched, evaluate(inst, sched)[0])
+
+
 def reference_sch_neighbors(inst: ProblemInstance, current) -> list:
-    """The SCH stream with every neighbour rebuilt from scratch: ``rebuild``
-    of each shift of ``enumerate_shifts``, in its order, with its tabu
-    attributes (the moved vertex (v,) or pair (u, v))."""
+    """The SCH stream with every neighbour rebuilt from scratch: A-IT or A-ET
+    of each shift of ``enumerate_shifts``, in its order, then
+    ``reference_solution``, with its tabu attributes (the moved vertex (v,)
+    or pair (u, v))."""
     oracle = cached_oracle(inst.net)
     order, starts = sequence(inst, current.schedule, True)
     it = inst.variant in IT_VARIANTS
+
+    def rebuilt(shifted) -> Solution:
+        tree = a_it(inst.net, oracle, shifted) if it else a_et(inst.net, shifted, oracle)
+        return reference_solution(inst, tree)
+
     return [
-        ((order[j],) if it else order[j], rebuild(inst, apply_shift(order, j, i), oracle))
+        ((order[j],) if it else order[j], rebuilt(apply_shift(order, j, i)))
         for j, i in enumerate_shifts(starts, len(order))
     ]
 
 
 def reference_net_neighbors(inst: ProblemInstance, current) -> list:
     """The NET stream with every neighbour tree rebuilt from scratch:
-    ``from_edges`` of the swapped id set, then ES(T), for each exchange of
-    ``enumerate_edge_exchange``, in its order."""
+    ``from_edges`` of the swapped id set, then ``reference_solution``, for
+    each exchange of ``enumerate_edge_exchange``, in its order."""
     ids = set(current.tree.edge_ids)
     return [
-        ((add, remove), solve_tree(inst, SpanningTree.from_edges(inst.net, ids - {remove} | {add})))
+        ((add, remove), reference_solution(
+            inst, SpanningTree.from_edges(inst.net, ids - {remove} | {add})
+        ))
         for add, remove in enumerate_edge_exchange(inst.net, current.tree)
     ]
 

@@ -192,6 +192,33 @@ class TestSolve:
         assert code == 3 and stdout == ""
         assert message in err
 
+    @pytest.mark.parametrize(
+        "algo", ["mst", "mst-loc-net", "mst-loc-sch", "ils-net", "ts-sch", "oracle"]
+    )
+    def test_one_vertex_lateness_instance(self, capsys, tmp_path, algo):
+        path = tmp_path / "one.json"
+        doc = {"format_version": 1, "variant": "L", "n": 1, "depot": 0, "edges": [],
+               "vertex_due_dates": [0]}
+        path.write_text(json.dumps(doc))
+        code, stdout, err = run_cli(capsys, "solve", str(path), "--algo", algo,
+                                    "--max-iters", "1")
+        assert code == 3 and stdout == ""
+        assert "L needs at least one non-depot vertex" in err
+
+    def test_objective_checked_against_evaluate(self, capsys, monkeypatch, tri_usrt):
+        # a search result whose objective is not its schedule's is an internal
+        # error, never a record
+        real = netcon.cli.mst_heuristic
+
+        def drifted(inst):
+            sol = real(inst)
+            return netcon.Solution(sol.tree, sol.schedule, sol.objective + 1)
+
+        monkeypatch.setattr(netcon.cli, "mst_heuristic", drifted)
+        with pytest.raises(RuntimeError, match="reports objective 4, evaluate gives 3"):
+            main(["solve", tri_usrt, "--algo", "mst"])
+        assert capsys.readouterr().out == ""
+
     def test_huge_n_without_edges(self, capsys, tmp_path):
         # rejected from the edge count before anything of size n is allocated
         path = tmp_path / "huge.json"

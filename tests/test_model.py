@@ -67,6 +67,11 @@ class TestProblemInstance:
         with pytest.raises(ModelError):
             ProblemInstance(tri(), USRT, vertex_due_dates=(0, 0, 0))
 
+    def test_l_needs_non_depot_vertex(self):
+        # the maximum lateness over no vertices has no integer value
+        with pytest.raises(ModelError, match="L needs at least one non-depot vertex"):
+            ProblemInstance(Network(1, ()), L, vertex_due_dates=(0,))
+
     def test_pair_normalization(self):
         inst = ProblemInstance(tri(), L_ETPC, pair_due_dates={(2, 1): 5, (0, 1): 3})
         assert inst.relevant_pairs == [(0, 1), (1, 2)]

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -52,24 +53,24 @@ class TestEsSwrt:
         net = Network(3, ((0, 1, 2), (0, 2, 1)))
         inst = ProblemInstance(net, SWRT, weights=(1, 1, 1))
         tree = SpanningTree.from_edges(net, [0, 1])
-        sched = es_swrt(inst, tree)
+        sched, obj = es_swrt(inst, tree)
         assert sched.order == (1, 0)
-        assert evaluate(inst, sched)[0] == 4
+        assert evaluate(inst, sched)[0] == obj == 4
 
     def test_chain_unique_order(self):
         net = Network(3, ((0, 1, 1), (1, 2, 2)))
         inst = ProblemInstance(net, SWRT, weights=(1, 1, 10))
         tree = SpanningTree.from_edges(net, [0, 1])
-        sched = es_swrt(inst, tree)
+        sched, obj = es_swrt(inst, tree)
         assert sched.order == (0, 1)
-        assert evaluate(inst, sched)[0] == 1 + 10 * 3
+        assert evaluate(inst, sched)[0] == obj == 1 + 10 * 3
 
     def test_tri_usrt(self):
         inst = ProblemInstance(tri(), USRT)
         tree = SpanningTree.from_edges(tri(), [0, 2])
-        sched = es_swrt(inst, tree)
+        sched, obj = es_swrt(inst, tree)
         assert sched.order == (0, 2)
-        assert evaluate(inst, sched)[0] == 3
+        assert evaluate(inst, sched)[0] == obj == 3
 
     def test_wrong_variant(self):
         inst = ProblemInstance(tri(), L, vertex_due_dates=(0, 0, 0))
@@ -78,14 +79,14 @@ class TestEsSwrt:
 
     def test_equal_ratio_star_smallest_head_first(self):
         inst = ProblemInstance(unit_star(), USRT)
-        sched = es_swrt(inst, SpanningTree.from_edges(unit_star(), range(4)))
+        sched, _ = es_swrt(inst, SpanningTree.from_edges(unit_star(), range(4)))
         assert sched.order == (0, 1, 2, 3)
 
     def test_equal_ratio_two_levels(self):
         # every weight/length ratio is 1; merged blocks keep ratio 1
         net = Network(5, ((0, 1, 2), (0, 2, 1), (1, 3, 1), (2, 4, 3)))
         inst = ProblemInstance(net, SWRT, weights=(1, 2, 1, 1, 3))
-        sched = es_swrt(inst, SpanningTree.from_edges(net, range(4)))
+        sched, _ = es_swrt(inst, SpanningTree.from_edges(net, range(4)))
         assert sched.order == (0, 1, 2, 3)
 
 
@@ -95,16 +96,16 @@ class TestEsLmax:
         net = Network(3, ((0, 1, 1), (0, 2, 2)))
         inst = ProblemInstance(net, L, vertex_due_dates=(0, 3, 2))
         tree = SpanningTree.from_edges(net, [0, 1])
-        sched = es_lmax(inst, tree)
+        sched, obj = es_lmax(inst, tree)
         assert sched.order == (1, 0)
-        assert evaluate(inst, sched)[0] == 0
+        assert evaluate(inst, sched)[0] == obj == 0
         reverse = EdgeSchedule(tree, (0, 1))
         assert evaluate(inst, reverse)[0] == 1
 
     def test_chain_unique_order(self):
         net = Network(3, ((0, 1, 1), (1, 2, 2)))
         inst = ProblemInstance(net, L, vertex_due_dates=(0, 5, 5))
-        sched = es_lmax(inst, SpanningTree.from_edges(net, [0, 1]))
+        sched, _ = es_lmax(inst, SpanningTree.from_edges(net, [0, 1]))
         assert sched.order == (0, 1)
 
     def test_equal_due_dates(self):
@@ -114,26 +115,27 @@ class TestEsLmax:
             tree = random_spanning_tree(rng, net)
             d = rng.randint(0, 30)
             inst = ProblemInstance(net, L, vertex_due_dates=(d,) * net.n)
-            sched = es_lmax(inst, tree)
-            assert evaluate(inst, sched)[0] == tree.total_length - d
+            sched, obj = es_lmax(inst, tree)
+            assert evaluate(inst, sched)[0] == obj == tree.total_length - d
 
     def test_equal_due_star_smallest_vertex_last(self):
         inst = ProblemInstance(unit_star(), L, vertex_due_dates=(0,) * 5)
-        sched = es_lmax(inst, SpanningTree.from_edges(unit_star(), range(4)))
+        sched, _ = es_lmax(inst, SpanningTree.from_edges(unit_star(), range(4)))
         assert sched.order == (3, 2, 1, 0)
 
     def test_equal_due_two_levels(self):
         net = Network(5, ((0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 4, 1)))
         inst = ProblemInstance(net, L, vertex_due_dates=(4,) * 5)
-        sched = es_lmax(inst, SpanningTree.from_edges(net, range(4)))
+        sched, _ = es_lmax(inst, SpanningTree.from_edges(net, range(4)))
         assert sched.order == (1, 3, 0, 2)
 
 
 @st.composite
-def tied_trees(draw, values=st.integers(0, 3)):
-    """A random tree (n <= 14, random depot, lengths 1-3) and one value per
-    vertex, drawn from a small range so that ratios and due dates tie often."""
-    n = draw(st.integers(1, 14))
+def tied_trees(draw, values=st.integers(0, 3), min_n=1):
+    """A random tree (min_n <= n <= 14, random depot, lengths 1-3) and one
+    value per vertex, drawn from a small range so that ratios and due dates
+    tie often.  L needs min_n=2: a non-depot vertex."""
+    n = draw(st.integers(min_n, 14))
     perm = draw(st.permutations(range(n)))
     edges = []
     for i in range(1, n):
@@ -147,6 +149,7 @@ def tied_trees(draw, values=st.integers(0, 3)):
 # 2**53 and 2**53 + 1 round to the same float; 2**1100 over a small length
 # overflows a float
 HUGE_VALUES = st.integers(0, 3) | st.sampled_from((2**53, 2**53 + 1, 2**1100, 2**1100 + 1))
+HUGE_DUE_DATES = HUGE_VALUES | st.sampled_from((2**80, 2**80 + 1, -(2**80)))
 
 
 class TestHeapSolversMatchReferences:
@@ -157,41 +160,41 @@ class TestHeapSolversMatchReferences:
     def test_swrt(self, case):
         tree, weights = case
         inst = ProblemInstance(tree.net, SWRT, weights=weights)
-        assert es_swrt(inst, tree).order == reference_es_swrt(inst, tree).order
+        assert es_swrt(inst, tree)[0].order == reference_es_swrt(inst, tree).order
 
     @given(tied_trees())
     @settings(max_examples=100)
     def test_usrt(self, case):
         inst = ProblemInstance(case[0].net, USRT)
-        assert es_swrt(inst, case[0]).order == reference_es_swrt(inst, case[0]).order
+        assert es_swrt(inst, case[0])[0].order == reference_es_swrt(inst, case[0]).order
 
     @given(tied_trees(HUGE_VALUES))
     @settings(max_examples=300)
     def test_swrt_huge_weights(self, case):
         tree, weights = case
         inst = ProblemInstance(tree.net, SWRT, weights=weights)
-        assert es_swrt(inst, tree).order == reference_es_swrt(inst, tree).order
+        assert es_swrt(inst, tree)[0].order == reference_es_swrt(inst, tree).order
 
-    @given(tied_trees())
+    @given(tied_trees(min_n=2))
     @settings(max_examples=400)
     def test_lmax(self, case):
         tree, due = case
         inst = ProblemInstance(tree.net, L, vertex_due_dates=due)
-        assert es_lmax(inst, tree).order == reference_es_lmax(inst, tree).order
+        assert es_lmax(inst, tree)[0].order == reference_es_lmax(inst, tree).order
 
-    @given(tied_trees(HUGE_VALUES | st.sampled_from((2**80, 2**80 + 1))))
+    @given(tied_trees(HUGE_VALUES | st.sampled_from((2**80, 2**80 + 1)), min_n=2))
     @settings(max_examples=200)
     def test_lmax_huge_due_dates(self, case):
         tree, due = case
         inst = ProblemInstance(tree.net, L, vertex_due_dates=due)
-        assert es_lmax(inst, tree).order == reference_es_lmax(inst, tree).order
+        assert es_lmax(inst, tree)[0].order == reference_es_lmax(inst, tree).order
 
     def test_float_colliding_ratios(self):
         # float(2**53 + 1) == float(2**53): only the exact key puts vertex 2,
         # the larger ratio, before the smaller head 1
         inst = ProblemInstance(unit_star(), SWRT, weights=(0, 2**53, 2**53 + 1, 2**53, 1))
         tree = SpanningTree.from_edges(unit_star(), range(4))
-        assert es_swrt(inst, tree).order == reference_es_swrt(inst, tree).order == (1, 0, 2, 3)
+        assert es_swrt(inst, tree)[0].order == reference_es_swrt(inst, tree).order == (1, 0, 2, 3)
 
     def test_overflowing_ratios(self):
         # every w/l here overflows a float; the exact key still ranks 2**1101/3
@@ -200,7 +203,7 @@ class TestHeapSolversMatchReferences:
         net = Network(5, ((0, 1, 1), (0, 2, 2), (0, 3, 3), (0, 4, 2)))
         inst = ProblemInstance(net, SWRT, weights=(0, big, 2 * big, 2 * big, 2 * big))
         tree = SpanningTree.from_edges(net, range(4))
-        assert es_swrt(inst, tree).order == reference_es_swrt(inst, tree).order == (0, 1, 3, 2)
+        assert es_swrt(inst, tree)[0].order == reference_es_swrt(inst, tree).order == (0, 1, 3, 2)
 
     def test_overflowing_merged_blocks(self):
         # a huge child merges into its small parent; the merged block's ratio
@@ -209,7 +212,7 @@ class TestHeapSolversMatchReferences:
         net = Network(4, ((0, 1, 1), (1, 2, 1), (0, 3, 1)))
         inst = ProblemInstance(net, SWRT, weights=(0, 1, 2 * big, big))
         tree = SpanningTree.from_edges(net, range(3))
-        assert es_swrt(inst, tree).order == reference_es_swrt(inst, tree).order == (0, 1, 2)
+        assert es_swrt(inst, tree)[0].order == reference_es_swrt(inst, tree).order == (0, 1, 2)
 
     def test_huge_due_dates(self):
         # last come 2 (due 2**80 + 1, beats 4 on the vertex), 4, then 1 and 3
@@ -217,14 +220,14 @@ class TestHeapSolversMatchReferences:
         net = Network(5, ((0, 1, 1), (1, 2, 1), (0, 3, 2), (0, 4, 1)))
         inst = ProblemInstance(net, L, vertex_due_dates=(0, 2**80, 2**80 + 1, 2**80, 2**80 + 1))
         tree = SpanningTree.from_edges(net, range(4))
-        assert es_lmax(inst, tree).order == reference_es_lmax(inst, tree).order == (2, 0, 3, 1)
+        assert es_lmax(inst, tree)[0].order == reference_es_lmax(inst, tree).order == (2, 0, 3, 1)
 
 
 @st.composite
 def tied_pair_trees(draw):
     """A tie-heavy tree (n >= 2) and an L_ETPC instance on it: a drawn share
     of the vertex pairs, due dates equal, negative or 2**80-sized."""
-    tree, _ = draw(tied_trees().filter(lambda case: case[0].net.n >= 2))
+    tree, _ = draw(tied_trees(min_n=2))
     pairs = draw(st.lists(
         st.sampled_from(list(itertools.combinations(range(tree.net.n), 2))),
         min_size=1, unique=True,
@@ -232,6 +235,70 @@ def tied_pair_trees(draw):
     due = st.integers(-3, 3) | st.sampled_from((-(2**80), 2**80, 2**80 + 1))
     dates = draw(st.lists(due, min_size=len(pairs), max_size=len(pairs)))
     return tree, ProblemInstance(tree.net, L_ETPC, pair_due_dates=dict(zip(pairs, dates)))
+
+
+@st.composite
+def uncovered_pair_trees(draw):
+    """A tie-heavy tree (n >= 3) and an L_ETPC instance whose relevant pairs
+    all avoid one drawn tree edge, so that edge (and maybe others) has
+    effective due date infinity; due dates include 0 and +-2**80."""
+    tree, _ = draw(tied_trees(min_n=3))
+    cut = draw(st.sampled_from(tree.edge_ids))
+    avoiding = [
+        p for p in itertools.combinations(range(tree.net.n), 2)
+        if cut not in tree.path_edges(*p)
+    ]
+    pairs = draw(st.lists(st.sampled_from(avoiding), min_size=1, unique=True))
+    due = st.integers(-3, 3) | st.sampled_from((0, -(2**80), 2**80, 2**80 + 1))
+    dates = draw(st.lists(due, min_size=len(pairs), max_size=len(pairs)))
+    return tree, ProblemInstance(tree.net, L_ETPC, pair_due_dates=dict(zip(pairs, dates)))
+
+
+ES = {USRT: es_swrt, SWRT: es_swrt, L: es_lmax, L_ETPC: es_letpc}
+
+
+class TestReturnedObjectives:
+    """Each ``es_*`` returns ``evaluate``'s exact int objective of the order
+    ``optimal_schedule`` gives, and the optimum over all orders up to n = 7."""
+
+    @staticmethod
+    def check(inst, tree):
+        sched, obj = ES[inst.variant](inst, tree)
+        assert type(obj) is int
+        assert obj == evaluate(inst, sched)[0]
+        assert sched.order == optimal_schedule(inst, tree).order
+        if tree.net.n <= 7:
+            assert obj == brute_force_tree(inst, tree)[0]
+
+    @given(tied_trees())
+    @settings(max_examples=100)
+    def test_usrt(self, case):
+        self.check(ProblemInstance(case[0].net, USRT), case[0])
+
+    @given(tied_trees(HUGE_VALUES))
+    @settings(max_examples=300)
+    def test_swrt(self, case):
+        tree, weights = case
+        self.check(ProblemInstance(tree.net, SWRT, weights=weights), tree)
+
+    @given(tied_trees(HUGE_DUE_DATES, min_n=2))
+    @settings(max_examples=300)
+    def test_lmax(self, case):
+        tree, due = case
+        self.check(ProblemInstance(tree.net, L, vertex_due_dates=due), tree)
+
+    @given(tied_pair_trees())
+    @settings(max_examples=200)
+    def test_letpc(self, case):
+        tree, inst = case
+        self.check(inst, tree)
+
+    @given(uncovered_pair_trees())
+    @settings(max_examples=200)
+    def test_letpc_uncovered_edges(self, case):
+        tree, inst = case
+        assert math.inf in tree_solvers._effective_due_dates(inst, tree).values()
+        self.check(inst, tree)
 
 
 class TestEsLetpc:
@@ -245,9 +312,9 @@ class TestEsLetpc:
     def test_tri_pairs(self):
         inst = ProblemInstance(tri(), L_ETPC, pair_due_dates={(1, 2): 1, (0, 1): 3})
         tree = SpanningTree.from_edges(tri(), [0, 2])
-        sched = es_letpc(inst, tree)
+        sched, obj = es_letpc(inst, tree)
         assert sched.order == (2, 0)
-        assert evaluate(inst, sched)[0] == 0
+        assert evaluate(inst, sched)[0] == obj == 0
 
     def test_single_spanning_pair(self):
         rng = random.Random(32)
@@ -261,26 +328,26 @@ class TestEsLetpc:
                 continue  # only the whole-tree case is asserted
             d = rng.randint(0, 10)
             inst = ProblemInstance(net, L_ETPC, pair_due_dates={(u, v): d})
-            sched = es_letpc(inst, tree)
-            assert evaluate(inst, sched)[0] == tree.total_length - d
+            sched, obj = es_letpc(inst, tree)
+            assert evaluate(inst, sched)[0] == obj == tree.total_length - d
 
     def test_leaf_edge_first(self):
         # q=1 relevant pair = endpoints of one leaf edge: that edge goes first
         net = Network(3, ((0, 1, 4), (1, 2, 6)))
         inst = ProblemInstance(net, L_ETPC, pair_due_dates={(1, 2): 5})
         tree = SpanningTree.from_edges(net, [0, 1])
-        sched = es_letpc(inst, tree)
+        sched, obj = es_letpc(inst, tree)
         assert sched.order == (1, 0)
-        assert evaluate(inst, sched)[0] == 6 - 5
+        assert evaluate(inst, sched)[0] == obj == 6 - 5
 
     def test_due_dates_above_total_length(self):
         # effective due dates are real due dates however large; a cap at the
         # total length + 1 tied e0 with e1 here and put e0 first
         path = Network(3, ((0, 1, 1), (1, 2, 1)))
         inst = ProblemInstance(path, L_ETPC, pair_due_dates={(0, 2): 10**6, (1, 2): 5})
-        sched = es_letpc(inst, SpanningTree.from_edges(path, [0, 1]))
+        sched, obj = es_letpc(inst, SpanningTree.from_edges(path, [0, 1]))
         assert sched.order == (1, 0)
-        assert evaluate(inst, sched)[0] == 1 - 5
+        assert evaluate(inst, sched)[0] == obj == 1 - 5
 
 
 class TestBruteForceTree:
