@@ -89,7 +89,7 @@ class RunRecord:
             "seed": self.seed,
             "objective": "" if self.objective is None else self.objective,
             "wall_ms": self.wall_ms,
-            "params": json.dumps(self.params, sort_keys=True),
+            "params": json.dumps(self.params, sort_keys=True, allow_nan=False),
         }
         return row
 
@@ -168,7 +168,7 @@ def _print_run(record: RunRecord, sol, **extra) -> None:
         **extra,
     }
     # timing stays off stdout so identical runs emit identical bytes
-    print(json.dumps(doc, sort_keys=True))
+    print(json.dumps(doc, sort_keys=True, allow_nan=False))
     print(f"wall_ms={record.wall_ms}", file=sys.stderr)
 
 

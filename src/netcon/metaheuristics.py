@@ -53,10 +53,11 @@ class SearchConfig:
 
 
 def check_limits(time_limit: float, max_iters: int | None) -> None:
-    """Reject a NaN or negative time limit (no deadline is ever reached at
-    NaN) and a negative iteration cap."""
-    if not time_limit >= 0:
-        raise ValueError(f"time_limit must be a number >= 0, got {time_limit}")
+    """Reject a NaN, infinite or negative time limit (no deadline is ever
+    reached at NaN, and a run record cannot hold either in JSON) and a
+    negative iteration cap."""
+    if not 0 <= time_limit < math.inf:
+        raise ValueError(f"time_limit must be a finite number >= 0, got {time_limit}")
     if max_iters is not None and max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 
 from .graph import Network, SpanningTree, _UnionFind
@@ -94,6 +95,12 @@ class ProblemInstance:
     @property
     def relevant_pairs(self) -> list[tuple[int, int]]:
         return sorted(self.pair_due_dates)
+
+    @cached_property
+    def pairs_by_due_date(self) -> tuple[tuple[tuple[int, int], int], ...]:
+        """``(pair, due date)`` items in ascending due date; the sort is
+        stable, so equal due dates keep the input order."""
+        return tuple(sorted(self.pair_due_dates.items(), key=lambda item: item[1]))
 
     @property
     def q(self) -> int:

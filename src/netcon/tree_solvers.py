@@ -41,32 +41,6 @@ def _order_to_schedule(tree: SpanningTree, vertex_order) -> EdgeSchedule:
     return EdgeSchedule(tree, tuple(tree.parent[v][1] for v in vertex_order))
 
 
-class _Ratio:
-    """Exact heap tie key of a block: the larger weight/length ratio sorts
-    first (cross-multiplied, never rounded), then the smaller head vertex."""
-
-    __slots__ = ("w", "l", "head")
-
-    def __init__(self, w: int, l: int, head: int):
-        self.w, self.l, self.head = w, l, head
-
-    def __lt__(self, other: "_Ratio") -> bool:
-        a, b = self.w * other.l, other.w * self.l
-        return a > b or (a == b and self.head < other.head)
-
-
-def _ratio_entry(w: int, l: int, head: int) -> tuple[float, _Ratio]:
-    """Heap entry ``(-w/l as a float, exact key)``.  Int true division rounds
-    correctly, and correct rounding is monotone, so unequal floats are already
-    in exact order and only equal floats reach the exact key; a ratio beyond
-    the float range saturates to infinity, which keeps the order monotone."""
-    try:
-        f = -(w / l)
-    except OverflowError:
-        f = -math.inf
-    return f, _Ratio(w, l, head)
-
-
 def es_swrt(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, int]:
     """Minimum total weighted recovery time order for an out-tree, and its
     objective.
@@ -77,12 +51,19 @@ def es_swrt(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, in
     sit in one heap with lazy deletion; a block's sequence is a linked list.
     The objective is summed over the finished sequence with the original
     weights and lengths, not the merged block sums.
+
+    Heap keys are exact ints floor(w * L**2 / l), L the network's total
+    length: a block length is a sum of distinct edges, so l <= L, and unequal
+    ratios differ by at least 1/(l1 * l2) >= 1/L**2, so the floors keep the
+    strict order; equal ratios tie on the key and go smallest head first.
     """
     if inst.variant not in (USRT, SWRT):
         raise ValueError(f"es_swrt does not apply to variant {inst.variant}")
     net = tree.net
     depot = net.depot
     parent = tree.parent
+    scale = net.total_length**2
+    heappop, heappush = heapq.heappop, heapq.heappush
     weight = list(inst.weights)
     length = [net.edges[eid][2] if p >= 0 else 0 for p, eid in parent]
     leader = list(range(net.n))
@@ -90,14 +71,13 @@ def es_swrt(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, in
     # the depot itself, which is not part of its sequence
     nxt = [-1] * net.n
     tail = list(range(net.n))
-    heap = [_ratio_entry(weight[v], length[v], v) for v in range(net.n) if v != depot]
+    heap = [(-(weight[v] * scale // length[v]), v, length[v]) for v in range(net.n) if v != depot]
     heapq.heapify(heap)
     while heap:
-        key = heapq.heappop(heap)[1]
-        h = key.head
+        _, h, l = heappop(heap)
         # lengths only grow, and a merged head's last entry is the one that
         # was popped, so an entry is current iff it has its block's length
-        if key.l != length[h]:
+        if l != length[h]:
             continue
         p = parent[h][0]
         while leader[p] != p:  # path halving
@@ -109,7 +89,7 @@ def es_swrt(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, in
         if p != depot:
             weight[p] += weight[h]
             length[p] += length[h]
-            heapq.heappush(heap, _ratio_entry(weight[p], length[p], p))
+            heappush(heap, (-(weight[p] * scale // length[p]), p, length[p]))
     order = []
     t = obj = 0
     v = nxt[depot]
@@ -136,17 +116,21 @@ def es_lmax(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, in
     depot = tree.net.depot
     parent = tree.parent
     due = inst.vertex_due_dates
-    pending_kids = [len(k) for k in _children(tree)]
+    heappop, heappush = heapq.heappop, heapq.heappush
+    pending_kids = [0] * tree.net.n
+    for p, _ in parent:
+        if p >= 0:
+            pending_kids[p] += 1
     heap = [(-due[v], v) for v in range(tree.net.n) if v != depot and not pending_kids[v]]
     heapq.heapify(heap)
     tail: list[int] = []
     while heap:
-        v = heapq.heappop(heap)[1]
+        v = heappop(heap)[1]
         tail.append(v)
         p = parent[v][0]
         pending_kids[p] -= 1
         if not pending_kids[p] and p != depot:
-            heapq.heappush(heap, (-due[p], p))
+            heappush(heap, (-due[p], p))
     edges = tree.net.edges
     order = []
     t = 0
@@ -179,7 +163,7 @@ def _effective_due_dates(inst: ProblemInstance, tree: SpanningTree) -> dict[int,
     find = uf.find
     top = list(range(tree.net.n))  # per set representative
     unpainted = len(d_e)
-    for (u, v), d in sorted(inst.pair_due_dates.items(), key=lambda item: item[1]):
+    for (u, v), d in inst.pairs_by_due_date:
         if not unpainted:
             break
         x, y = top[find(u)], top[find(v)]

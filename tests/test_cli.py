@@ -134,13 +134,17 @@ class TestSolve:
         # --max-iters 2 stops the search even where a NaN deadline never passes
         ("ils-net", ("--time-limit", "nan", "--max-iters", "2"), "time_limit"),
         ("ils-net", ("--time-limit", "-1"), "time_limit"),
+        # an infinite limit would print "time_limit": Infinity, not JSON
+        ("ils-net", ("--time-limit", "inf", "--max-iters", "1"), "time_limit"),
+        ("ils-net", ("--time-limit", "1e400", "--max-iters", "1"), "time_limit"),
         ("ils-net", ("--max-iters", "-3"), "max_iters"),
         # algorithms that do not use the flags still check them
         ("mst", ("--time-limit", "nan", "--max-iters", "-3"), "time_limit"),
         ("mst", ("--max-iters", "-3"), "max_iters"),
         ("mst-loc-sch", ("--time-limit", "-1"), "time_limit"),
     ], ids=[
-        "nan-time-limit", "negative-time-limit", "negative-max-iters",
+        "nan-time-limit", "negative-time-limit", "inf-time-limit",
+        "overflowing-time-limit", "negative-max-iters",
         "mst-nan-time-limit", "mst-negative-max-iters", "mst-loc-negative-time-limit",
     ])
     def test_bad_search_flag(self, capsys, tri_usrt, algo, flags, message):
@@ -336,6 +340,8 @@ class TestBenchReport:
         ("--seeds", ",", "--seeds: no seeds given"),
         # checked before any task runs, although mst does not use them
         ("--time-limit", "nan", "time_limit"),
+        ("--time-limit", "inf", "time_limit"),
+        ("--time-limit", "1e400", "time_limit"),
         ("--max-iters", "-3", "max_iters"),
     ])
     def test_bench_bad_flag(self, capsys, tmp_path, flag, value, message):

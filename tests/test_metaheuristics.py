@@ -67,7 +67,8 @@ class TestConfig:
             SearchConfig(algorithm=ILS, kind=NET, shake_p=1.5)
         with pytest.raises(ValueError):
             SearchConfig(algorithm=TS, kind=NET, tenure_min=9, tenure_max=3)
-        for bad in (float("nan"), -1.0):  # no deadline ever passes NaN
+        # no deadline ever passes NaN; JSON records cannot hold NaN or inf
+        for bad in (float("nan"), float("inf"), -1.0):
             with pytest.raises(ValueError, match="time_limit"):
                 SearchConfig(algorithm=ILS, kind=NET, time_limit=bad)
         with pytest.raises(ValueError, match="max_iters"):

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from netcon import (
     L,
@@ -146,10 +146,54 @@ def tied_trees(draw, values=st.integers(0, 3), min_n=1):
     return tree, tuple(draw(st.lists(values, min_size=n, max_size=n)))
 
 
-# 2**53 and 2**53 + 1 round to the same float; 2**1100 over a small length
-# overflows a float
+# Values that a float-based key would get wrong, so they pin that the solvers
+# compare exact ints: 2**53 and 2**53 + 1 round to the same float, and
+# 2**1100 over a small length is beyond the float range
 HUGE_VALUES = st.integers(0, 3) | st.sampled_from((2**53, 2**53 + 1, 2**1100, 2**1100 + 1))
 HUGE_DUE_DATES = HUGE_VALUES | st.sampled_from((2**80, 2**80 + 1, -(2**80)))
+LENGTH_CAP = 2**62 - 2  # the largest total length a Network accepts
+
+
+@st.composite
+def farey_sibling_trees(draw):
+    """Two sibling blocks under the depot whose weight/length ratios are
+    neighbouring Farey fractions (w1 * l2 - w2 * l1 = 1), the closest two
+    unequal ratios with these lengths can be.  Lengths go up to 2**40 and
+    weights up to 2**60; each block is a leaf or a two-edge path whose edges
+    split its length and weight; vertex labels are shuffled, so either block
+    may have the smaller head.  A drawn share of the networks gets a non-tree
+    edge, up to 2**40 long or lifting the total length to within 3 of
+    ``LENGTH_CAP``: with the total exactly l1 + l2 the two scaled ratios
+    always straddle an integer, so only a longer total tests the key's scale."""
+    lengths = st.integers(1, 2**40) | st.integers(2**36, 2**40)
+    l1, l2 = draw(lengths), draw(lengths)
+    assume(math.gcd(l1, l2) == 1)
+    w1 = pow(l2, -1, l1)  # w1 * l2 = 1 (mod l1); 0 for l1 = 1
+    w2 = (w1 * l2 - 1) // l1
+    # every (w1 + k * l1, w2 + k * l2) solves it too; w2 must stay >= 0
+    k_max = min((2**60 - w1) // l1, (2**60 - w2) // l2)
+    k = draw(st.integers(0 if w2 >= 0 else 1, k_max))
+    weights, edges, heads = [0], [], []  # vertex 0 is the depot before relabelling
+    for w, l in ((w1 + k * l1, l1), (w2 + k * l2, l2)):
+        heads.append(h := len(weights))
+        if l >= 2 and draw(st.booleans()):
+            a, x = draw(st.integers(1, l - 1)), draw(st.integers(0, w))
+            edges += [(0, h, a), (h, h + 1, l - a)]
+            weights += [x, w - x]
+        else:
+            edges.append((0, h, l))
+            weights.append(w)
+    n = len(weights)
+    if draw(st.booleans()):
+        # the two heads are siblings, so the edge joining them is not a tree edge
+        near_cap = LENGTH_CAP - l1 - l2 - draw(st.integers(0, 3))
+        edges.append((*heads, draw(st.integers(1, 2**40) | st.just(near_cap))))
+    label = draw(st.permutations(range(n)))
+    net = Network(
+        n, tuple((label[a], label[b], l) for a, b, l in edges), depot=label[0]
+    )
+    tree = SpanningTree.from_edges(net, range(n - 1))
+    return tree, tuple(weights[label.index(v)] for v in range(n))
 
 
 class TestHeapSolversMatchReferences:
@@ -189,16 +233,26 @@ class TestHeapSolversMatchReferences:
         inst = ProblemInstance(tree.net, L, vertex_due_dates=due)
         assert es_lmax(inst, tree)[0].order == reference_es_lmax(inst, tree).order
 
+    @given(farey_sibling_trees())
+    @settings(max_examples=300)
+    def test_swrt_farey_neighbours(self, case):
+        # the integer key separates ratios 1/(l1 * l2) apart, also at the
+        # largest total length, and on a tie still puts the smaller head first
+        tree, weights = case
+        inst = ProblemInstance(tree.net, SWRT, weights=weights)
+        assert es_swrt(inst, tree)[0].order == reference_es_swrt(inst, tree).order
+
     def test_float_colliding_ratios(self):
-        # float(2**53 + 1) == float(2**53): only the exact key puts vertex 2,
-        # the larger ratio, before the smaller head 1
+        # float(2**53 + 1) == float(2**53), but their integer keys differ by
+        # L**2 = 16: vertex 2, the larger ratio, goes before the smaller head 1
         inst = ProblemInstance(unit_star(), SWRT, weights=(0, 2**53, 2**53 + 1, 2**53, 1))
         tree = SpanningTree.from_edges(unit_star(), range(4))
         assert es_swrt(inst, tree)[0].order == reference_es_swrt(inst, tree).order == (1, 0, 2, 3)
 
     def test_overflowing_ratios(self):
-        # every w/l here overflows a float; the exact key still ranks 2**1101/3
-        # last and breaks the tie of 2**1100/1 with 2**1101/2 on the smaller head
+        # every w/l here is beyond the float range; the ~2**1107 integer keys
+        # still rank 2**1101/3 last, and 2**1100/1 and 2**1101/2 get equal
+        # keys, so the smaller head goes first
         big = 2**1100
         net = Network(5, ((0, 1, 1), (0, 2, 2), (0, 3, 3), (0, 4, 2)))
         inst = ProblemInstance(net, SWRT, weights=(0, big, 2 * big, 2 * big, 2 * big))
@@ -207,7 +261,8 @@ class TestHeapSolversMatchReferences:
 
     def test_overflowing_merged_blocks(self):
         # a huge child merges into its small parent; the merged block's ratio
-        # still overflows and is compared exactly against a sibling
+        # is beyond the float range, and its integer key is still exact
+        # against a sibling's
         big = 2**1100
         net = Network(4, ((0, 1, 1), (1, 2, 1), (0, 3, 1)))
         inst = ProblemInstance(net, SWRT, weights=(0, 1, 2 * big, big))
@@ -339,6 +394,22 @@ class TestEsLetpc:
         sched, obj = es_letpc(inst, tree)
         assert sched.order == (1, 0)
         assert evaluate(inst, sched)[0] == obj == 6 - 5
+
+    def test_equal_due_dates_out_of_order(self):
+        # pairs with due date 3 come in non-sorted order, one reversed; the
+        # painting takes them in that order, after the due date 1 pair
+        net = Network(6, ((0, 1, 2), (1, 2, 1), (1, 3, 3), (0, 4, 1), (4, 5, 2)))
+        due = {(3, 5): 3, (2, 4): 1, (4, 1): 3, (0, 2): 3, (2, 3): 7}
+        inst = ProblemInstance(net, L_ETPC, pair_due_dates=due)
+        assert inst.pairs_by_due_date == (
+            ((2, 4), 1), ((3, 5), 3), ((1, 4), 3), ((0, 2), 3), ((2, 3), 7)
+        )
+        tree = SpanningTree.from_edges(net, range(5))
+        painted = tree_solvers._effective_due_dates(inst, tree)
+        assert painted == reference_effective_due_dates(inst, tree)
+        sched, obj = es_letpc(inst, tree)
+        assert sched.order == tuple(sorted(tree.edge_ids, key=lambda e: (painted[e], e)))
+        assert evaluate(inst, sched)[0] == obj == brute_force_tree(inst, tree)[0]
 
     def test_due_dates_above_total_length(self):
         # effective due dates are real due dates however large; a cap at the
