@@ -2,7 +2,6 @@
 
 from .graph import (
     ContractedGraph,
-    DistanceOracle,
     EmptyPathError,
     GraphError,
     Network,

@@ -21,7 +21,7 @@ from .instances import (
     read_instance,
     write_instance,
 )
-from .local_search import mst_heuristic, mst_loc
+from .local_search import Budget, mst_heuristic, mst_loc
 from .metaheuristics import ILS, TS, check_limits, default_config, run
 from .model import VARIANTS, UndefinedGapError, evaluate, format_gap, gap
 from .neighborhoods import NET, SCH
@@ -100,7 +100,7 @@ def _run_algorithm(inst, algorithm: str, time_limit: float, seed: int, max_iters
         return mst_heuristic(inst), {}
     if algorithm in ("mst-loc-net", "mst-loc-sch"):
         kind = NET if algorithm.endswith("net") else SCH
-        return mst_loc(inst, kind), {"kind": kind}
+        return mst_loc(inst, kind, Budget(time_limit, None, None)), {"kind": kind}
     if algorithm == "oracle":
         obj, sched = brute_force_instance(inst)
         return Solution(sched.tree, sched, obj), {}

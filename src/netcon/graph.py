@@ -68,7 +68,7 @@ class Network:
         uf = _UnionFind(self.n)
         for a, b, _ in self.edges:
             uf.union(a, b)
-        if any(uf.find(v) != uf.find(0) for v in range(self.n)):
+        if uf.sets != 1:
             raise GraphError("network is not connected")
 
     @property
@@ -90,14 +90,17 @@ class Network:
 
 
 class _UnionFind:
-    """Disjoint sets; the canonical representative is the smallest member id."""
+    """Disjoint sets; the canonical representative is the smallest member id.
+    ``sets`` counts the sets."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))
+        self.sets = n
 
     def copy(self) -> "_UnionFind":
         new = _UnionFind(0)
         new.parent = self.parent.copy()
+        new.sets = self.sets
         return new
 
     def find(self, x: int) -> int:
@@ -116,6 +119,7 @@ class _UnionFind:
         if rx > ry:
             rx, ry = ry, rx
         self.parent[ry] = rx
+        self.sets -= 1
         return True
 
 
@@ -127,40 +131,34 @@ def _floyd_warshall(dist: np.ndarray) -> np.ndarray:
     return dist
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceOracle:
-    """All-pairs shortest-path distances."""
-
-    net: Network
-    dist: np.ndarray
-
-
-def all_pairs_shortest_paths(net: Network) -> DistanceOracle:
+def all_pairs_shortest_paths(net: Network) -> np.ndarray:
+    """The int64 n-by-n matrix of shortest-path distances."""
     big = np.int64(net.total_length + 1)
     dist = np.full((net.n, net.n), big, dtype=np.int64)
     np.fill_diagonal(dist, 0)
     for a, b, w in net.edges:
         dist[a, b] = dist[b, a] = w
-    _floyd_warshall(dist)
-    return DistanceOracle(net, dist)
+    return _floyd_warshall(dist)
 
 
 @lru_cache(maxsize=64)
-def cached_oracle(net: Network) -> DistanceOracle:
-    return all_pairs_shortest_paths(net)
+def cached_oracle(net: Network) -> np.ndarray:
+    """The network's distance matrix, computed once and shared, so read-only."""
+    dist = all_pairs_shortest_paths(net)
+    dist.flags.writeable = False
+    return dist
 
 
-def reconstruct_path(oracle: DistanceOracle, u: int, v: int) -> list[int]:
+def reconstruct_path(net: Network, u: int, v: int) -> list[int]:
     """Edge ids of the canonical shortest u-v path (``_walk_back``), in order
     from u to v."""
-    net = oracle.net
     if not (0 <= u < net.n and 0 <= v < net.n):
         raise GraphError(f"vertices {u} and {v} must lie in [0, {net.n})")
     if u == v:
         raise EmptyPathError("no path between a vertex and itself")
     adj = net.adjacency
     return _walk_back(
-        v, oracle.dist[u].tolist(), lambda x: ((p, w, eid) for p, eid, w in adj[x])
+        v, cached_oracle(net)[u].tolist(), lambda x: ((p, w, eid) for p, eid, w in adj[x])
     )
 
 
@@ -282,18 +280,27 @@ def _path_up(parent, x: int, c: int) -> list[int] | None:
     return path
 
 
-def minimum_spanning_tree(net: Network) -> SpanningTree:
-    """Kruskal with ascending (length, edge id) order for deterministic ties."""
-    uf = _UnionFind(net.n)
+def kruskal(net: Network, uf: _UnionFind, edge_ids=None) -> list[int]:
+    """Edges that join two sets of ``uf``, taken in the order ``edge_ids``
+    (default: ascending (length, edge id)) and united in ``uf``; stops once
+    one set is left."""
+    edges = net.edges
+    if edge_ids is None:
+        # a stable sort of ascending ids breaks length ties by id
+        edge_ids = sorted(range(net.m), key=lambda eid: edges[eid][2])
     chosen = []
-    for w, eid, a, b in sorted(
-        (w, eid, a, b) for eid, (a, b, w) in enumerate(net.edges)
-    ):
+    for eid in edge_ids:
+        if uf.sets == 1:
+            break
+        a, b, _ = edges[eid]
         if uf.union(a, b):
             chosen.append(eid)
-            if len(chosen) == net.n - 1:
-                break
-    return SpanningTree.from_edges(net, chosen)
+    return chosen
+
+
+def minimum_spanning_tree(net: Network) -> SpanningTree:
+    """Kruskal with ascending (length, edge id) order for deterministic ties."""
+    return SpanningTree.from_edges(net, kruskal(net, _UnionFind(net.n)))
 
 
 def spanning_tree_cycle(tree: SpanningTree, non_tree_edge: int) -> list[int]:
@@ -331,17 +338,16 @@ def _walk_back(t: int, d, nbrs) -> list[int]:
 class ContractedGraph:
     """A network under repeated edge contraction with maintained distances.
 
-    Super-vertices are tracked by a disjoint-set structure whose canonical
-    representative is the smallest original vertex id.  ``dist`` stays a full
-    n-by-n matrix; only rows/columns of active representatives are meaningful.
-    Parallel edges are reduced to the shortest one (tie: smallest original
-    edge id); loops are removed.
+    Super-vertices are the sets of the union-find ``uf``, each named by its
+    smallest original vertex id.  ``dist`` stays a full n-by-n matrix, a
+    private copy of the network's; only rows/columns of representatives are
+    meaningful.  Parallel edges are reduced to the shortest one (tie:
+    smallest original edge id); loops are removed.
     """
 
-    def __init__(self, net: Network, oracle: DistanceOracle | None = None):
+    def __init__(self, net: Network):
         self.net = net
-        self._uf = _UnionFind(net.n)
-        self.active = [True] * net.n
+        self.uf = _UnionFind(net.n)
         # adj[r]: dict of other representative -> (length, original edge id)
         self.adj: list[dict[int, tuple[int, int]]] = [{} for _ in range(net.n)]
         for eid, (a, b, w) in enumerate(net.edges):
@@ -349,45 +355,42 @@ class ContractedGraph:
             if cur is None or (w, eid) < cur:
                 self.adj[a][b] = (w, eid)
                 self.adj[b][a] = (w, eid)
-        if oracle is None:
-            oracle = all_pairs_shortest_paths(net)
-        self.dist = oracle.dist.copy()
+        self.dist = cached_oracle(net).copy()
 
     def copy(self) -> "ContractedGraph":
         """An independent copy of this state."""
         new = object.__new__(ContractedGraph)
         new.net = self.net
-        new._uf = self._uf.copy()
-        new.active = self.active.copy()
+        new.uf = self.uf.copy()
         new.adj = [a.copy() for a in self.adj]
         new.dist = self.dist.copy()
         return new
 
     def find(self, v: int) -> int:
-        return self._uf.find(v)
+        return self.uf.find(v)
 
     def active_vertices(self) -> list[int]:
-        return [v for v in range(self.net.n) if self.active[v]]
+        """The representatives, ascending."""
+        return [v for v, p in enumerate(self.uf.parent) if v == p]
 
     def num_components(self) -> int:
-        return sum(self.active)
+        return self.uf.sets
 
     def contract_edge(self, x: int, y: int) -> int:
-        """Merge adjacent super-vertices x and y; returns the merged id."""
+        """Merge adjacent super-vertices x and y; returns the merged id.
+
+        The distances take one rank-1 min-plus update with
+        dz = min(d[x], d[y]), the distances to the merged vertex.  The
+        update is exact: a cross term d(a, x) + d(x, b) is never below
+        d(a, b) by the triangle inequality, and dz(z) = 0 makes row z dz.
+        """
         x, y = self.find(x), self.find(y)
         if x == y or y not in self.adj[x]:
             raise GraphError(f"vertices {x} and {y} are not adjacent super-vertices")
         z, gone = min(x, y), max(x, y)
         dist = self.dist
-        dx = dist[:, x].copy()
-        dy = dist[:, y].copy()
-        alt = dx[:, None] + dy[None, :]
-        np.minimum(dist, alt, out=dist)
-        np.minimum(dist, alt.T, out=dist)
-        dz = np.minimum(dx, dy)
-        dist[:, z] = dz
-        dist[z, :] = dz
-        dist[z, z] = 0
+        dz = np.minimum(dist[x], dist[y])
+        np.minimum(dist, dz[:, None] + dz, out=dist)
 
         # z keeps the shorter of each pair of parallel edges (tie: edge id)
         adj = self.adj
@@ -399,8 +402,7 @@ class ContractedGraph:
             if u not in keep or entry < keep[u]:
                 keep[u] = other[z] = entry
         adj[gone] = {}
-        self._uf.union(x, y)
-        self.active[gone] = False
+        self.uf.union(x, y)
         return z
 
     def shortest_path_edges(self, a: int, b: int) -> list[int]:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import time
 
-from .graph import cached_oracle, minimum_spanning_tree
+from .graph import minimum_spanning_tree
 from .model import ProblemInstance
 from .neighborhoods import neighbors, rebuild, sequence
 from .solution import Solution, solve_tree
@@ -46,7 +46,7 @@ def impr(inst: ProblemInstance, s0: Solution) -> Solution:
     cur = s0
     while True:
         order, _ = sequence(inst, cur.schedule, False)
-        cand = rebuild(inst, order, cached_oracle(inst.net))
+        cand = rebuild(inst, order)
         if cand.objective < cur.objective:
             cur = cand
         else:

@@ -5,7 +5,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .graph import SpanningTree, _UnionFind, cached_oracle
+from .graph import SpanningTree, _UnionFind, kruskal
 from .model import IT_VARIANTS, ProblemInstance
 from .neighborhoods import NET, SCH, apply_shift, enumerate_shifts, neighbors, rebuild, sequence
 from .local_search import Budget, impr, loc, mst_loc
@@ -108,21 +108,11 @@ def shake(inst: ProblemInstance, s: Solution, kind: str, p: float, rng: random.R
 
 def _shake_net(inst, s, p, rng) -> Solution:
     net = inst.net
-    kept = [eid for eid in s.tree.edge_ids if rng.random() >= p]
     uf = _UnionFind(net.n)
-    for eid in kept:
-        a, b, _ = net.edges[eid]
-        uf.union(a, b)
+    kept = kruskal(net, uf, [eid for eid in s.tree.edge_ids if rng.random() >= p])
     candidates = list(range(net.m))
     rng.shuffle(candidates)
-    ids = set(kept)
-    for eid in candidates:
-        if len(ids) == net.n - 1:
-            break
-        a, b, _ = net.edges[eid]
-        if uf.union(a, b):
-            ids.add(eid)
-    return solve_tree(inst, SpanningTree.from_edges(net, ids))
+    return solve_tree(inst, SpanningTree.from_edges(net, kept + kruskal(net, uf, candidates)))
 
 
 def _shake_vertex(inst, s, p, rng) -> Solution:
@@ -132,19 +122,18 @@ def _shake_vertex(inst, s, p, rng) -> Solution:
             break
         j = rng.randrange(1, len(order))
         order = apply_shift(order, j, rng.randrange(j))
-    return rebuild(inst, order, cached_oracle(inst.net))
+    return rebuild(inst, order)
 
 
 def _shake_pair(inst, s, p, rng) -> Solution:
     cur = s
-    oracle = cached_oracle(inst.net)
     for _ in range(math.ceil(p * inst.q)):
         order, starts = sequence(inst, cur.schedule, True)
         options = list(enumerate_shifts(starts, len(order)))
         if not options:
             break
         j, i = options[rng.randrange(len(options))]
-        cur = rebuild(inst, apply_shift(order, j, i), oracle)
+        cur = rebuild(inst, apply_shift(order, j, i))
     return cur
 
 

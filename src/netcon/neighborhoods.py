@@ -21,12 +21,11 @@ import numpy as np
 
 from .graph import (
     ContractedGraph,
-    DistanceOracle,
-    GraphError,
     Network,
     SpanningTree,
     _walk_back,
     cached_oracle,
+    kruskal,
     spanning_tree_cycle,
 )
 from .model import (
@@ -88,13 +87,10 @@ def sequence(inst: ProblemInstance, sched: EdgeSchedule, reduced: bool):
     return seq.order, seq.group_starts
 
 
-def rebuild(inst: ProblemInstance, order, oracle: DistanceOracle) -> Solution:
+def rebuild(inst: ProblemInstance, order) -> Solution:
     """A-IT (IT variants) or A-ET from a connection sequence, then ES(T)."""
-    if inst.variant in IT_VARIANTS:
-        tree = a_it(inst.net, oracle, order)
-    else:
-        tree = a_et(inst.net, order, oracle)
-    return solve_tree(inst, tree)
+    rebuilt = a_it if inst.variant in IT_VARIANTS else a_et
+    return solve_tree(inst, rebuilt(inst.net, order))
 
 
 class _ITState:
@@ -106,14 +102,14 @@ class _ITState:
     member ``root``, and the walk starts from the larger of ``v`` and ``root``.
     """
 
-    def __init__(self, net: Network, oracle: DistanceOracle):
+    def __init__(self, net: Network):
         self.net = net
-        self.dist = oracle.dist
+        self.dist = cached_oracle(net)
         self.in_tree = [False] * net.n
         self.in_tree[net.depot] = True
         self.root = net.depot
         # nearest-tree-vertex distance per vertex
-        self.d_tree = oracle.dist[net.depot].copy()
+        self.d_tree = self.dist[net.depot].copy()
         # per vertex outside the tree: its shortest (length, edge id) into it
         self.into: list = [None] * net.n
         for y, eid, length in net.adjacency[net.depot]:
@@ -180,9 +176,9 @@ class _ETState:
     """A-ET after a prefix of a pairs order: the contracted graph and the
     edges contracted so far, which alone determine it."""
 
-    def __init__(self, net: Network, oracle: DistanceOracle):
+    def __init__(self, net: Network):
         self.net = net
-        self.cg = ContractedGraph(net, oracle)
+        self.cg = ContractedGraph(net)
         self.chosen: set[int] = set()
 
     def copy(self) -> "_ETState":
@@ -207,22 +203,10 @@ class _ETState:
                 cg.contract_edge(a, b)
 
     def finish(self):
-        """Greedy completion of the forest a reduced sequence leaves."""
-        while self.cg.num_components() > 1:
-            _greedy_join(self.cg, self.chosen)
-
-
-def _greedy_join(cg: ContractedGraph, chosen: set[int]):
-    """Contract the shortest surviving inter-component edge (tie: edge id)."""
-    best = None
-    for x in cg.active_vertices():
-        for y, (length, eid) in cg.adj[x].items():
-            if x < y and (best is None or (length, eid) < (best[0], best[1])):
-                best = (length, eid, x, y)
-    if best is None:
-        raise GraphError("contracted graph has no surviving edges")
-    chosen.add(best[1])
-    cg.contract_edge(best[2], best[3])
+        """Kruskal completes the forest a reduced sequence leaves: its next
+        edge is the shortest surviving inter-component edge (tie: edge id).
+        Only ``chosen`` is read after this."""
+        self.chosen.update(kruskal(self.net, self.cg.uf))
 
 
 def _fold(state, order) -> SpanningTree:
@@ -233,17 +217,17 @@ def _fold(state, order) -> SpanningTree:
     return SpanningTree.from_edges(state.net, state.chosen)
 
 
-def a_it(net: Network, oracle: DistanceOracle, order) -> SpanningTree:
+def a_it(net: Network, order) -> SpanningTree:
     """Grow a depot tree by attaching the first unspanned vertex of ``order``
     via a shortest path to the current tree (``_ITState``)."""
-    return _fold(_ITState(net, oracle), order)
+    return _fold(_ITState(net), order)
 
 
-def a_et(net: Network, order, oracle: DistanceOracle | None = None) -> SpanningTree:
+def a_et(net: Network, order) -> SpanningTree:
     """Join the first unconnected pair of ``order`` via a shortest path in the
-    contracted graph, then contract that path; greedy completion if a reduced
-    sequence leaves a forest (``_ETState``)."""
-    return _fold(_ETState(net, oracle if oracle is not None else cached_oracle(net)), order)
+    contracted graph, then contract that path; Kruskal finishes the forest a
+    reduced sequence leaves (``_ETState``)."""
+    return _fold(_ETState(net), order)
 
 
 def _replay(snap, order, sets, j, i):
@@ -278,14 +262,13 @@ def neighbors(inst: ProblemInstance, current: Solution, kind: str):
         for add, remove in enumerate_edge_exchange(inst.net, tree):
             yield (add, remove), solve_tree(inst, tree.exchange(add, remove))
     elif kind == SCH:
-        oracle = cached_oracle(inst.net)
         order, starts = sequence(inst, current.schedule, True)
         pairs = inst.variant not in IT_VARIANTS
         shifts = list(enumerate_shifts(starts, len(order)))
         if not shifts:
             return
         # the base run: snapshots at the shift targets, chosen edges per prefix
-        state = _ETState(inst.net, oracle) if pairs else _ITState(inst.net, oracle)
+        state = (_ETState if pairs else _ITState)(inst.net)
         targets = {i for _, i in shifts}
         snaps = {}
         sets = [frozenset()]  # sets[k]: the base run's chosen edges after order[:k]

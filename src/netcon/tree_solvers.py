@@ -301,13 +301,7 @@ def iter_spanning_trees(net: Network):
     """All spanning trees as sorted edge-id tuples, in lexicographic order."""
     for combo in combinations(range(net.m), net.n - 1):
         uf = _UnionFind(net.n)
-        ok = True
-        for eid in combo:
-            a, b, _ = net.edges[eid]
-            if not uf.union(a, b):
-                ok = False
-                break
-        if ok:
+        if all(uf.union(*net.edges[eid][:2]) for eid in combo):
             yield combo
 
 

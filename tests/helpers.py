@@ -22,7 +22,6 @@ from netcon import (
     SpanningTree,
     a_et,
     a_it,
-    cached_oracle,
     evaluate,
     optimal_schedule,
 )
@@ -228,7 +227,9 @@ def tip_path(cg, tips, a: int, b: int) -> list[int]:
 def reference_rebuild(net: Network, pairs) -> SpanningTree:
     """Independent sequence-to-tree rebuild: for each pair still split, follow
     the ``recompute_contracted`` tips back from the larger representative to
-    the smaller one and contract the edges on that path."""
+    the smaller one and contract the edges on that path.  A forest left over
+    is completed by contracting the shortest surviving inter-component edge
+    (tie: edge id), one at a time."""
     cg = ContractedGraph(net)
     chosen = set()
     for u, v in pairs:
@@ -240,6 +241,14 @@ def reference_rebuild(net: Network, pairs) -> SpanningTree:
             a, b, _ = net.edges[eid]
             cg.contract_edge(a, b)
         chosen.update(path)
+    while cg.num_components() > 1:
+        _, eid, x, y = min(
+            (length, eid, x, y)
+            for x in cg.active_vertices()
+            for y, (length, eid) in cg.adj[x].items()
+        )
+        cg.contract_edge(x, y)
+        chosen.add(eid)
     return SpanningTree.from_edges(net, chosen)
 
 
@@ -283,12 +292,11 @@ def reference_sch_neighbors(inst: ProblemInstance, current) -> list:
     of each shift of ``enumerate_shifts``, in its order, then
     ``reference_solution``, with its tabu attributes (the moved vertex (v,)
     or pair (u, v))."""
-    oracle = cached_oracle(inst.net)
     order, starts = sequence(inst, current.schedule, True)
     it = inst.variant in IT_VARIANTS
 
     def rebuilt(shifted) -> Solution:
-        tree = a_it(inst.net, oracle, shifted) if it else a_et(inst.net, shifted, oracle)
+        tree = (a_it if it else a_et)(inst.net, shifted)
         return reference_solution(inst, tree)
 
     return [

@@ -102,9 +102,9 @@ def _rebuild(inst, sched):
     """One A-IT / A-ET rebuild from the schedule's own sequence."""
     if inst.variant == L_ETPC:
         seq = pairs_connection_sequence(inst, sched, reduced=False)
-        return a_et(inst.net, seq.order, cached_oracle(inst.net))
+        return a_et(inst.net, seq.order)
     seq = vertex_recovery_sequence(inst, sched)
-    return a_it(inst.net, cached_oracle(inst.net), seq)
+    return a_it(inst.net, seq)
 
 
 def test_criterion_2_rebuild_dominance(capsys):
@@ -163,8 +163,8 @@ def test_criterion_4_rebuild_agreement(capsys):
         sched = random_feasible_order(rng, tree)
         vseq = vertex_recovery_sequence(inst, sched)
         pseq = pairs_connection_sequence(inst, sched, reduced=False)
-        t_it = a_it(inst.net, cached_oracle(inst.net), vseq)
-        t_et = a_et(inst.net, pseq.order, cached_oracle(inst.net))
+        t_it = a_it(inst.net, vseq)
+        t_et = a_et(inst.net, pseq.order)
         agree += set(t_it.edge_ids) == set(t_et.edge_ids)
     report(
         capsys,
@@ -334,23 +334,23 @@ def test_criterion_9_default_parameters(capsys):
 def test_criterion_10_complexity_smoke(capsys):
     rng = random.Random(1010)
     net = random_network(rng, 1000, extra_edges=1000, max_len=1000)
-    oracle = cached_oracle(net)  # pre-processing, excluded from the per-call budget
+    cached_oracle(net)  # pre-processing, excluded from the per-call budget
     worst_it = 0.0
     for _ in range(3):
         order = [v for v in range(net.n) if v != net.depot]
         rng.shuffle(order)
         t0 = time.monotonic()
-        tree = a_it(net, oracle, tuple(order))
+        tree = a_it(net, tuple(order))
         worst_it = max(worst_it, time.monotonic() - t0)
         assert len(tree.edge_ids) == net.n - 1
 
     net3 = random_network(rng, 300, extra_edges=300, max_len=1000)
-    oracle3 = cached_oracle(net3)
+    cached_oracle(net3)
     worst_et = 0.0
     for _ in range(3):
         pairs = [tuple(sorted(rng.sample(range(300), 2))) for _ in range(600)]
         t0 = time.monotonic()
-        tree = a_et(net3, pairs, oracle3)
+        tree = a_et(net3, pairs)
         worst_et = max(worst_et, time.monotonic() - t0)
         assert len(tree.edge_ids) == net3.n - 1
     ok = worst_it < 0.5 and worst_et < 2.0

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import netcon
-from netcon import ProblemInstance, USRT, write_instance
+from netcon import ProblemInstance, SWRT, USRT, write_instance
 from netcon.cli import main
 from netcon.instances import GeneratorSpec, generate
 
@@ -93,6 +93,18 @@ class TestSolve:
         )
         assert code == 0
         assert json.loads(stdout)["objective"] == 3
+
+    @pytest.mark.parametrize("algo", ["mst-loc-net", "mst-loc-sch"])
+    def test_mst_loc_stops_at_time_limit(self, capsys, tmp_path, algo):
+        # a full descent improves this MST; with no time left it stays put
+        path = tmp_path / "e30.json"
+        write_instance(generate(GeneratorSpec("euclidean_complete", 30, 1, SWRT)), path)
+        _, mst_out, _ = run_cli(capsys, "solve", str(path), "--algo", "mst")
+        code, stdout, _ = run_cli(
+            capsys, "solve", str(path), "--algo", algo, "--time-limit", "0"
+        )
+        assert code == 0
+        assert json.loads(stdout)["objective"] == json.loads(mst_out)["objective"]
 
     def test_mst_on_tree_shaped_is_optimal(self, capsys, tree_shaped):
         code, mst_out, _ = run_cli(capsys, "solve", tree_shaped, "--algo", "mst")

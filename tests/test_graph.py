@@ -12,6 +12,7 @@ from netcon import (
     Network,
     SpanningTree,
     all_pairs_shortest_paths,
+    cached_oracle,
     minimum_spanning_tree,
     reconstruct_path,
     spanning_tree_cycle,
@@ -59,13 +60,16 @@ class TestNetwork:
             Network(2, ((0, 1, 2**63),))
         at_limit = Network(4, cycle[:3] + ((0, 3, 2**60 - 2),))
         assert at_limit.total_length == 2**62 - 2
-        dist = all_pairs_shortest_paths(at_limit).dist
+        dist = all_pairs_shortest_paths(at_limit)
         expected = nx_distances(at_limit)
         assert all(int(dist[u, v]) == d for (u, v), d in expected.items())
+        # each min-plus update adds two full-matrix distances
         cg = ContractedGraph(at_limit)
-        cg.contract_edge(1, 2)
-        ix = np.ix_(cg.active_vertices(), cg.active_vertices())
-        assert np.array_equal(cg.dist[ix], recompute_contracted(cg)[0][ix])
+        for x, y in ((1, 2), (0, 3), (0, 1)):
+            cg.contract_edge(x, y)
+            ix = np.ix_(cg.active_vertices(), cg.active_vertices())
+            assert np.array_equal(cg.dist[ix], recompute_contracted(cg)[0][ix])
+        assert cg.num_components() == 1
 
     def test_basic_props(self):
         net = tri()
@@ -76,52 +80,51 @@ class TestNetwork:
 
 class TestShortestPaths:
     def test_tri_dist_and_tip(self):
-        oracle = all_pairs_shortest_paths(tri())
-        assert oracle.dist[0, 2] == 2  # via 0-1-2
+        dist = all_pairs_shortest_paths(tri())
+        assert dist[0, 2] == 2  # via 0-1-2
 
     def test_zero_diagonal(self):
-        oracle = all_pairs_shortest_paths(tri())
-        assert np.all(np.diag(oracle.dist) == 0)
+        dist = all_pairs_shortest_paths(tri())
+        assert np.all(np.diag(dist) == 0)
 
     def test_single_edge(self):
-        oracle = all_pairs_shortest_paths(Network(2, ((0, 1, 7),)))
-        assert oracle.dist[0, 1] == 7
-        assert reconstruct_path(oracle, 0, 1) == [0]
+        net = Network(2, ((0, 1, 7),))
+        assert all_pairs_shortest_paths(net)[0, 1] == 7
+        assert reconstruct_path(net, 0, 1) == [0]
 
     def test_tri_paths(self):
-        oracle = all_pairs_shortest_paths(tri())
-        assert reconstruct_path(oracle, 0, 2) == [0, 2]
-        assert reconstruct_path(oracle, 0, 1) == [0]
+        net = tri()
+        assert reconstruct_path(net, 0, 2) == [0, 2]
+        assert reconstruct_path(net, 0, 1) == [0]
         with pytest.raises(EmptyPathError):
-            reconstruct_path(oracle, 1, 1)
+            reconstruct_path(net, 1, 1)
 
     def test_against_independent_dijkstra(self):
         rng = random.Random(11)
         for _ in range(40):
             net = random_network(rng, rng.randint(2, 10))
-            oracle = all_pairs_shortest_paths(net)
+            dist = all_pairs_shortest_paths(net)
             expected = nx_distances(net)
             for (u, v), d in expected.items():
-                assert oracle.dist[u, v] == d
+                assert dist[u, v] == d
 
     def test_path_lengths_match_dist(self):
         rng = random.Random(12)
         for _ in range(20):
             net = random_network(rng, rng.randint(2, 9))
-            oracle = all_pairs_shortest_paths(net)
+            dist = all_pairs_shortest_paths(net)
             for u in range(net.n):
                 for v in range(net.n):
                     if u == v:
                         continue
-                    path = reconstruct_path(oracle, u, v)
-                    assert sum(net.edges[e][2] for e in path) == oracle.dist[u, v]
+                    path = reconstruct_path(net, u, v)
+                    assert sum(net.edges[e][2] for e in path) == dist[u, v]
 
     def test_reconstruct_path_smallest_predecessor(self):
         # lengths 1-2 make equal-length shortest paths frequent
         rng = random.Random(15)
         for _ in range(60):
             net = random_network(rng, rng.randint(2, 9), max_len=2, complete=rng.random() < 0.5)
-            oracle = all_pairs_shortest_paths(net)
             adj = net.adjacency
             tips = reference_tips(
                 nx_distances(net), lambda v: [(y, w) for y, _, w in adj[v]], range(net.n)
@@ -134,13 +137,23 @@ class TestShortestPaths:
                 for v in range(net.n):
                     if u != v:
                         expected = walk_tips(tips, u, v, edge_id)
-                        assert reconstruct_path(oracle, u, v) == expected
+                        assert reconstruct_path(net, u, v) == expected
 
     def test_reconstruct_path_out_of_range(self):
-        oracle = all_pairs_shortest_paths(tri())
         for u, v in ((-1, 0), (0, -1), (3, 0), (0, 3)):
             with pytest.raises(GraphError, match="must lie in"):
-                reconstruct_path(oracle, u, v)
+                reconstruct_path(tri(), u, v)
+
+    def test_cached_matrix_is_read_only(self):
+        # every rebuild shares the cached matrix; a contracted graph works
+        # on its own copy
+        net = tri()
+        with pytest.raises(ValueError):
+            cached_oracle(net)[0, 1] = 0
+        cg = ContractedGraph(net)
+        assert cg.dist.flags.writeable
+        cg.contract_edge(0, 1)
+        assert cached_oracle(net)[0, 2] == 2 and cg.dist[0, 2] == 1
 
 
 class TestSpanningTree:

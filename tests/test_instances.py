@@ -57,9 +57,9 @@ class TestGenerators:
         direct = {}
         for a, b, w in net.edges:
             direct[(a, b)] = direct[(b, a)] = w
-        oracle = all_pairs_shortest_paths(net)
+        dist = all_pairs_shortest_paths(net)
         for (a, b), w in direct.items():
-            assert w == oracle.dist[a, b]
+            assert w == dist[a, b]
 
     def test_planar_road_structure(self):
         inst = generate(GeneratorSpec("planar_road", 40, 2, USRT))
