@@ -80,18 +80,10 @@ class RunRecord:
     params: dict
 
     def csv_row(self) -> dict:
-        row = {
-            "instance": self.instance,
-            "variant": self.variant,
-            "family": self.family,
-            "n": self.n,
-            "algorithm": self.algorithm,
-            "seed": self.seed,
+        return vars(self) | {
             "objective": "" if self.objective is None else self.objective,
-            "wall_ms": self.wall_ms,
             "params": json.dumps(self.params, sort_keys=True, allow_nan=False),
         }
-        return row
 
 
 def _run_algorithm(inst, algorithm: str, time_limit: float, seed: int, max_iters):

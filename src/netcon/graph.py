@@ -280,14 +280,14 @@ def _path_up(parent, x: int, c: int) -> list[int] | None:
     return path
 
 
-def kruskal(net: Network, uf: _UnionFind, edge_ids=None) -> list[int]:
-    """Edges that join two sets of ``uf``, taken in the order ``edge_ids``
-    (default: ascending (length, edge id)) and united in ``uf``; stops once
-    one set is left."""
-    edges = net.edges
+def kruskal(edges, uf: _UnionFind, edge_ids=None) -> list[int]:
+    """Ids (positions in ``edges``, a sequence of ``(a, b, length)``) of the
+    edges that join two sets of ``uf``, taken in the order ``edge_ids``
+    (default: ascending (length, id)) and united in ``uf``; stops once one
+    set is left."""
     if edge_ids is None:
         # a stable sort of ascending ids breaks length ties by id
-        edge_ids = sorted(range(net.m), key=lambda eid: edges[eid][2])
+        edge_ids = sorted(range(len(edges)), key=lambda eid: edges[eid][2])
     chosen = []
     for eid in edge_ids:
         if uf.sets == 1:
@@ -300,7 +300,7 @@ def kruskal(net: Network, uf: _UnionFind, edge_ids=None) -> list[int]:
 
 def minimum_spanning_tree(net: Network) -> SpanningTree:
     """Kruskal with ascending (length, edge id) order for deterministic ties."""
-    return SpanningTree.from_edges(net, kruskal(net, _UnionFind(net.n)))
+    return SpanningTree.from_edges(net, kruskal(net.edges, _UnionFind(net.n)))
 
 
 def spanning_tree_cycle(tree: SpanningTree, non_tree_edge: int) -> list[int]:
@@ -341,20 +341,18 @@ class ContractedGraph:
     Super-vertices are the sets of the union-find ``uf``, each named by its
     smallest original vertex id.  ``dist`` stays a full n-by-n matrix, a
     private copy of the network's; only rows/columns of representatives are
-    meaningful.  Parallel edges are reduced to the shortest one (tie:
-    smallest original edge id); loops are removed.
+    meaningful.  The state starts from the network's adjacency, which has
+    no parallel edges; contraction creates them and keeps the shortest one
+    (tie: smallest original edge id), and removes loops.
     """
 
     def __init__(self, net: Network):
         self.net = net
         self.uf = _UnionFind(net.n)
         # adj[r]: dict of other representative -> (length, original edge id)
-        self.adj: list[dict[int, tuple[int, int]]] = [{} for _ in range(net.n)]
-        for eid, (a, b, w) in enumerate(net.edges):
-            cur = self.adj[a].get(b)
-            if cur is None or (w, eid) < cur:
-                self.adj[a][b] = (w, eid)
-                self.adj[b][a] = (w, eid)
+        self.adj: list[dict[int, tuple[int, int]]] = [
+            {y: (w, eid) for y, eid, w in nbrs} for nbrs in net.adjacency
+        ]
         self.dist = cached_oracle(net).copy()
 
     def copy(self) -> "ContractedGraph":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Network, _floyd_warshall, _UnionFind, minimum_spanning_tree
+from .graph import Network, _floyd_warshall, _UnionFind, kruskal, minimum_spanning_tree
 from .model import L, L_ETPC, SWRT, USRT, VARIANTS, ProblemInstance
 
 FORMAT_VERSION = 1
@@ -113,22 +113,15 @@ def _random_metric(rng: random.Random, n: int, length_range) -> Network:
 
 def _segments_cross(p1, p2, p3, p4) -> bool:
     """True if the segments share any point other than a common endpoint."""
-    if len({p1, p2} & {p3, p4}) == 1:
-        # sharing one endpoint: only a problem if collinear overlap occurs
-        shared = ({p1, p2} & {p3, p4}).pop()
-        a = p2 if p1 == shared else p1
-        b = p4 if p3 == shared else p3
-        return _orient(shared, a, b) == 0 and _on_segment(shared, a, b) or (
-            _orient(shared, b, a) == 0 and _on_segment(shared, b, a)
-        )
     d1 = _orient(p3, p4, p1)
     d2 = _orient(p3, p4, p2)
     d3 = _orient(p1, p2, p3)
     d4 = _orient(p1, p2, p4)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 and d2 and d3 and d4:
+    if d1 * d2 < 0 and d3 * d4 < 0:
         return True
-    for a, b, c in ((p3, p4, p1), (p3, p4, p2), (p1, p2, p3), (p1, p2, p4)):
-        if _orient(a, b, c) == 0 and _on_segment(a, c, b):
+    # an endpoint of one segment inside the other, collinear with it
+    for d, a, b, c in ((d1, p3, p4, p1), (d2, p3, p4, p2), (d3, p1, p2, p3), (d4, p1, p2, p4)):
+        if d == 0 and _on_segment(a, c, b):
             return True
     return False
 
@@ -150,24 +143,21 @@ def _on_segment(a, c, b) -> bool:
 def _planar_road(rng: random.Random, n: int) -> Network:
     """Euclidean MST plus the shortest non-crossing augmenting edges."""
     points = _sample_points(rng, n)
-
-    def d2(i, j):
-        return (points[i][0] - points[j][0]) ** 2 + (points[i][1] - points[j][1]) ** 2
-
-    all_pairs = sorted(
-        ((i, j) for i in range(n) for j in range(i + 1, n)),
-        key=lambda p: (d2(*p), p),
+    # (i, j, squared distance) in ascending (d², i, j) order: a stable sort
+    # of the pairs listed lexicographically, so kruskal's default (length,
+    # id) order walks it front to back
+    cand = sorted(
+        (
+            (i, j, (points[i][0] - points[j][0]) ** 2 + (points[i][1] - points[j][1]) ** 2)
+            for i in range(n)
+            for j in range(i + 1, n)
+        ),
+        key=lambda c: c[2],
     )
-    uf = _UnionFind(n)
-    chosen: list[tuple[int, int]] = []
-    for i, j in all_pairs:
-        if uf.union(i, j):
-            chosen.append((i, j))
-            if len(chosen) == n - 1:
-                break
+    chosen = [cand[k][:2] for k in kruskal(cand, _UnionFind(n))]
     target = math.ceil(1.75 * n)
     in_net = set(chosen)
-    for i, j in all_pairs:
+    for i, j, _ in cand:
         if len(chosen) >= target:
             break
         if (i, j) in in_net:
@@ -311,4 +301,5 @@ def read_instance(path) -> tuple[ProblemInstance, str | None]:
             raise InstanceFormatError("<root>", "JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError("<root>", "expected a JSON object")
-    return instance_from_dict(doc), doc.get("family")
+    family = _require(doc, "family", str) if "family" in doc else None
+    return instance_from_dict(doc), family

@@ -109,10 +109,10 @@ def shake(inst: ProblemInstance, s: Solution, kind: str, p: float, rng: random.R
 def _shake_net(inst, s, p, rng) -> Solution:
     net = inst.net
     uf = _UnionFind(net.n)
-    kept = kruskal(net, uf, [eid for eid in s.tree.edge_ids if rng.random() >= p])
+    kept = kruskal(net.edges, uf, [eid for eid in s.tree.edge_ids if rng.random() >= p])
     candidates = list(range(net.m))
     rng.shuffle(candidates)
-    return solve_tree(inst, SpanningTree.from_edges(net, kept + kruskal(net, uf, candidates)))
+    return solve_tree(inst, SpanningTree.from_edges(net, kept + kruskal(net.edges, uf, candidates)))
 
 
 def _shake_vertex(inst, s, p, rng) -> Solution:

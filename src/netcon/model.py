@@ -188,7 +188,7 @@ def evaluate(inst: ProblemInstance, sched: EdgeSchedule):
         for start, end, t in zip(seq.group_starts, ends, completions)
         for pair in seq.order[start:end]
     }
-    obj = max(times[p] - inst.pair_due_dates[p] for p in inst.relevant_pairs)
+    obj = max(times[p] - d for p, d in inst.pair_due_dates.items())
     return obj, times
 
 
@@ -210,10 +210,7 @@ def pairs_connection_sequence(
     pairs of an L_ETPC instance, retaining empty groups as boundaries.
     """
     net = inst.net
-    if reduced:
-        wanted = set(inst.relevant_pairs)
-    else:
-        wanted = None
+    wanted = inst.pair_due_dates if reduced else None
     uf = _UnionFind(net.n)
     members: list[list[int]] = [[v] for v in range(net.n)]
     order: list[tuple[int, int]] = []

@@ -190,7 +190,9 @@ class _ETState:
 
     def attach(self, pair):
         """Join the pair via a shortest path in the contracted graph and
-        contract that path, unless the pair is joined already."""
+        contract that path, unless the pair is joined already.  Lengths are
+        positive, so the path meets each super-vertex once, and each of its
+        edges joins two super-vertices when its turn comes."""
         cg = self.cg
         u, v = pair
         if cg.find(u) == cg.find(v):
@@ -199,14 +201,13 @@ class _ETState:
         self.chosen.update(path)
         for eid in path:
             a, b, _ = self.net.edges[eid]
-            if cg.find(a) != cg.find(b):
-                cg.contract_edge(a, b)
+            cg.contract_edge(a, b)
 
     def finish(self):
         """Kruskal completes the forest a reduced sequence leaves: its next
         edge is the shortest surviving inter-component edge (tie: edge id).
         Only ``chosen`` is read after this."""
-        self.chosen.update(kruskal(self.net, self.cg.uf))
+        self.chosen.update(kruskal(self.net.edges, self.cg.uf))
 
 
 def _fold(state, order) -> SpanningTree:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
@@ -388,3 +389,42 @@ def reference_es_lmax(inst: ProblemInstance, tree: SpanningTree) -> EdgeSchedule
         remaining.discard(best)
         pending_kids[tree.parent[best][0]] -= 1
     return EdgeSchedule(tree, tuple(tree.parent[v][1] for v in reversed(tail)))
+
+
+def reference_segments_cross(p1, p2, p3, p4) -> bool:
+    """Independent exact crossing test: True iff the intersection of segments
+    p1-p2 and p3-p4 holds a point that is not an endpoint of both.
+
+    Segment one is p1 + t·r for t in [0, 1].  Non-parallel segments meet in
+    at most one point, solved for exactly in rationals; collinear ones
+    overlap in a t-interval, and an interval longer than a point holds
+    points that are no endpoint.
+    """
+    def cross(a, b):
+        return a[0] * b[1] - a[1] * b[0]
+
+    def sub(a, b):
+        return (a[0] - b[0], a[1] - b[1])
+
+    def shared_endpoint(x) -> bool:
+        return x in (p1, p2) and x in (p3, p4)
+
+    r, s, qp = sub(p2, p1), sub(p4, p3), sub(p3, p1)
+    denom = cross(r, s)
+    if denom:
+        t, u = Fraction(cross(qp, s), denom), Fraction(cross(qp, r), denom)
+        if not (0 <= t <= 1 and 0 <= u <= 1):
+            return False
+        x = (p1[0] + t * r[0], p1[1] + t * r[1])
+        return not shared_endpoint(x)
+    if cross(qp, r):
+        return False  # parallel on distinct lines
+    rr = r[0] * r[0] + r[1] * r[1]
+    t3 = Fraction(qp[0] * r[0] + qp[1] * r[1], rr)
+    t4 = t3 + Fraction(s[0] * r[0] + s[1] * r[1], rr)
+    lo, hi = max(min(t3, t4), 0), min(max(t3, t4), 1)
+    if lo > hi:
+        return False
+    if lo < hi:
+        return True
+    return not shared_endpoint((p1[0] + lo * r[0], p1[1] + lo * r[1]))

@@ -209,6 +209,20 @@ class TestSolve:
         assert message in err
 
     @pytest.mark.parametrize(
+        "family", [{"a": 1}, ["planar_road"], 7, None], ids=["dict", "list", "int", "null"]
+    )
+    def test_non_string_family(self, capsys, tmp_path, family):
+        # the annotation lands in bench's CSV family column, so only a
+        # string is taken
+        path = tmp_path / "fam.json"
+        doc = {"format_version": 1, "variant": "USRT", "n": 2, "depot": 0,
+               "edges": [[0, 1, 1]], "family": family}
+        path.write_text(json.dumps(doc))
+        code, stdout, err = run_cli(capsys, "solve", str(path), "--algo", "mst")
+        assert code == 3 and stdout == ""
+        assert "family: expected str" in err
+
+    @pytest.mark.parametrize(
         "algo", ["mst", "mst-loc-net", "mst-loc-sch", "ils-net", "ts-sch", "oracle"]
     )
     def test_one_vertex_lateness_instance(self, capsys, tmp_path, algo):

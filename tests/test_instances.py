@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -25,6 +26,8 @@ from netcon.instances import (
     instance_to_dict,
 )
 
+from helpers import reference_segments_cross
+
 
 class TestRoundedDist:
     def test_exact_squares(self):
@@ -44,6 +47,29 @@ class TestRoundedDist:
             d = math.dist(p, q)
             r = _rounded_dist(p, q)
             assert abs(r - d) <= 0.5
+
+
+class TestSegmentsCross:
+    def test_matches_exact_reference_on_grid(self):
+        # every ordered pair of distinct segments between 5x5 grid points:
+        # proper crossings, shared endpoints, collinear overlaps and touches
+        points = list(itertools.product(range(5), repeat=2))
+        segments = list(itertools.combinations(points, 2))
+        mismatches = [
+            (s, t)
+            for s, t in itertools.permutations(segments, 2)
+            if _segments_cross(*s, *t) != reference_segments_cross(*s, *t)
+        ]
+        assert mismatches == []
+
+    def test_reference_cases(self):
+        assert reference_segments_cross((0, 0), (2, 2), (0, 2), (2, 0))  # proper
+        assert not reference_segments_cross((0, 0), (1, 1), (1, 1), (2, 0))  # shared end
+        assert reference_segments_cross((0, 0), (2, 0), (1, 0), (3, 0))  # overlap
+        assert reference_segments_cross((0, 0), (2, 0), (0, 0), (1, 0))  # nested
+        assert not reference_segments_cross((0, 0), (1, 0), (1, 0), (2, 0))  # collinear chain
+        assert reference_segments_cross((0, 0), (2, 0), (1, 0), (1, 1))  # T-touch
+        assert not reference_segments_cross((0, 0), (1, 0), (0, 1), (1, 1))  # parallel
 
 
 class TestGenerators:
@@ -78,6 +104,24 @@ class TestGenerators:
             assert not _segments_cross(
                 points[a1], points[b1], points[a2], points[b2]
             )
+
+    # sha256 of the sorted-key JSON of instance_to_dict; the MST and the
+    # augmenting edges both follow the (d², i, j) candidate order, so a tie
+    # drift in that order changes these bytes
+    PLANAR_DIGESTS = {
+        (40, 0): "e6d5686f8ec0aa977aac8329a2390183bfd9199bbb51c2bb5da27fe947b47fe7",
+        (40, 1): "9afc5e27923394eec15013fe354009e75f86bc32aefa35f24bf9484c235bbae0",
+        (40, 2): "9a2ae6e9460fbd97511d9d0c17a7407699def9cda33904fac1730b2cc8e6c542",
+        (120, 0): "f183105b4b1fb16b6293156a0d899eb56c72dcba3f4c0f34055c331096b61942",
+        (120, 1): "3c0f37129155baf5973ab0cf36fe2b4e80475b240625f5c1b9a608a81412c612",
+        (120, 2): "594dbae0d75093c3e489916c382679bea767ca80803438edaffc821296cbb1bd",
+    }
+
+    @pytest.mark.parametrize("n,seed", sorted(PLANAR_DIGESTS))
+    def test_planar_road_digest(self, n, seed):
+        doc = instance_to_dict(generate(GeneratorSpec("planar_road", n, seed, USRT)))
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == self.PLANAR_DIGESTS[(n, seed)]
 
     def test_deterministic_per_seed(self):
         for family in FAMILIES:
