@@ -20,13 +20,11 @@ from .instances import (
     read_instance,
     write_instance,
 )
-from .local_search import impr, loc, mst_heuristic, mst_loc
+from .local_search import Budget, impr, loc, mst_heuristic, mst_loc
 from .metaheuristics import (
     DEFAULT_PARAMS,
     ILS,
     TS,
-    SearchConfig,
-    default_config,
     iterated_local_search,
     run,
     shake,

@@ -21,8 +21,8 @@ from .instances import (
     read_instance,
     write_instance,
 )
-from .local_search import Budget, mst_heuristic, mst_loc
-from .metaheuristics import ILS, TS, check_limits, default_config, run
+from .local_search import Budget, check_limits, mst_heuristic, mst_loc
+from .metaheuristics import DEFAULT_PARAMS, ILS, TS, run
 from .model import VARIANTS, UndefinedGapError, evaluate, format_gap, gap
 from .neighborhoods import NET, SCH
 from .solution import Solution
@@ -92,29 +92,21 @@ def _run_algorithm(inst, algorithm: str, time_limit: float, seed: int, max_iters
         return mst_heuristic(inst), {}
     if algorithm in ("mst-loc-net", "mst-loc-sch"):
         kind = NET if algorithm.endswith("net") else SCH
-        return mst_loc(inst, kind, Budget(time_limit, None, None)), {"kind": kind}
+        return mst_loc(inst, kind, Budget(time_limit)), {"kind": kind}
     if algorithm == "oracle":
         obj, sched = brute_force_instance(inst)
         return Solution(sched.tree, sched, obj), {}
     meta, kind = algorithm.split("-")
-    cfg = default_config(
-        inst.variant,
-        ILS if meta == "ils" else TS,
-        kind.upper(),
-        time_limit=time_limit,
-        seed=seed,
-        max_iters=max_iters,
-    )
-    sol = run(inst, cfg)
-    params: dict = {"time_limit": cfg.time_limit}
-    if cfg.algorithm == ILS:
-        params["shake_p"] = cfg.shake_p
+    sol = run(inst, ILS if meta == "ils" else TS, kind.upper(), Budget(time_limit, max_iters), seed)
+    value = DEFAULT_PARAMS[inst.variant][f"{meta}_{kind}"]
+    params: dict = {"time_limit": time_limit}
+    if meta == "ils":
+        params["shake_p"] = value
         params["accept"] = "always"  # ILS moves to every new local optimum
     else:
-        params["tenure_min"] = cfg.tenure_min
-        params["tenure_max"] = cfg.tenure_max
-    if cfg.max_iters is not None:
-        params["max_iters"] = cfg.max_iters
+        params["tenure_min"], params["tenure_max"] = value
+    if max_iters is not None:
+        params["max_iters"] = max_iters
     return sol, params
 
 
@@ -207,9 +199,11 @@ def cmd_bench(args) -> int:
     if not instances:
         raise InstanceFormatError(args.instances_dir, "no *.json instances found")
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    if not algos:
+        raise ValueError("--algos: no algorithms given")
     for a in algos:
         if a not in ALGORITHMS:
-            raise InstanceFormatError("algos", f"unknown algorithm {a!r}")
+            raise ValueError(f"--algos: unknown algorithm {a!r}")
     if args.jobs < 1:
         raise ValueError(f"--jobs: must be at least 1, got {args.jobs}")
     try:

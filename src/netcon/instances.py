@@ -18,6 +18,9 @@ from .model import L, L_ETPC, SWRT, USRT, VARIANTS, ProblemInstance
 
 FORMAT_VERSION = 1
 GRID = 1000  # coordinates drawn from [0, GRID]^2
+WEIGHT_RANGE = (1, 10)  # SWRT vertex weights
+LENGTH_RANGE = (1, 1000)  # random_metric raw edge lengths, before the metric closure
+PAIRS_PER_VERTEX = 6  # L_ETPC relevant pairs: min(6 n, n (n - 1) / 2)
 
 EUCLIDEAN_COMPLETE = "euclidean_complete"
 RANDOM_METRIC = "random_metric"
@@ -39,9 +42,6 @@ class GeneratorSpec:
     n: int
     seed: int
     variant: str
-    weight_range: tuple[int, int] = (1, 10)
-    pair_multiplier: int = 6
-    length_range: tuple[int, int] = (1, 1000)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -82,7 +82,7 @@ def generate(spec: GeneratorSpec) -> ProblemInstance:
     if spec.family == EUCLIDEAN_COMPLETE:
         net = _euclidean_complete(rng, spec.n)
     elif spec.family == RANDOM_METRIC:
-        net = _random_metric(rng, spec.n, spec.length_range)
+        net = _random_metric(rng, spec.n)
     else:
         net = _planar_road(rng, spec.n)
     return _attach_variant_data(rng, net, spec)
@@ -98,8 +98,8 @@ def _euclidean_complete(rng: random.Random, n: int) -> Network:
     return Network(n, tuple(edges), depot=rng.randrange(n))
 
 
-def _random_metric(rng: random.Random, n: int, length_range) -> Network:
-    lo, hi = length_range
+def _random_metric(rng: random.Random, n: int) -> Network:
+    lo, hi = LENGTH_RANGE
     raw = [
         (i, j, rng.randint(lo, hi)) for i in range(n) for j in range(i + 1, n)
     ]
@@ -182,7 +182,7 @@ def _attach_variant_data(rng: random.Random, net: Network, spec: GeneratorSpec) 
     if spec.variant == USRT:
         return ProblemInstance(net, USRT)
     if spec.variant == SWRT:
-        lo, hi = spec.weight_range
+        lo, hi = WEIGHT_RANGE
         weights = tuple(rng.randint(lo, hi) for _ in range(net.n))
         return ProblemInstance(net, SWRT, weights=weights)
     horizon = minimum_spanning_tree(net).total_length
@@ -190,7 +190,7 @@ def _attach_variant_data(rng: random.Random, net: Network, spec: GeneratorSpec) 
         due = tuple(rng.randint(0, horizon) for _ in range(net.n))
         return ProblemInstance(net, L, vertex_due_dates=due)
     all_pairs = [(i, j) for i in range(net.n) for j in range(i + 1, net.n)]
-    q = min(spec.pair_multiplier * net.n, len(all_pairs))
+    q = min(PAIRS_PER_VERTEX * net.n, len(all_pairs))
     pairs = sorted(rng.sample(all_pairs, q))
     due_dates = {p: rng.randint(0, horizon) for p in pairs}
     return ProblemInstance(net, L_ETPC, pair_due_dates=due_dates)

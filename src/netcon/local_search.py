@@ -1,6 +1,7 @@
 """Solution improvement, first-improvement local search, and the MST heuristics."""
 from __future__ import annotations
 
+import math
 import time
 
 from .graph import minimum_spanning_tree
@@ -11,11 +12,24 @@ from .solution import Solution, solve_tree
 __all__ = ["Budget", "Solution", "solve_tree", "impr", "loc", "mst_heuristic", "mst_loc"]
 
 
-class Budget:
-    """The one stop rule of a search: a monotonic deadline ``seconds`` from
-    now, an optional iteration cap and an optional target objective."""
+def check_limits(time_limit: float, max_iters: int | None) -> None:
+    """Reject a NaN, infinite or negative time limit (no deadline is ever
+    reached at NaN, and a run record cannot hold either in JSON) and a
+    negative iteration cap."""
+    if not 0 <= time_limit < math.inf:
+        raise ValueError(f"time_limit must be a finite number >= 0, got {time_limit}")
+    if max_iters is not None and max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
 
-    def __init__(self, seconds: float, max_iters: int | None, target: int | None):
+
+class Budget:
+    """The context of one search run: a monotonic deadline ``seconds`` from
+    now, an optional iteration cap, an optional target objective, and the
+    iterations counted so far.  A search uses its budget up, so every run
+    takes a new one."""
+
+    def __init__(self, seconds: float, max_iters: int | None = None, target: int | None = None):
+        check_limits(seconds, max_iters)
         self.end = time.monotonic() + seconds
         self.max_iters = max_iters
         self.target = target

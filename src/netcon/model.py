@@ -92,10 +92,6 @@ class ProblemInstance:
                 norm[key] = int(d)
             object.__setattr__(self, "pair_due_dates", norm)
 
-    @property
-    def relevant_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.pair_due_dates)
-
     @cached_property
     def pairs_by_due_date(self) -> tuple[tuple[tuple[int, int], int], ...]:
         """``(pair, due date)`` items in ascending due date; the sort is

@@ -15,6 +15,7 @@ from netcon import (
     SWRT,
     TS,
     USRT,
+    Budget,
     ContractedGraph,
     Solution,
     a_et,
@@ -22,7 +23,6 @@ from netcon import (
     brute_force_instance,
     brute_force_tree,
     cached_oracle,
-    default_config,
     evaluate,
     gap,
     impr,
@@ -233,10 +233,8 @@ def test_criterion_6_small_scale_optimality(capsys):
             d_min = None if variant in (USRT, SWRT) else inst.d_min()
             gaps.append(gap(ml.objective, opt, d_min, variant))
             for algo, key in ((ILS, "ils"), (TS, "ts")):
-                cfg = default_config(
-                    variant, algo, NET, time_limit=2.0, seed=k, target_objective=opt
-                )
-                hits[key] += run(inst, cfg).objective == opt
+                sol = run(inst, algo, NET, Budget(2.0, target=opt), seed=k)
+                hits[key] += sol.objective == opt
         avg_gap = float(sum(gaps) / len(gaps))
         ok = ok and hits["ils"] >= 90 and hits["ts"] >= 90 and avg_gap <= 5.0
         lines.append(

@@ -364,6 +364,9 @@ class TestBenchReport:
         ("--jobs", "0", "--jobs:"),
         ("--seeds", "x", "--seeds:"),
         ("--seeds", ",", "--seeds: no seeds given"),
+        ("--algos", ",", "--algos: no algorithms given"),
+        ("--algos", "", "--algos: no algorithms given"),
+        ("--algos", "x", "--algos: unknown algorithm 'x'"),
         # checked before any task runs, although mst does not use them
         ("--time-limit", "nan", "time_limit"),
         ("--time-limit", "inf", "time_limit"),

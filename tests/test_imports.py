@@ -1,6 +1,8 @@
 """Every module-level import in ``src/netcon`` is used: a deletion that
-leaves an import behind fails here, not in a later clean-up."""
+leaves an import behind fails here, not in a later clean-up.  The README's
+library example imports only names that ``netcon`` exports."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -45,3 +47,18 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_readme_example_imports_exist():
+    import netcon
+
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "netcon"
+        for alias in node.names
+    ]
+    assert imported
+    assert [name for name in imported if not hasattr(netcon, name)] == []

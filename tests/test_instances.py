@@ -117,11 +117,44 @@ class TestGenerators:
         (120, 2): "594dbae0d75093c3e489916c382679bea767ca80803438edaffc821296cbb1bd",
     }
 
+    # the same digests at n=20 pin the generator's constant ranges: SWRT
+    # weights, random_metric edge lengths, and the 6 relevant pairs per vertex
+    # (q = 120 of the 190 pairs, so the sample is a proper subset)
+    RANGE_DIGESTS = {
+        ("random_metric", SWRT, 0):
+            "29fc2727a4cf930da7afda034e60ff1cc91ed3227d450cfdde3e580b543dc56b",
+        ("random_metric", SWRT, 1):
+            "d7d05273f3c3825c665f572440e9b6b0257bb1e1509e1e3d665106b1b1bd01d5",
+        ("random_metric", SWRT, 2):
+            "b242e5db0eac48e53a37c251371765c78b9500a5e110acdd608a9fbe60d6cff0",
+        ("random_metric", L_ETPC, 0):
+            "0e96ce88f7128effed7a7524373fce4f7672a28ed892dfaac2cd144ec4ada3aa",
+        ("random_metric", L_ETPC, 1):
+            "0b174e5aa69ae670ee7a87874905eca8821a678b335af81761392148739bcb22",
+        ("random_metric", L_ETPC, 2):
+            "61dae01d11fe6331c2db225baf0a8d6f7766048e8567b034cb2050f0b4637041",
+        ("euclidean_complete", L_ETPC, 0):
+            "ba5640112fd90af0ed1c1891d1a6140719b6c70480c0b117b184f3e595e926e9",
+        ("euclidean_complete", L_ETPC, 1):
+            "4c9ec5884b7240d6f08c10f40b6c43b16676a5fbacb8d0f89de0d025e7123a44",
+        ("euclidean_complete", L_ETPC, 2):
+            "817006109cb1100d321ca556656e3a7086e1044f7154cca6651609f5149982c9",
+    }
+
+    @staticmethod
+    def digest(spec: GeneratorSpec) -> str:
+        doc = instance_to_dict(generate(spec))
+        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
     @pytest.mark.parametrize("n,seed", sorted(PLANAR_DIGESTS))
     def test_planar_road_digest(self, n, seed):
-        doc = instance_to_dict(generate(GeneratorSpec("planar_road", n, seed, USRT)))
-        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        digest = self.digest(GeneratorSpec("planar_road", n, seed, USRT))
         assert digest == self.PLANAR_DIGESTS[(n, seed)]
+
+    @pytest.mark.parametrize("family,variant,seed", sorted(RANGE_DIGESTS))
+    def test_range_digest(self, family, variant, seed):
+        digest = self.digest(GeneratorSpec(family, 20, seed, variant))
+        assert digest == self.RANGE_DIGESTS[(family, variant, seed)]
 
     def test_deterministic_per_seed(self):
         for family in FAMILIES:

@@ -5,6 +5,8 @@ import pytest
 
 from netcon import (
     DEFAULT_PARAMS,
+    VARIANTS,
+    Budget,
     GeneratorSpec,
     ILS,
     L_ETPC,
@@ -13,8 +15,6 @@ from netcon import (
     TS,
     USRT,
     ProblemInstance,
-    SearchConfig,
-    default_config,
     evaluate,
     generate,
     iterated_local_search,
@@ -25,8 +25,9 @@ from netcon import (
     solve_tree,
     tabu_search,
 )
+import netcon.metaheuristics
 import netcon.neighborhoods
-from netcon.metaheuristics import TabuList, _fill_defaults
+from netcon.metaheuristics import TabuList
 
 from helpers import random_instance, random_spanning_tree, tri
 
@@ -46,37 +47,55 @@ class TestConfig:
             "ils_net": 0.03, "ils_sch": 0.14, "ts_net": (7, 14), "ts_sch": (5, 17),
         }
 
-    def test_default_config_populates(self):
-        cfg = default_config("USRT", ILS, NET)
-        assert cfg.shake_p == 0.11
-        cfg = default_config("L_ETPC", TS, SCH)
-        assert (cfg.tenure_min, cfg.tenure_max) == (5, 17)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("kind", (NET, SCH))
+    def test_ils_shakes_with_table_value(self, monkeypatch, variant, kind):
+        inst = random_instance(random.Random(66), variant, 6)
+        seen = []
+        real_shake = netcon.metaheuristics.shake
 
-    def test_fill_keeps_set_fields(self):
-        cfg = _fill_defaults("USRT", SearchConfig(algorithm=TS, kind=NET, tenure_min=2))
-        assert (cfg.tenure_min, cfg.tenure_max) == (2, 17)
-        cfg = _fill_defaults("USRT", SearchConfig(algorithm=ILS, kind=NET, shake_p=0.5))
-        assert cfg.shake_p == 0.5
+        def spy(inst, s, kind, p, rng):
+            seen.append(p)
+            return real_shake(inst, s, kind, p, rng)
+
+        monkeypatch.setattr(netcon.metaheuristics, "shake", spy)
+        iterated_local_search(inst, kind, Budget(600.0, max_iters=3))
+        assert seen == [DEFAULT_PARAMS[variant][f"ils_{kind.lower()}"]] * 3
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("kind", (NET, SCH))
+    def test_ts_tenure_from_table(self, monkeypatch, variant, kind):
+        inst = random_instance(random.Random(67), variant, 6)
+        budget = Budget(600.0, max_iters=5)
+        added = []
+        real_add = TabuList.add
+
+        def spy(self, item, until):
+            added.append(until - budget.iteration)
+            real_add(self, item, until)
+
+        monkeypatch.setitem(DEFAULT_PARAMS[variant], f"ts_{kind.lower()}", (3, 3))
+        monkeypatch.setattr(TabuList, "add", spy)
+        tabu_search(inst, kind, budget)
+        # the MST-LOC start is a local optimum, so the first step is a tabu move
+        assert added and set(added) == {3}
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SearchConfig(algorithm="BOGUS", kind=NET)
-        with pytest.raises(ValueError):
-            SearchConfig(algorithm=ILS, kind="BOGUS")
-        with pytest.raises(ValueError):
-            SearchConfig(algorithm=ILS, kind=NET, shake_p=1.5)
-        with pytest.raises(ValueError):
-            SearchConfig(algorithm=TS, kind=NET, tenure_min=9, tenure_max=3)
+        inst = ProblemInstance(tri(), USRT)
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            run(inst, "BOGUS", NET, Budget(1.0))
+        with pytest.raises(ValueError, match="unknown neighborhood kind"):
+            run(inst, ILS, "BOGUS", Budget(1.0))
+
+
+class TestBudget:
+    def test_limits_checked(self):
         # no deadline ever passes NaN; JSON records cannot hold NaN or inf
         for bad in (float("nan"), float("inf"), -1.0):
             with pytest.raises(ValueError, match="time_limit"):
-                SearchConfig(algorithm=ILS, kind=NET, time_limit=bad)
+                Budget(bad)
         with pytest.raises(ValueError, match="max_iters"):
-            SearchConfig(algorithm=ILS, kind=NET, max_iters=-3)
-        with pytest.raises(ValueError):
-            tabu_search(
-                ProblemInstance(tri(), USRT), SearchConfig(algorithm=ILS, kind=NET)
-            )
+            Budget(1.0, max_iters=-3)
 
 
 class TestTabuList:
@@ -121,13 +140,12 @@ class TestShake:
 class TestSearch:
     def test_tri_ils_reaches_optimum(self):
         inst = ProblemInstance(tri(), USRT)
-        cfg = default_config("USRT", ILS, NET, max_iters=5, seed=1)
-        assert iterated_local_search(inst, cfg).objective == 3
+        sol = iterated_local_search(inst, NET, Budget(600.0, max_iters=5), seed=1)
+        assert sol.objective == 3
 
     def test_tri_ts_reaches_optimum(self):
         inst = ProblemInstance(tri(), USRT)
-        cfg = default_config("USRT", TS, NET, max_iters=5, seed=1)
-        assert tabu_search(inst, cfg).objective == 3
+        assert tabu_search(inst, NET, Budget(600.0, max_iters=5), seed=1).objective == 3
 
     def test_time_limit_zero_is_mst(self):
         # the MST-LOC start stops before it accepts its first neighbour
@@ -136,8 +154,7 @@ class TestSearch:
         base = mst_heuristic(inst).objective
         for algo in (ILS, TS):
             for kind in (NET, SCH):
-                cfg = default_config("USRT", algo, kind, time_limit=0.0)
-                assert run(inst, cfg).objective == base
+                assert run(inst, algo, kind, Budget(0.0)).objective == base
 
     def test_time_limit_bounds_mst_loc_start(self, monkeypatch):
         inst = generate(GeneratorSpec("euclidean_complete", 12, 3, "SWRT"))
@@ -159,7 +176,7 @@ class TestSearch:
         for algo in (ILS, TS):
             for kind in (NET, SCH):
                 evaluated[0] = 0
-                sol = run(inst, default_config("SWRT", algo, kind, time_limit=5.0))
+                sol = run(inst, algo, kind, Budget(5.0))
                 # 5 s of one-second readings leave room for about 5 neighbours
                 assert 1 <= evaluated[0] <= 6, (algo, kind, evaluated[0])
                 assert evaluate(inst, sol.schedule)[0] == sol.objective
@@ -171,8 +188,7 @@ class TestSearch:
             for algo in (ILS, TS):
                 for kind in (NET, SCH):
                     base = mst_loc(inst, kind).objective
-                    cfg = default_config(variant, algo, kind, max_iters=3, seed=2)
-                    sol = run(inst, cfg)
+                    sol = run(inst, algo, kind, Budget(600.0, max_iters=3), seed=2)
                     assert sol.objective <= base
                     assert evaluate(inst, sol.schedule)[0] == sol.objective
 
@@ -180,14 +196,13 @@ class TestSearch:
         rng = random.Random(65)
         inst = random_instance(rng, USRT, 7)
         for algo in (ILS, TS):
-            cfg = default_config("USRT", algo, NET, max_iters=4, seed=9)
-            a = run(inst, cfg)
-            b = run(inst, cfg)
+            # a budget is used up by its run, so each run takes its own
+            a = run(inst, algo, NET, Budget(600.0, max_iters=4), seed=9)
+            b = run(inst, algo, NET, Budget(600.0, max_iters=4), seed=9)
             assert a.tree.edge_ids == b.tree.edge_ids
             assert a.schedule.order == b.schedule.order
 
     def test_target_objective_stops_early(self):
         inst = ProblemInstance(tri(), USRT)
-        cfg = default_config("USRT", ILS, NET, target_objective=3)
-        sol = iterated_local_search(inst, cfg)  # finite despite the 600 s default
+        sol = iterated_local_search(inst, NET, Budget(600.0, target=3))  # ends before 600 s
         assert sol.objective == 3

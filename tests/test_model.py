@@ -74,7 +74,7 @@ class TestProblemInstance:
 
     def test_pair_normalization(self):
         inst = ProblemInstance(tri(), L_ETPC, pair_due_dates={(2, 1): 5, (0, 1): 3})
-        assert inst.relevant_pairs == [(0, 1), (1, 2)]
+        assert sorted(inst.pair_due_dates) == [(0, 1), (1, 2)]
         assert inst.q == 2
         assert inst.d_min() == 3
 
@@ -228,7 +228,7 @@ class TestRandomConsistency:
             order = list(tree.edge_ids)
             rng.shuffle(order)
             _, times = evaluate(inst, EdgeSchedule(tree, tuple(order)))
-            assert set(times) == set(inst.relevant_pairs)
+            assert set(times) == set(sorted(inst.pair_due_dates))
 
     def test_pair_times_are_path_maxima(self):
         # a pair connects when the last edge of its tree path is built
@@ -243,7 +243,7 @@ class TestRandomConsistency:
                 completion[eid] = t
             expected = {
                 (u, v): max(completion[eid] for eid in tree.path_edges(u, v))
-                for u, v in inst.relevant_pairs
+                for u, v in sorted(inst.pair_due_dates)
             }
             obj, times = evaluate(inst, sched)
             assert times == expected

@@ -287,7 +287,7 @@ def small_instances(draw):
     net = Network(n, edges, depot=draw(st.integers(0, n - 1)))
     if variant != L_ETPC:
         return dataclasses.replace(inst, net=net)
-    pairs = rng.sample(inst.relevant_pairs, rng.randint(1, inst.q))
+    pairs = rng.sample(sorted(inst.pair_due_dates), rng.randint(1, inst.q))
     return dataclasses.replace(
         inst, net=net, pair_due_dates={p: inst.pair_due_dates[p] for p in pairs}
     )
