@@ -71,6 +71,14 @@ class Network:
         if uf.sets != 1:
             raise GraphError("network is not connected")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the dataclass hash, computed once: every cached_oracle lookup hashes
+        return hash((self.n, self.edges, self.depot))
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -96,12 +104,6 @@ class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
         self.sets = n
-
-    def copy(self) -> "_UnionFind":
-        new = _UnionFind(0)
-        new.parent = self.parent.copy()
-        new.sets = self.sets
-        return new
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -336,43 +338,50 @@ def _walk_back(t: int, d, nbrs) -> list[int]:
 
 
 class ContractedGraph:
-    """A network under repeated edge contraction with maintained distances.
+    """A network under repeated edge contraction with maintained distances,
+    and the state of A-ET after a prefix of a pairs order.
 
-    Super-vertices are the sets of the union-find ``uf``, each named by its
-    smallest original vertex id.  ``dist`` stays a full n-by-n matrix, a
-    private copy of the network's; only rows/columns of representatives are
-    meaningful.  The state starts from the network's adjacency, which has
-    no parallel edges; contraction creates them and keeps the shortest one
-    (tie: smallest original edge id), and removes loops.
+    ``label[v]`` names v's super-vertex by its smallest member, and ``sets``
+    counts the super-vertices.  ``chosen`` holds the edges ``attach`` has
+    contracted so far, which alone determine the state.  ``dist`` stays a
+    full n-by-n matrix, a private copy of the network's; only rows/columns
+    of labels are meaningful.  The state starts from the network's
+    adjacency, which has no parallel edges; contraction creates them and
+    keeps the shortest one (tie: smallest original edge id), and removes
+    loops.
     """
 
     def __init__(self, net: Network):
         self.net = net
-        self.uf = _UnionFind(net.n)
-        # adj[r]: dict of other representative -> (length, original edge id)
+        self.label = list(range(net.n))
+        self.sets = net.n
+        # adj[r]: dict of other label -> (length, original edge id)
         self.adj: list[dict[int, tuple[int, int]]] = [
             {y: (w, eid) for y, eid, w in nbrs} for nbrs in net.adjacency
         ]
         self.dist = cached_oracle(net).copy()
+        self.chosen: set[int] = set()
 
     def copy(self) -> "ContractedGraph":
         """An independent copy of this state."""
         new = object.__new__(ContractedGraph)
         new.net = self.net
-        new.uf = self.uf.copy()
+        new.label = self.label.copy()
+        new.sets = self.sets
         new.adj = [a.copy() for a in self.adj]
         new.dist = self.dist.copy()
+        new.chosen = self.chosen.copy()
         return new
 
     def find(self, v: int) -> int:
-        return self.uf.find(v)
+        return self.label[v]
 
     def active_vertices(self) -> list[int]:
-        """The representatives, ascending."""
-        return [v for v, p in enumerate(self.uf.parent) if v == p]
+        """The labels, ascending."""
+        return [v for v, r in enumerate(self.label) if v == r]
 
     def num_components(self) -> int:
-        return self.uf.sets
+        return self.sets
 
     def contract_edge(self, x: int, y: int) -> int:
         """Merge adjacent super-vertices x and y; returns the merged id.
@@ -382,7 +391,8 @@ class ContractedGraph:
         update is exact: a cross term d(a, x) + d(x, b) is never below
         d(a, b) by the triangle inequality, and dz(z) = 0 makes row z dz.
         """
-        x, y = self.find(x), self.find(y)
+        label = self.label
+        x, y = label[x], label[y]
         if x == y or y not in self.adj[x]:
             raise GraphError(f"vertices {x} and {y} are not adjacent super-vertices")
         z, gone = min(x, y), max(x, y)
@@ -400,7 +410,8 @@ class ContractedGraph:
             if u not in keep or entry < keep[u]:
                 keep[u] = other[z] = entry
         adj[gone] = {}
-        self.uf.union(x, y)
+        self.label = [z if r == gone else r for r in label]
+        self.sets -= 1
         return z
 
     def shortest_path_edges(self, a: int, b: int) -> list[int]:
@@ -408,11 +419,11 @@ class ContractedGraph:
         super-vertices of ``a`` and ``b``.
 
         The canonical rule (``_walk_back``) walks back from the larger
-        representative: the predecessor of ``w`` is the smallest adjacent
-        representative ``p`` with ``dist[s, p] + len(p, w) == dist[s, w]``,
-        where ``s`` is the smaller representative.
+        label: the predecessor of ``w`` is the smallest adjacent label ``p``
+        with ``dist[s, p] + len(p, w) == dist[s, w]``, where ``s`` is the
+        smaller label.
         """
-        ra, rb = self.find(a), self.find(b)
+        ra, rb = self.label[a], self.label[b]
         if ra == rb:
             raise GraphError("endpoints are in the same super-vertex")
         adj = self.adj
@@ -421,3 +432,29 @@ class ContractedGraph:
             self.dist[min(ra, rb)].tolist(),
             lambda x: sorted((p, length, eid) for p, (length, eid) in adj[x].items()),
         )
+
+    def attach(self, pair):
+        """Join the pair via a shortest path in the contracted graph and
+        contract that path, unless the pair is joined already.  Lengths are
+        positive, so the path meets each super-vertex once, and each of its
+        edges joins two super-vertices when its turn comes."""
+        u, v = pair
+        if self.label[u] == self.label[v]:
+            return
+        path = self.shortest_path_edges(u, v)
+        self.chosen.update(path)
+        edges = self.net.edges
+        for eid in path:
+            a, b, _ = edges[eid]
+            self.contract_edge(a, b)
+
+    def finish(self):
+        """Kruskal completes the forest a reduced sequence leaves: its next
+        edge is the shortest surviving inter-component edge (tie: edge id).
+        Only ``chosen`` is read after this."""
+        if self.sets == 1:
+            return
+        uf = _UnionFind(self.net.n)
+        for v, r in enumerate(self.label):
+            uf.union(v, r)
+        self.chosen.update(kruskal(self.net.edges, uf))

@@ -25,7 +25,6 @@ from .graph import (
     SpanningTree,
     _walk_back,
     cached_oracle,
-    kruskal,
     spanning_tree_cycle,
 )
 from .model import (
@@ -172,44 +171,6 @@ class _ITState:
         """A vertex order names every vertex, so the tree spans already."""
 
 
-class _ETState:
-    """A-ET after a prefix of a pairs order: the contracted graph and the
-    edges contracted so far, which alone determine it."""
-
-    def __init__(self, net: Network):
-        self.net = net
-        self.cg = ContractedGraph(net)
-        self.chosen: set[int] = set()
-
-    def copy(self) -> "_ETState":
-        new = object.__new__(_ETState)
-        new.net = self.net
-        new.cg = self.cg.copy()
-        new.chosen = self.chosen.copy()
-        return new
-
-    def attach(self, pair):
-        """Join the pair via a shortest path in the contracted graph and
-        contract that path, unless the pair is joined already.  Lengths are
-        positive, so the path meets each super-vertex once, and each of its
-        edges joins two super-vertices when its turn comes."""
-        cg = self.cg
-        u, v = pair
-        if cg.find(u) == cg.find(v):
-            return
-        path = cg.shortest_path_edges(u, v)
-        self.chosen.update(path)
-        for eid in path:
-            a, b, _ = self.net.edges[eid]
-            cg.contract_edge(a, b)
-
-    def finish(self):
-        """Kruskal completes the forest a reduced sequence leaves: its next
-        edge is the shortest surviving inter-component edge (tie: edge id).
-        Only ``chosen`` is read after this."""
-        self.chosen.update(kruskal(self.net.edges, self.cg.uf))
-
-
 def _fold(state, order) -> SpanningTree:
     attach = state.attach
     for item in order:
@@ -227,8 +188,8 @@ def a_it(net: Network, order) -> SpanningTree:
 def a_et(net: Network, order) -> SpanningTree:
     """Join the first unconnected pair of ``order`` via a shortest path in the
     contracted graph, then contract that path; Kruskal finishes the forest a
-    reduced sequence leaves (``_ETState``)."""
-    return _fold(_ETState(net), order)
+    reduced sequence leaves (``ContractedGraph.attach`` and ``finish``)."""
+    return _fold(ContractedGraph(net), order)
 
 
 def _replay(snap, order, sets, j, i):
@@ -269,7 +230,7 @@ def neighbors(inst: ProblemInstance, current: Solution, kind: str):
         if not shifts:
             return
         # the base run: snapshots at the shift targets, chosen edges per prefix
-        state = (_ETState if pairs else _ITState)(inst.net)
+        state = (ContractedGraph if pairs else _ITState)(inst.net)
         targets = {i for _, i in shifts}
         snaps = {}
         sets = [frozenset()]  # sets[k]: the base run's chosen edges after order[:k]

@@ -20,7 +20,6 @@ from .model import (
     USRT,
     EdgeSchedule,
     ProblemInstance,
-    evaluate,
 )
 
 
@@ -313,9 +312,7 @@ def brute_force_instance(inst: ProblemInstance):
     best_obj = None
     best_sched = None
     for combo in iter_spanning_trees(net):
-        tree = SpanningTree.from_edges(net, combo)
-        sched = optimal_schedule(inst, tree)
-        obj, _ = evaluate(inst, sched)
+        sched, obj = _solve(inst, SpanningTree.from_edges(net, combo))
         if best_obj is None or obj < best_obj:
             best_obj, best_sched = obj, sched
     return best_obj, best_sched

@@ -218,6 +218,19 @@ def recompute_contracted(cg):
     return dist, tips
 
 
+def forest_labels(net: Network, edge_ids) -> list[int]:
+    """Per vertex, the smallest member of its component in the forest of
+    edges ``edge_ids``."""
+    g = nx.Graph()
+    g.add_nodes_from(range(net.n))
+    g.add_edges_from(net.edges[eid][:2] for eid in edge_ids)
+    label = [0] * net.n
+    for component in nx.connected_components(g):
+        for v in component:
+            label[v] = min(component)
+    return label
+
+
 def tip_path(cg, tips, a: int, b: int) -> list[int]:
     """Original edge ids of the path between the super-vertices of ``a`` and
     ``b`` that follows ``tips`` back from the larger representative."""

@@ -20,6 +20,7 @@ from netcon import (
 from netcon.neighborhoods import enumerate_edge_exchange
 
 from helpers import (
+    forest_labels,
     nx_distances,
     random_network,
     random_spanning_tree,
@@ -226,6 +227,17 @@ def random_trees(draw):
     return random_spanning_tree(rng, net)
 
 
+@st.composite
+def attach_runs(draw):
+    """A random network (n <= 9, lengths 1-3, so paths tie often) and a
+    sequence of vertex pairs on it."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(2, 9))
+    net = random_network(rng, n, max_len=3, complete=draw(st.booleans()))
+    vertex = st.integers(0, n - 1)
+    return net, draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+
+
 class TestExchange:
     """``exchange`` derives the swapped tree from the parent map; a
     depot-rooted tree has one parent map, so it must equal the rebuild."""
@@ -346,15 +358,30 @@ class TestContraction:
             a, b, _ = net.edges[0]
             cg.contract_edge(a, b)
             before = (cg.dist.copy(), [dict(d) for d in cg.adj], cg.active_vertices())
+            label = cg.label.copy()
             twin = cg.copy()
             x = twin.active_vertices()[-1]
-            twin.contract_edge(x, min(twin.adj[x]))
+            twin.attach((x, min(twin.adj[x])))
             assert np.array_equal(cg.dist, before[0]) and cg.adj == before[1]
             assert cg.active_vertices() == before[2] and cg.find(x) == x
+            assert cg.label == label and twin.label != label
+            assert cg.chosen == set() and twin.chosen
             for state in (cg, twin):
                 dist, _ = recompute_contracted(state)
                 ix = np.ix_(state.active_vertices(), state.active_vertices())
                 assert np.array_equal(state.dist[ix], dist[ix])
+
+    @given(attach_runs())
+    @settings(max_examples=200)
+    def test_label_is_smallest_member(self, run):
+        # after every attach, label names each vertex's component of the
+        # forest chosen by its smallest member, and sets counts the components
+        net, pairs = run
+        cg = ContractedGraph(net)
+        for pair in pairs:
+            cg.attach(pair)
+            assert cg.label == forest_labels(net, cg.chosen)
+            assert cg.sets == net.n - len(cg.chosen) == len(set(cg.label))
 
     def test_shortest_path_edges(self):
         net = tri()

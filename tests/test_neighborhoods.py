@@ -28,7 +28,7 @@ from netcon import (
     solve_tree,
     vertex_recovery_sequence,
 )
-from netcon import neighborhoods
+from netcon import graph, neighborhoods
 from netcon.neighborhoods import apply_shift, enumerate_edge_exchange, enumerate_shifts
 
 from helpers import (
@@ -293,16 +293,16 @@ def small_instances(draw):
     )
 
 
-def spy_on(monkeypatch, name: str) -> list:
-    """Record the return value of every call of ``neighborhoods.<name>``."""
+def spy_on(monkeypatch, name: str, module=neighborhoods) -> list:
+    """Record the return value of every call of ``module.<name>``."""
     seen = []
-    real = getattr(neighborhoods, name)
+    real = getattr(module, name)
 
     def spy(*args):
         seen.append(real(*args))
         return seen[-1]
 
-    monkeypatch.setattr(neighborhoods, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return seen
 
 
@@ -371,7 +371,7 @@ class TestSchReplay:
         inst = ProblemInstance(net, L_ETPC, pair_due_dates={(3, 4): 0, (0, 4): 1})
         current = mst_heuristic(inst)
         seen = spy_on(monkeypatch, "_replay")
-        joins = spy_on(monkeypatch, "kruskal")
+        joins = spy_on(monkeypatch, "kruskal", graph)
         stream = list(neighbors(inst, current, SCH))
         assert seen == [None] and any(joins)
         assert stream == reference_sch_neighbors(inst, current)
@@ -383,7 +383,7 @@ class TestSchReplay:
         inst = ProblemInstance(net, L_ETPC, pair_due_dates={(0, 2): 3, (0, 3): 1})
         current = mst_heuristic(inst)
         seen = spy_on(monkeypatch, "_replay")
-        joins = spy_on(monkeypatch, "kruskal")
+        joins = spy_on(monkeypatch, "kruskal", graph)
         stream = list(neighbors(inst, current, SCH))
         assert seen == [frozenset({0, 1, 3, 6})] and any(joins)
         assert stream == reference_sch_neighbors(inst, current)
