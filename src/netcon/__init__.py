@@ -10,7 +10,6 @@ from .graph import (
     cached_oracle,
     minimum_spanning_tree,
     reconstruct_path,
-    spanning_tree_cycle,
 )
 from .instances import (
     FAMILIES,

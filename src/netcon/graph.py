@@ -6,6 +6,7 @@ tolerances anywhere in this module.
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -18,6 +19,16 @@ class GraphError(ValueError):
 
 class EmptyPathError(GraphError):
     """Path reconstruction requested between a vertex and itself."""
+
+
+def _as_int(value, what: str, error=GraphError) -> int:
+    """``value`` as an int if it is an integer (numpy's included) and not a
+    bool, the rule the instance reader applies; ``error`` otherwise."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -33,9 +44,11 @@ class Network:
     depot: int = 0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "edges", tuple((int(a), int(b), int(w)) for a, b, w in self.edges)
+        edges = tuple(
+            (_as_int(a, "edge endpoint"), _as_int(b, "edge endpoint"), _as_int(w, "edge length"))
+            for a, b, w in self.edges
         )
+        object.__setattr__(self, "edges", edges)
         if self.n < 1:
             raise GraphError("network needs at least one vertex")
         if not 0 <= self.depot < self.n:
@@ -199,38 +212,35 @@ class SpanningTree:
             raise GraphError("edge set does not span all vertices")
         return cls(net, ids, tuple(parent))
 
-    def exchange(self, add: int, remove: int) -> "SpanningTree":
-        """This tree with tree edge ``remove`` swapped for non-tree edge
-        ``add``: the tree ``from_edges`` builds from the swapped id set,
-        derived from this parent map.
+    def exchanges(self):
+        """Every tree one edge exchange away, as ``(add, remove, tree)``:
+        non-tree edges ``add`` ascending, and for each the tree edges
+        ``remove`` on the cycle ``add`` closes, in ``path_edges`` order.
 
-        ``remove`` cuts off the subtree under its far endpoint ``c``, and
-        ``add`` must join it back: exactly one endpoint ``x`` of ``add`` lies
-        under ``c``.  The parent pointers on the path from ``x`` up to ``c``
-        reverse, and ``x`` hangs on ``add``.
+        ``remove`` cuts off the subtree under its lower endpoint ``c``, which
+        holds exactly one endpoint ``x`` of ``add``.  The parent pointers on
+        the path from ``x`` up to ``c`` reverse, and ``x`` hangs on ``add``:
+        the tree ``from_edges`` builds from the swapped id set.
         """
-        net, parent = self.net, self.parent
-        if not (0 <= add < net.m and 0 <= remove < net.m):
-            raise GraphError(f"edge ids must lie in [0, {net.m})")
-        a, b, _ = net.edges[add]
-        if add in (parent[a][1], parent[b][1]):
-            raise GraphError(f"edge {add} is already in the tree")
-        r0, r1, _ = net.edges[remove]
-        if remove not in (parent[r0][1], parent[r1][1]):
-            raise GraphError(f"edge {remove} is not in the tree")
-        c = r0 if parent[r0][1] == remove else r1
-        under_a, under_b = _path_up(parent, a, c), _path_up(parent, b, c)
-        if (under_a is None) == (under_b is None):
-            raise GraphError(f"edge {remove} is not on the cycle of edge {add}")
-        (x, y), path = ((a, b), under_a) if under_a else ((b, a), under_b)
-        new = list(parent)
-        new[x] = (y, add)
-        for child, v in zip(path, path[1:]):
-            new[v] = (child, parent[child][1])
-        ids = list(self.edge_ids)
-        del ids[bisect.bisect_left(ids, remove)]
-        bisect.insort(ids, add)
-        return SpanningTree(net, tuple(ids), tuple(new))
+        net, parent, ids = self.net, self.parent, self.edge_ids
+        in_tree = set(ids)
+        for add, (a, b, _) in enumerate(net.edges):
+            if add in in_tree:
+                continue
+            side_a, side_b = self._sides(a, b)
+            # a-side cuts bottom-up, then b-side cuts top-down
+            cuts = [(side_a[: i + 1], b) for i in range(len(side_a))]
+            cuts += [(side_b[: i + 1], a) for i in reversed(range(len(side_b)))]
+            for path, y in cuts:
+                remove = parent[path[-1]][1]
+                new = list(parent)
+                new[path[0]] = (y, add)
+                for child, v in zip(path, path[1:]):
+                    new[v] = (child, parent[child][1])
+                swapped = list(ids)
+                del swapped[bisect.bisect_left(swapped, remove)]
+                bisect.insort(swapped, add)
+                yield add, remove, SpanningTree(net, tuple(swapped), tuple(new))
 
     @cached_property
     def depth(self) -> tuple[int, ...]:
@@ -252,34 +262,28 @@ class SpanningTree:
     def total_length(self) -> int:
         return sum(self.net.edges[eid][2] for eid in self.edge_ids)
 
+    def _sides(self, u: int, v: int) -> tuple[list[int], list[int]]:
+        """The vertices from ``u`` and from ``v`` up to their lowest common
+        ancestor, each list starting at its endpoint; neither holds the
+        ancestor."""
+        depth, parent = self.depth, self.parent
+        side_u, side_v = [], []
+        while depth[u] > depth[v]:
+            side_u.append(u)
+            u = parent[u][0]
+        while depth[v] > depth[u]:
+            side_v.append(v)
+            v = parent[v][0]
+        while u != v:
+            side_u.append(u)
+            side_v.append(v)
+            u, v = parent[u][0], parent[v][0]
+        return side_u, side_v
+
     def path_edges(self, u: int, v: int) -> list[int]:
         """Tree edges on the unique u-v path, in order from u to v."""
-        depth = self.depth
-        up, down = [], []
-        while depth[u] > depth[v]:
-            up.append(self.parent[u][1])
-            u = self.parent[u][0]
-        while depth[v] > depth[u]:
-            down.append(self.parent[v][1])
-            v = self.parent[v][0]
-        while u != v:
-            up.append(self.parent[u][1])
-            down.append(self.parent[v][1])
-            u = self.parent[u][0]
-            v = self.parent[v][0]
-        return up + down[::-1]
-
-
-def _path_up(parent, x: int, c: int) -> list[int] | None:
-    """Vertices from ``x`` up to its ancestor ``c``, both included; None if
-    ``c`` is not ``x`` or an ancestor of it."""
-    path = [x]
-    while x != c:
-        x = parent[x][0]
-        if x < 0:
-            return None
-        path.append(x)
-    return path
+        side_u, side_v = self._sides(u, v)
+        return [self.parent[x][1] for x in side_u + side_v[::-1]]
 
 
 def kruskal(edges, uf: _UnionFind, edge_ids=None) -> list[int]:
@@ -303,15 +307,6 @@ def kruskal(edges, uf: _UnionFind, edge_ids=None) -> list[int]:
 def minimum_spanning_tree(net: Network) -> SpanningTree:
     """Kruskal with ascending (length, edge id) order for deterministic ties."""
     return SpanningTree.from_edges(net, kruskal(net.edges, _UnionFind(net.n)))
-
-
-def spanning_tree_cycle(tree: SpanningTree, non_tree_edge: int) -> list[int]:
-    """Tree edges of the cycle closed by inserting ``non_tree_edge``."""
-    a, b, _ = tree.net.edges[non_tree_edge]
-    # a tree edge is the parent edge of one of its endpoints
-    if non_tree_edge in (tree.parent[a][1], tree.parent[b][1]):
-        raise GraphError(f"edge {non_tree_edge} is already in the tree")
-    return tree.path_edges(a, b)
 
 
 def _walk_back(t: int, d, nbrs) -> list[int]:
@@ -372,16 +367,6 @@ class ContractedGraph:
         new.dist = self.dist.copy()
         new.chosen = self.chosen.copy()
         return new
-
-    def find(self, v: int) -> int:
-        return self.label[v]
-
-    def active_vertices(self) -> list[int]:
-        """The labels, ascending."""
-        return [v for v, r in enumerate(self.label) if v == r]
-
-    def num_components(self) -> int:
-        return self.sets
 
     def contract_edge(self, x: int, y: int) -> int:
         """Merge adjacent super-vertices x and y; returns the merged id.

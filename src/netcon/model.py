@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 
-from .graph import Network, SpanningTree, _UnionFind
+from .graph import Network, SpanningTree, _as_int, _UnionFind
 
 USRT = "USRT"
 SWRT = "SWRT"
@@ -64,13 +64,17 @@ class ProblemInstance:
         if self.variant in (USRT, SWRT):
             if self.weights is None or len(self.weights) != n:
                 raise ModelError("weights: expected one value per vertex")
-            if any(w < 0 for w in self.weights):
+            weights = tuple(_as_int(w, "weight", ModelError) for w in self.weights)
+            if any(w < 0 for w in weights):
                 raise ModelError("weights must be nonnegative")
+            object.__setattr__(self, "weights", weights)
             if self.vertex_due_dates is not None or self.pair_due_dates is not None:
                 raise ModelError(f"{self.variant} takes only weights")
         elif self.variant == L:
             if self.vertex_due_dates is None or len(self.vertex_due_dates) != n:
                 raise ModelError("vertex_due_dates: expected one value per vertex")
+            due = tuple(_as_int(d, "vertex due date", ModelError) for d in self.vertex_due_dates)
+            object.__setattr__(self, "vertex_due_dates", due)
             if self.weights is not None or self.pair_due_dates is not None:
                 raise ModelError("L takes only vertex_due_dates")
             if n < 2:
@@ -83,13 +87,14 @@ class ProblemInstance:
                 raise ModelError("L_ETPC takes only pair_due_dates")
             norm = {}
             for (u, v), d in self.pair_due_dates.items():
+                u, v = _as_int(u, "pair vertex", ModelError), _as_int(v, "pair vertex", ModelError)
                 if u == v:
                     raise ModelError(f"pair ({u}, {v}) has equal vertices")
                 if not (0 <= u < n and 0 <= v < n):
                     raise ModelError(f"pair ({u}, {v}) out of range")
                 if (key := (min(u, v), max(u, v))) in norm:
                     raise ModelError(f"pair {key} given twice")
-                norm[key] = int(d)
+                norm[key] = _as_int(d, "pair due date", ModelError)
             object.__setattr__(self, "pair_due_dates", norm)
 
     @cached_property

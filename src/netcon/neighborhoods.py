@@ -1,10 +1,10 @@
 """Neighborhood moves and the sequence-to-tree rebuild procedures.
 
-NET exchanges one tree edge for a non-tree edge and derives the new tree
-from the current one (``SpanningTree.exchange``).  SCH is one shift move for
-every variant: move one element of the solution's connection sequence to the
-start of an earlier group and rebuild; a vertex recovery sequence is the case
-of one vertex per group.
+NET exchanges a non-tree edge for a tree edge on the cycle it closes, and
+derives each new tree from the current one (``SpanningTree.exchanges``).
+SCH is one shift move for every variant: move one element of the solution's
+connection sequence to the start of an earlier group and rebuild; a vertex
+recovery sequence is the case of one vertex per group.
 
 Both rebuild procedures resolve shortest-path ties with one shared canonical
 rule (walk back from the larger component representative, preferring the
@@ -19,14 +19,7 @@ import itertools
 
 import numpy as np
 
-from .graph import (
-    ContractedGraph,
-    Network,
-    SpanningTree,
-    _walk_back,
-    cached_oracle,
-    spanning_tree_cycle,
-)
+from .graph import ContractedGraph, Network, SpanningTree, _walk_back, cached_oracle
 from .model import (
     IT_VARIANTS,
     EdgeSchedule,
@@ -39,17 +32,6 @@ from .solution import Solution, solve_tree
 NET = "NET"
 SCH = "SCH"
 KINDS = (NET, SCH)
-
-
-def enumerate_edge_exchange(net: Network, tree: SpanningTree):
-    """All (add, remove) pairs: non-tree edges ascending, removals in
-    cycle-path order."""
-    in_tree = set(tree.edge_ids)
-    for add in range(net.m):
-        if add in in_tree:
-            continue
-        for remove in spanning_tree_cycle(tree, add):
-            yield add, remove
 
 
 def enumerate_shifts(starts, length: int):
@@ -220,9 +202,8 @@ def neighbors(inst: ProblemInstance, current: Solution, kind: str):
     a NET exchange gives (add, remove), an SCH shift the moved vertex (v,) or
     pair (u, v)."""
     if kind == NET:
-        tree = current.tree
-        for add, remove in enumerate_edge_exchange(inst.net, tree):
-            yield (add, remove), solve_tree(inst, tree.exchange(add, remove))
+        for add, remove, tree in current.tree.exchanges():
+            yield (add, remove), solve_tree(inst, tree)
     elif kind == SCH:
         order, starts = sequence(inst, current.schedule, True)
         pairs = inst.variant not in IT_VARIANTS

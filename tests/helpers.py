@@ -27,12 +27,7 @@ from netcon import (
     optimal_schedule,
 )
 from netcon.graph import _floyd_warshall
-from netcon.neighborhoods import (
-    apply_shift,
-    enumerate_edge_exchange,
-    enumerate_shifts,
-    sequence,
-)
+from netcon.neighborhoods import apply_shift, enumerate_shifts, sequence
 
 
 def tri() -> Network:
@@ -197,7 +192,7 @@ def recompute_contracted(cg):
     over the surviving parallel-edge minima, plus ``reference_tips`` over the
     active representatives."""
     n = cg.net.n
-    active = cg.active_vertices()
+    active = sorted(set(cg.label))
     big = cg.net.total_length + 1
     dist = np.full((n, n), big, dtype=np.int64)
     for v in active:
@@ -234,7 +229,7 @@ def forest_labels(net: Network, edge_ids) -> list[int]:
 def tip_path(cg, tips, a: int, b: int) -> list[int]:
     """Original edge ids of the path between the super-vertices of ``a`` and
     ``b`` that follows ``tips`` back from the larger representative."""
-    ra, rb = cg.find(a), cg.find(b)
+    ra, rb = cg.label[a], cg.label[b]
     return walk_tips(tips, min(ra, rb), max(ra, rb), lambda p, x: cg.adj[x][p][1])
 
 
@@ -247,7 +242,7 @@ def reference_rebuild(net: Network, pairs) -> SpanningTree:
     cg = ContractedGraph(net)
     chosen = set()
     for u, v in pairs:
-        if cg.find(u) == cg.find(v):
+        if cg.label[u] == cg.label[v]:
             continue
         _, tips = recompute_contracted(cg)
         path = tip_path(cg, tips, u, v)
@@ -255,10 +250,10 @@ def reference_rebuild(net: Network, pairs) -> SpanningTree:
             a, b, _ = net.edges[eid]
             cg.contract_edge(a, b)
         chosen.update(path)
-    while cg.num_components() > 1:
+    while cg.sets > 1:
         _, eid, x, y = min(
             (length, eid, x, y)
-            for x in cg.active_vertices()
+            for x in set(cg.label)
             for y, (length, eid) in cg.adj[x].items()
         )
         cg.contract_edge(x, y)
@@ -320,16 +315,26 @@ def reference_sch_neighbors(inst: ProblemInstance, current) -> list:
 
 
 def reference_net_neighbors(inst: ProblemInstance, current) -> list:
-    """The NET stream with every neighbour tree rebuilt from scratch:
-    ``from_edges`` of the swapped id set, then ``reference_solution``, for
-    each exchange of ``enumerate_edge_exchange``, in its order."""
+    """The NET stream with every neighbour tree rebuilt from scratch: for
+    each non-tree edge ``add`` ascending, each tree edge ``remove`` on the
+    networkx tree path from ``add``'s first endpoint to its second, in path
+    order; then ``from_edges`` of the swapped id set and
+    ``reference_solution``."""
+    net = inst.net
     ids = set(current.tree.edge_ids)
-    return [
-        ((add, remove), reference_solution(
-            inst, SpanningTree.from_edges(inst.net, ids - {remove} | {add})
-        ))
-        for add, remove in enumerate_edge_exchange(inst.net, current.tree)
-    ]
+    g = nx.Graph()
+    g.add_nodes_from(range(net.n))
+    g.add_edges_from((*net.edges[eid][:2], {"eid": eid}) for eid in ids)
+    stream = []
+    for add, (a, b, _) in enumerate(net.edges):
+        if add in ids:
+            continue
+        path = nx.shortest_path(g, a, b)  # a tree has one path
+        for x, y in zip(path, path[1:]):
+            remove = g.edges[x, y]["eid"]
+            tree = SpanningTree.from_edges(net, ids - {remove} | {add})
+            stream.append(((add, remove), reference_solution(inst, tree)))
+    return stream
 
 
 def reference_effective_due_dates(inst: ProblemInstance, tree: SpanningTree) -> dict:

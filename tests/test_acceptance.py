@@ -181,14 +181,14 @@ def test_criterion_5_contraction_update(capsys):
         net = random_network(rng, rng.randint(3, 10))
         cg = ContractedGraph(net)
         all_match = True
-        while cg.num_components() > 1:
-            act = [v for v in cg.active_vertices() if cg.adj[v]]
+        while cg.sets > 1:
+            act = [v for v in sorted(set(cg.label)) if cg.adj[v]]
             x = act[rng.randrange(len(act))]
             options = sorted(cg.adj[x])
             y = options[rng.randrange(len(options))]
             cg.contract_edge(x, y)
             dist, tips = recompute_contracted(cg)
-            alive = cg.active_vertices()
+            alive = sorted(set(cg.label))
             ix = np.ix_(alive, alive)
             if not (
                 np.array_equal(cg.dist[ix], dist[ix])

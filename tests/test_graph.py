@@ -15,9 +15,7 @@ from netcon import (
     cached_oracle,
     minimum_spanning_tree,
     reconstruct_path,
-    spanning_tree_cycle,
 )
-from netcon.neighborhoods import enumerate_edge_exchange
 
 from helpers import (
     forest_labels,
@@ -68,9 +66,10 @@ class TestNetwork:
         cg = ContractedGraph(at_limit)
         for x, y in ((1, 2), (0, 3), (0, 1)):
             cg.contract_edge(x, y)
-            ix = np.ix_(cg.active_vertices(), cg.active_vertices())
+            active = sorted(set(cg.label))
+            ix = np.ix_(active, active)
             assert np.array_equal(cg.dist[ix], recompute_contracted(cg)[0][ix])
-        assert cg.num_components() == 1
+        assert cg.sets == 1
 
     def test_basic_props(self):
         net = tri()
@@ -184,21 +183,20 @@ class TestSpanningTree:
         with pytest.raises(GraphError, match="edge ids"):
             SpanningTree.from_edges(net, (0, 3))
 
+    # the cycle a non-tree edge (a, b) closes is the tree path from a to b
     def test_cycle_tri(self):
         tree = SpanningTree.from_edges(tri(), [0, 1])
-        assert spanning_tree_cycle(tree, 2) == [0, 1]
-        with pytest.raises(GraphError):
-            spanning_tree_cycle(tree, 0)
+        assert tree.path_edges(1, 2) == [0, 1]
 
     def test_cycle_star(self):
         net = Network(4, ((0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1)))
         tree = SpanningTree.from_edges(net, [0, 1, 2])
-        assert set(spanning_tree_cycle(tree, 3)) == {0, 1}
+        assert tree.path_edges(1, 2) == [0, 1]
 
     def test_cycle_path(self):
         net = Network(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)))
         tree = SpanningTree.from_edges(net, [0, 1, 2])
-        assert spanning_tree_cycle(tree, 3) == [0, 1, 2]
+        assert tree.path_edges(0, 3) == [0, 1, 2]
 
     def test_path_edges_and_depth(self):
         rng = random.Random(13)
@@ -239,64 +237,47 @@ def attach_runs(draw):
 
 
 class TestExchange:
-    """``exchange`` derives the swapped tree from the parent map; a
+    """``exchanges`` derives each swapped tree from the parent map; a
     depot-rooted tree has one parent map, so it must equal the rebuild."""
 
     def test_tri(self):
         tree = SpanningTree.from_edges(tri(), [0, 1])
         # cut e1 (0-2), hang 2 on e2 (1-2)
-        assert tree.exchange(2, 1) == SpanningTree.from_edges(tri(), [0, 2])
-        assert tree.exchange(2, 1).parent == ((-1, -1), (0, 0), (1, 2))
+        moves = {(add, remove): new for add, remove, new in tree.exchanges()}
+        assert moves[2, 1] == SpanningTree.from_edges(tri(), [0, 2])
+        assert moves[2, 1].parent == ((-1, -1), (0, 0), (1, 2))
 
     def test_reverses_cut_path(self):
         # path 0-1-2-3 rooted at 0, swap e0 (0-1) for e3 (0-3): 3 becomes
         # the child of 0, and 2, 1 hang below it in reverse
         net = Network(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)))
-        tree = SpanningTree.from_edges(net, [0, 1, 2]).exchange(3, 0)
+        moves = SpanningTree.from_edges(net, [0, 1, 2]).exchanges()
+        tree = {(add, remove): new for add, remove, new in moves}[3, 0]
         assert tree.edge_ids == (1, 2, 3)
         assert tree.parent == ((-1, -1), (2, 1), (3, 2), (0, 3))
 
     @given(random_trees(), st.lists(st.integers(0, 10**6), max_size=4))
     @settings(max_examples=300)
     def test_equals_rebuild(self, tree, picks):
-        # every exchange of a chain of trees, each derived by the last step
+        # along a chain of trees, each derived by the last step, every
+        # exchange removes an edge of the tree path between add's endpoints,
+        # in path order, and equals the rebuild of the swapped id set
         net = tree.net
         for pick in [*picks, None]:
             ids = set(tree.edge_ids)
-            moves = list(enumerate_edge_exchange(net, tree))
-            for add, remove in moves:
-                expected = SpanningTree.from_edges(net, ids - {remove} | {add})
-                assert tree.exchange(add, remove) == expected
+            moves = list(tree.exchanges())
+            expected = [
+                (add, remove)
+                for add in range(net.m)
+                if add not in ids
+                for remove in tree.path_edges(*net.edges[add][:2])
+            ]
+            assert [(add, remove) for add, remove, _ in moves] == expected
+            for add, remove, new in moves:
+                assert new == SpanningTree.from_edges(net, ids - {remove} | {add})
             if pick is None or not moves:
                 break
-            tree = tree.exchange(*moves[pick % len(moves)])
-
-    @given(random_trees())
-    @settings(max_examples=200)
-    def test_preconditions(self, tree):
-        net = tree.net
-        ids = set(tree.edge_ids)
-        for add in range(net.m):
-            if add in ids:
-                with pytest.raises(GraphError, match="already in the tree"):
-                    spanning_tree_cycle(tree, add)
-            for remove in range(net.m):
-                if add in ids:
-                    error = "already in the tree"
-                elif remove not in ids:
-                    error = "not in the tree"
-                elif remove not in spanning_tree_cycle(tree, add):
-                    error = "not on the cycle"
-                else:
-                    continue
-                with pytest.raises(GraphError, match=error):
-                    tree.exchange(add, remove)
-
-    def test_ids_out_of_range(self):
-        tree = SpanningTree.from_edges(tri(), [0, 1])
-        for add, remove in ((3, 0), (-1, 0), (2, 3), (2, -1)):
-            with pytest.raises(GraphError, match="edge ids"):
-                tree.exchange(add, remove)
+            tree = moves[pick % len(moves)][2]
 
 
 class TestContraction:
@@ -310,7 +291,7 @@ class TestContraction:
     def test_degenerate_two_vertices(self):
         cg = ContractedGraph(Network(2, ((0, 1, 4),)))
         cg.contract_edge(0, 1)
-        assert cg.num_components() == 1
+        assert cg.sets == 1
         assert cg.adj[0] == {}
 
     def test_four_cycle_recompute(self):
@@ -319,7 +300,7 @@ class TestContraction:
             cg = ContractedGraph(net)
             cg.contract_edge(a, b)
             dist, _ = recompute_contracted(cg)
-            act = cg.active_vertices()
+            act = sorted(set(cg.label))
             assert np.array_equal(cg.dist[np.ix_(act, act)], dist[np.ix_(act, act)])
 
     def test_not_adjacent(self):
@@ -336,15 +317,15 @@ class TestContraction:
         for _ in range(30):
             net = random_network(rng, rng.randint(3, 9))
             cg = ContractedGraph(net)
-            while cg.num_components() > 1:
-                act = cg.active_vertices()
+            while cg.sets > 1:
+                act = sorted(set(cg.label))
                 x = act[rng.randrange(len(act))]
                 if not cg.adj[x]:
                     continue
                 y = sorted(cg.adj[x])[rng.randrange(len(cg.adj[x]))]
                 cg.contract_edge(x, y)
                 dist, tips = recompute_contracted(cg)
-                act = cg.active_vertices()
+                act = sorted(set(cg.label))
                 ix = np.ix_(act, act)
                 assert np.array_equal(cg.dist[ix], dist[ix])
                 for a, b in itertools.combinations(act, 2):
@@ -357,18 +338,19 @@ class TestContraction:
             cg = ContractedGraph(net)
             a, b, _ = net.edges[0]
             cg.contract_edge(a, b)
-            before = (cg.dist.copy(), [dict(d) for d in cg.adj], cg.active_vertices())
+            before = (cg.dist.copy(), [dict(d) for d in cg.adj], cg.sets)
             label = cg.label.copy()
             twin = cg.copy()
-            x = twin.active_vertices()[-1]
+            x = max(twin.label)
             twin.attach((x, min(twin.adj[x])))
             assert np.array_equal(cg.dist, before[0]) and cg.adj == before[1]
-            assert cg.active_vertices() == before[2] and cg.find(x) == x
+            assert cg.sets == before[2] and cg.label[x] == x
             assert cg.label == label and twin.label != label
             assert cg.chosen == set() and twin.chosen
             for state in (cg, twin):
                 dist, _ = recompute_contracted(state)
-                ix = np.ix_(state.active_vertices(), state.active_vertices())
+                active = sorted(set(state.label))
+                ix = np.ix_(active, active)
                 assert np.array_equal(state.dist[ix], dist[ix])
 
     @given(attach_runs())

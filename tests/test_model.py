@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from netcon import (
@@ -9,6 +10,7 @@ from netcon import (
     SWRT,
     USRT,
     EdgeSchedule,
+    GraphError,
     InfeasibleScheduleError,
     ModelError,
     Network,
@@ -82,6 +84,43 @@ class TestProblemInstance:
         # both orientations normalise to (1, 2); keeping either would drop a due date
         with pytest.raises(ModelError, match="given twice"):
             ProblemInstance(tri(), L_ETPC, pair_due_dates={(1, 2): 0, (2, 1): 50})
+
+    # the instance reader's rule on the library path: an integer, numpy's
+    # included, that is not a bool; nothing is truncated or coerced
+    @pytest.mark.parametrize(
+        "make, error",
+        [
+            (lambda: Network(2, ((0, 1, 1.9),)), GraphError),
+            (lambda: Network(2, ((0, 1, True),)), GraphError),
+            (lambda: Network(2, ((0, 1.0, 1),)), GraphError),
+            (lambda: ProblemInstance(tri(), SWRT, weights=(0, 1.5, 2)), ModelError),
+            (lambda: ProblemInstance(tri(), SWRT, weights=(0, True, 2)), ModelError),
+            (lambda: ProblemInstance(tri(), L, vertex_due_dates=(0, 2.5, 3)), ModelError),
+            (lambda: ProblemInstance(tri(), L_ETPC, pair_due_dates={(0, 1): 2.7}), ModelError),
+            (lambda: ProblemInstance(tri(), L_ETPC, pair_due_dates={(0, 1): "5"}), ModelError),
+            (lambda: ProblemInstance(tri(), L_ETPC, pair_due_dates={(0, 1.0): 5}), ModelError),
+        ],
+        ids=[
+            "edge-length-float",
+            "edge-length-bool",
+            "edge-endpoint-float",
+            "swrt-weight-float",
+            "swrt-weight-bool",
+            "l-due-date-float",
+            "letpc-due-date-float",
+            "letpc-due-date-str",
+            "letpc-pair-vertex-float",
+        ],
+    )
+    def test_non_integer_rejected(self, make, error):
+        with pytest.raises(error, match="must be an integer"):
+            make()
+
+    def test_numpy_integers_accepted(self):
+        net = Network(2, ((0, 1, np.int64(3)),))
+        assert net.edges == ((0, 1, 3),) and type(net.edges[0][2]) is int
+        inst = ProblemInstance(tri(), SWRT, weights=(0, np.int32(2), 1))
+        assert inst.weights == (0, 2, 1) and type(inst.weights[1]) is int
 
     def test_d_min_vertex(self):
         inst = ProblemInstance(tri(), L, vertex_due_dates=(99, 4, 7))
