@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import bisect
 import operator
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -49,6 +50,8 @@ class Network:
             for a, b, w in self.edges
         )
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "n", _as_int(self.n, "vertex count"))
+        object.__setattr__(self, "depot", _as_int(self.depot, "depot"))
         if self.n < 1:
             raise GraphError("network needs at least one vertex")
         if not 0 <= self.depot < self.n:
@@ -432,6 +435,10 @@ class ContractedGraph:
         for eid in path:
             a, b, _ = edges[eid]
             self.contract_edge(a, b)
+
+    def partition(self) -> bytes:
+        """The labels as bytes: the partition, which decides what is added next."""
+        return array("I", self.label).tobytes()
 
     def finish(self):
         """Kruskal completes the forest a reduced sequence leaves: its next

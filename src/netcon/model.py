@@ -59,14 +59,16 @@ class ProblemInstance:
         if self.variant not in VARIANTS:
             raise ModelError(f"unknown variant {self.variant!r}")
         n = self.net.n
-        if self.variant == USRT:
-            object.__setattr__(self, "weights", tuple([1] * n))
+        if self.variant == USRT and self.weights is None:
+            object.__setattr__(self, "weights", (1,) * n)
         if self.variant in (USRT, SWRT):
             if self.weights is None or len(self.weights) != n:
                 raise ModelError("weights: expected one value per vertex")
             weights = tuple(_as_int(w, "weight", ModelError) for w in self.weights)
             if any(w < 0 for w in weights):
                 raise ModelError("weights must be nonnegative")
+            if self.variant == USRT and any(w != 1 for w in weights):
+                raise ModelError("USRT weights must all be 1")
             object.__setattr__(self, "weights", weights)
             if self.vertex_due_dates is not None or self.pair_due_dates is not None:
                 raise ModelError(f"{self.variant} takes only weights")

@@ -76,7 +76,7 @@ def rebuild(inst: ProblemInstance, order) -> Solution:
 
 class _ITState:
     """A-IT after a prefix of a vertex order: the depot tree grown so far,
-    which its chosen edge set alone determines.
+    whose vertex set alone decides what later attaches add.
 
     The path is the one ``a_et`` would choose on the state "tree plus
     singletons": the tree acts as one super-vertex whose id is its smallest
@@ -149,6 +149,10 @@ class _ITState:
                         into[y] = (length, e)
         self.root = root
 
+    def partition(self) -> bytes:
+        """The tree's vertex set: the partition, which decides what is added next."""
+        return bytes(self.in_tree)
+
     def finish(self):
         """A vertex order names every vertex, so the tree spans already."""
 
@@ -174,27 +178,40 @@ def a_et(net: Network, order) -> SpanningTree:
     return _fold(ContractedGraph(net), order)
 
 
-def _replay(snap, order, sets, j, i):
+def _run(s, order, ks, futures, snaps=()):
+    """Chosen edges of ``s`` folding ``order[k]`` for k in ``ks`` (copied to ``snaps``
+    at its keys) up to a known future; stores the future of each partition passed."""
+    passed = []  # (partition, chosen edges) at each change of the partition
+    for k in ks:
+        if not passed or len(s.chosen) > len(passed[-1][1]):
+            key = s.partition()
+            if (future := futures.get(key)) is not None:
+                break
+            passed.append((key, frozenset(s.chosen)))
+        if k in snaps:
+            snaps[k] = s.copy()
+        if k < len(order):
+            s.attach(order[k])
+    else:
+        s.finish()
+    edges = s.chosen.union(future or ())  # future: None unless a lookup ended the run
+    for key, before in passed:
+        futures[key] = tuple(edges - before)
+    return frozenset(edges)
+
+
+def _replay(snap, order, futures, j, i):
     """Chosen edges of the shift (j, i) replayed from ``snap``, the state
     after ``order[:i]``: ``order[j]``, then ``order[i:j]``, then the suffix.
-    None once the replay meets the base run, whose final tree it then ends in.
-
-    A state is a function of its chosen edge set, and attaching an item that
-    is joined already does nothing.  So if, before the replay attaches
-    ``order[k]`` (k != j), its edges equal the base run's after ``order[:k]``,
-    both runs go on from equal states with ``order[k:]``, except that the
-    base run also attaches ``order[j]``, which the replay has joined.
-    """
+    Exact: a run stands before ``order[k]`` once ``order[:k]`` and its own
+    ``order[j]`` are joined, so runs from one partition attach the same
+    unjoined items; each adds what the partition decides (A-IT: the vertex
+    set fixes ``in_tree``, ``d_tree``, ``into``, ``root``; A-ET: ``dist``,
+    exact under the rank-1 update, the kept parallel edges and Kruskal's
+    finish), and joins distinct parts, so adds no edge chosen before."""
     s = snap.copy()
     s.attach(order[j])
-    for k in itertools.chain(range(i, j), range(j + 1, len(order))):
-        if s.chosen == sets[k]:
-            return None
-        s.attach(order[k])
-    if s.chosen == sets[-1]:
-        return None
-    s.finish()
-    return frozenset(s.chosen)
+    return _run(s, order, itertools.chain(range(i, j), range(j + 1, len(order) + 1)), futures)
 
 
 def neighbors(inst: ProblemInstance, current: Solution, kind: str):
@@ -210,23 +227,12 @@ def neighbors(inst: ProblemInstance, current: Solution, kind: str):
         shifts = list(enumerate_shifts(starts, len(order)))
         if not shifts:
             return
-        # the base run: snapshots at the shift targets, chosen edges per prefix
-        state = (ContractedGraph if pairs else _ITState)(inst.net)
-        targets = {i for _, i in shifts}
-        snaps = {}
-        sets = [frozenset()]  # sets[k]: the base run's chosen edges after order[:k]
-        for k, item in enumerate(order):
-            if k in targets:
-                snaps[k] = state.copy()
-            state.attach(item)
-            sets.append(sets[-1] if len(state.chosen) == len(sets[-1]) else frozenset(state.chosen))
-        state.finish()
-        final = frozenset(state.chosen)
+        base = (ContractedGraph if pairs else _ITState)(inst.net)
+        snaps, futures = dict.fromkeys(i for _, i in shifts), {}  # the base run fills both
+        _run(base, order, range(len(order) + 1), futures, snaps)
         solved = {}  # chosen edges -> Solution: one ES(T) per distinct tree
         for j, i in shifts:
-            edges = _replay(snaps[i], order, sets, j, i)
-            if edges is None:
-                edges = final
+            edges = _replay(snaps[i], order, futures, j, i)
             sol = solved.get(edges)
             if sol is None:
                 sol = solved[edges] = solve_tree(inst, SpanningTree.from_edges(inst.net, edges))

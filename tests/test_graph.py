@@ -50,6 +50,17 @@ class TestNetwork:
         with pytest.raises(GraphError):
             Network(2, ((0, 1, 1),), depot=5)
 
+    @pytest.mark.parametrize("n, depot", [(2, 0.0), (True, 0), (2, False)],
+                             ids=["depot-float", "n-bool", "depot-bool"])
+    def test_n_and_depot_must_be_integers(self, n, depot):
+        with pytest.raises(GraphError, match="must be an integer"):
+            Network(n, ((0, 1, 1),), depot=depot)
+
+    def test_numpy_depot_stored_as_int(self):
+        net = Network(np.int64(2), ((0, 1, 1),), depot=np.int64(1))
+        assert (net.n, net.depot) == (2, 1) and type(net.n) is type(net.depot) is int
+        assert minimum_spanning_tree(net).parent == ((1, 0), (-1, -1))
+
     def test_total_length_bound(self):
         # at 4 * 2**60 the int64 Floyd-Warshall sums used to wrap to negatives
         cycle = ((0, 1, 2**60), (1, 2, 2**60), (2, 3, 2**60), (0, 3, 2**60))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -48,6 +49,20 @@ class TestProblemInstance:
     def test_usrt_gets_unit_weights(self):
         inst = ProblemInstance(tri(), USRT)
         assert inst.weights == (1, 1, 1)
+
+    def test_usrt_accepts_unit_weights(self):
+        # dataclasses.replace passes the unit weights back in
+        assert dataclasses.replace(ProblemInstance(tri(), USRT)).weights == (1, 1, 1)
+        assert ProblemInstance(tri(), USRT, weights=(1, np.int64(1), 1)).weights == (1, 1, 1)
+
+    @pytest.mark.parametrize("weights, message", [
+        ((5, 7, 9), "must all be 1"),
+        ((1, 1, 0), "must all be 1"),
+        ((1, 1), "one value per vertex"),
+    ])
+    def test_usrt_rejects_other_weights(self, weights, message):
+        with pytest.raises(ModelError, match=message):
+            ProblemInstance(tri(), USRT, weights=weights)
 
     def test_variant_data_required(self):
         with pytest.raises(ModelError):

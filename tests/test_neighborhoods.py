@@ -29,7 +29,7 @@ from netcon import (
     vertex_recovery_sequence,
 )
 from netcon import graph, neighborhoods
-from netcon.neighborhoods import apply_shift, enumerate_shifts
+from netcon.neighborhoods import apply_shift, enumerate_shifts, sequence
 
 from helpers import (
     attach_data,
@@ -269,20 +269,20 @@ class TestNeighborStream:
 
 
 @st.composite
-def small_instances(draw):
-    """A generated instance of any family and variant, n <= 7, with a random
-    depot; lengths folded into 1..k for k <= 3 when ``ties`` is drawn, and
-    for L_ETPC a drawn share of the relevant pairs, so that reduced
-    sequences leave forests."""
+def small_instances(draw, sizes=range(2, 8), ties=(None, 1, 2, 3)):
+    """A generated instance of any family and variant, n drawn from
+    ``sizes``, with a random depot; lengths folded into 1..k when a k is
+    drawn from ``ties`` (None keeps them), and for L_ETPC a drawn share of
+    the relevant pairs, so that reduced sequences leave forests."""
     family = draw(st.sampled_from(FAMILIES))
     variant = draw(st.sampled_from(VARIANTS))
-    n = draw(st.sampled_from(range(2, 8)))
+    n = draw(st.sampled_from(sizes))
     rng = random.Random(draw(st.integers(0, 2**16)))
     inst = generate(GeneratorSpec(family, n, rng.randrange(2**16), variant))
     edges = inst.net.edges
-    ties = draw(st.sampled_from((None, 1, 2, 3)))
-    if ties is not None:
-        edges = tuple((a, b, 1 + w % ties) for a, b, w in edges)
+    k = draw(st.sampled_from(ties))
+    if k is not None:
+        edges = tuple((a, b, 1 + w % k) for a, b, w in edges)
     net = Network(n, edges, depot=draw(st.integers(0, n - 1)))
     if variant != L_ETPC:
         return dataclasses.replace(inst, net=net)
@@ -302,6 +302,46 @@ def spy_on(monkeypatch, name: str, module=neighborhoods) -> list:
         return seen[-1]
 
     monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+class _Lookups(dict):
+    """A futures memo that remembers the last key its ``get`` found."""
+
+    hit = None
+
+    def get(self, key, default=None):
+        found = super().get(key, default)
+        if found is not None:
+            self.hit = key
+        return found
+
+
+def spy_on_futures(monkeypatch) -> list:
+    """Per ``_replay`` call of one SCH scan: (returned edges, the future of
+    the ``futures`` entry that ended the replay, that entry's writer), where
+    the writer is "base" for the base run or the index of the replay that
+    wrote it; future and writer are None if the replay ran to its end."""
+    seen, writers, scan = [], {}, []
+    real = neighborhoods._replay
+
+    def spy(snap, order, futures, j, i):
+        # a scan's first replay: every entry so far is the base run's
+        if not scan or scan[0] is not futures:
+            scan[:] = [futures]
+            seen.clear()
+            writers.clear()
+            writers.update(dict.fromkeys(futures, "base"))
+        lookups = _Lookups(futures)
+        edges = real(snap, order, lookups, j, i)
+        for key in lookups.keys() - futures.keys():
+            writers[key] = len(seen)
+        futures.update(lookups)
+        hit = lookups.hit
+        seen.append((edges, futures.get(hit), writers.get(hit)))
+        return edges
+
+    monkeypatch.setattr(neighborhoods, "_replay", spy)
     return seen
 
 
@@ -331,9 +371,10 @@ class TestNetExchange:
 
 
 class TestSchReplay:
-    """The SCH scan replays each shift from a prefix snapshot, stops where it
-    meets the base run, and solves each distinct tree once; its stream must
-    equal the one that rebuilds every shift from scratch."""
+    """The SCH scan replays each shift from a prefix snapshot, stops at the
+    first partition whose future the scan has stored, and solves each
+    distinct tree once; its stream must equal the one that rebuilds every
+    shift from scratch."""
 
     @given(small_instances(), st.lists(st.integers(0, 10**6), max_size=3))
     @settings(max_examples=150)
@@ -353,13 +394,14 @@ class TestSchReplay:
         ((0, 2, 3), [True, False, False], [(0, 1, 3), (0, 2, 4), (0, 1, 2)]),
     ])
     def test_vertex_shortcut_pinned(self, monkeypatch, ids, met, trees):
-        # met: the replay reached the base run's edges and took its final tree
+        # met: a futures entry ended the replay in the base run's final tree
         net = Network(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 2), (0, 2, 2)))
         inst = ProblemInstance(net, USRT)
         current = solve_tree(inst, SpanningTree.from_edges(net, ids))
-        seen = spy_on(monkeypatch, "_replay")
+        base = frozenset(a_it(net, sequence(inst, current.schedule, True)[0]).edge_ids)
+        seen = spy_on_futures(monkeypatch)
         stream = list(neighbors(inst, current, SCH))
-        assert [edges is None for edges in seen] == met
+        assert [edges == base and future is not None for edges, future, _ in seen] == met
         assert [sol.tree.edge_ids for _, sol in stream] == trees
         assert stream == reference_sch_neighbors(inst, current)
 
@@ -369,10 +411,12 @@ class TestSchReplay:
         net = Network(5, ((0, 2, 2), (0, 3, 3), (0, 4, 1), (1, 2, 2), (1, 4, 1), (2, 4, 3)))
         inst = ProblemInstance(net, L_ETPC, pair_due_dates={(3, 4): 0, (0, 4): 1})
         current = mst_heuristic(inst)
-        seen = spy_on(monkeypatch, "_replay")
+        base = frozenset(a_et(net, sequence(inst, current.schedule, True)[0]).edge_ids)
+        seen = spy_on_futures(monkeypatch)
         joins = spy_on(monkeypatch, "kruskal", graph)
         stream = list(neighbors(inst, current, SCH))
-        assert seen == [None] and any(joins)
+        [(edges, future, writer)] = seen
+        assert edges == base and future is not None and writer == "base" and any(joins)
         assert stream == reference_sch_neighbors(inst, current)
 
     def test_pair_replay_needs_kruskal(self, monkeypatch):
@@ -386,6 +430,71 @@ class TestSchReplay:
         stream = list(neighbors(inst, current, SCH))
         assert seen == [frozenset({0, 1, 3, 6})] and any(joins)
         assert stream == reference_sch_neighbors(inst, current)
+
+    @pytest.mark.parametrize("inst, edges, future, other", [
+        (
+            ProblemInstance(Network(5, (
+                (0, 1, 2), (0, 2, 3), (0, 4, 2), (1, 3, 1), (1, 4, 1), (3, 4, 1),
+            )), USRT),
+            [0, 1, 3, 4], [1, 3], [1, 2, 3, 4],
+        ),
+        (
+            ProblemInstance(Network(5, (
+                (0, 1, 1), (0, 2, 2), (0, 3, 2), (0, 4, 3), (1, 2, 2),
+                (1, 3, 2), (1, 4, 3), (2, 3, 2), (2, 4, 1), (3, 4, 1),
+            )), L_ETPC, pair_due_dates={(3, 4): 3, (0, 4): 5, (0, 2): 2}),
+            [0, 1, 8, 9], [0, 9], [0, 3, 8, 9],
+        ),
+    ], ids=["vertex", "pair"])
+    def test_replay_ends_on_earlier_replay_entry(self, monkeypatch, inst, edges, future, other):
+        # replay 2 reaches a partition that replay 1 stored, by other edges
+        # than replay 1 had there, and ends with replay 1's future from it
+        current = mst_heuristic(inst)
+        seen = spy_on_futures(monkeypatch)
+        stream = list(neighbors(inst, current, SCH))
+        assert sorted(seen[2][0]) == edges and sorted(seen[1][0]) == other
+        assert sorted(seen[2][1]) == future and seen[2][2] == 1
+        assert seen[2][0] - set(future) != seen[1][0] - set(future)
+        assert stream == reference_sch_neighbors(inst, current)
+
+    @given(small_instances(range(2, 9), (1, 2, 3)), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_partitions_add_equal_futures(self, inst, rnd):
+        # the lemma behind the futures memo: states with one partition add
+        # the same edges from there on, however they were reached
+        net = inst.net
+        for make, items in (
+            (neighborhoods._ITState, list(range(net.n))),
+            (graph.ContractedGraph, list(itertools.combinations(range(net.n), 2))),
+        ):
+            reached = {}  # partition -> states with it, by their chosen edges
+            for _ in range(4):
+                state = make(net)
+                for item in rnd.sample(items, len(items)):
+                    same = reached.setdefault(state.partition(), {})
+                    same[frozenset(state.chosen)] = state.copy()
+                    state.attach(item)
+            suffix = rnd.sample(items, rnd.randint(0, len(items)))
+            for states in reached.values():
+                added = set()
+                for before, state in states.items():
+                    for item in suffix:
+                        state.attach(item)
+                    state.finish()
+                    added.add(frozenset(state.chosen - before))
+                assert len(added) == 1
+
+    @given(small_instances(range(8, 13), (1, 2, 3)), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_stream_equals_reference_tie_heavy(self, inst, pick):
+        # n up to 12 with lengths in 1..3: many partitions meet by other edges
+        current = mst_heuristic(inst)
+        for _ in range(2):
+            stream = list(neighbors(inst, current, SCH))
+            assert stream == reference_sch_neighbors(inst, current)
+            if not stream:
+                break
+            current = stream[pick % len(stream)][1]
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_one_solve_per_distinct_tree(self, monkeypatch, variant):
