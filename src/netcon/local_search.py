@@ -24,9 +24,22 @@ def check_limits(time_limit: float, max_iters: int | None) -> None:
 
 class Budget:
     """The context of one search run: a monotonic deadline ``seconds`` from
-    now, an optional iteration cap, an optional target objective, and the
-    iterations counted so far.  A search uses its budget up, so every run
-    takes a new one."""
+    now, an optional iteration cap, an optional target objective, the
+    iterations counted so far, and the last local optimum ``loc`` proved.
+    A search uses its budget up, so every run takes a new one.
+
+    The optimum is recorded when a ``loc`` scan runs to its end with no
+    improving neighbour, as the instance (compared by identity), the kind,
+    the tree's ``edge_ids`` and the scan's first minimum neighbour
+    ``(attrs, Solution)``, or None if the neighbourhood was empty.  ``loc``
+    returns a recorded tree at once, and TS with an empty tabu list takes
+    the recorded neighbour as its step.  Both are exact:
+    - every searched Solution comes from ``solve_tree``, so the neighbour
+      stream depends only on (instance, kind, tree);
+    - ``loc`` from a tree with no improving neighbour returns that tree,
+      whether its scan finishes or the deadline stops it;
+    - with no tabu item, TS's best free neighbour is its best neighbour,
+      the first strict minimum of the stream."""
 
     def __init__(self, seconds: float, max_iters: int | None = None, target: int | None = None):
         check_limits(seconds, max_iters)
@@ -34,6 +47,8 @@ class Budget:
         self.max_iters = max_iters
         self.target = target
         self.iteration = 0
+        self.optimum = None  # (instance, kind, edge_ids) of loc's last proven local optimum
+        self.optimum_neighbour = None  # its scan's first minimum (attrs, Solution), or None
 
     def expired(self) -> bool:
         return time.monotonic() >= self.end
@@ -47,6 +62,11 @@ class Budget:
             return False
         self.iteration += 1
         return True
+
+    def proved(self, inst: ProblemInstance, kind: str, s: Solution) -> bool:
+        """Whether ``loc`` proved ``s``'s tree a local optimum of this instance and kind."""
+        rec = self.optimum
+        return rec is not None and rec[0] is inst and rec[1] == kind and rec[2] == s.tree.edge_ids
 
 
 def impr(inst: ProblemInstance, s0: Solution) -> Solution:
@@ -69,17 +89,25 @@ def impr(inst: ProblemInstance, s0: Solution) -> Solution:
 
 def loc(inst: ProblemInstance, a: Solution, kind: str, budget: Budget | None = None) -> Solution:
     """First-improvement descent; every accepted neighbor passes through impr.
-    Once the budget's deadline has passed the current solution is returned."""
-    improved = True
-    while improved:
-        improved = False
-        for _, sol in neighbors(inst, a, kind):
+    Once the budget's deadline has passed the current solution is returned.
+    A scan that ends with no improving neighbour is recorded on the budget,
+    and a tree the budget holds as proven is returned without a scan."""
+    while budget is None or not budget.proved(inst, kind, a):
+        first_min = None  # the scan's first minimum (attrs, Solution)
+        for nb in neighbors(inst, a, kind):
             if budget is not None and budget.expired():
                 return a
+            sol = nb[1]
             if sol.objective < a.objective:
                 a = impr(inst, sol)
-                improved = True
                 break
+            if first_min is None or sol.objective < first_min[1].objective:
+                first_min = nb
+        else:
+            if budget is not None:
+                budget.optimum = (inst, kind, a.tree.edge_ids)
+                budget.optimum_neighbour = first_min
+            return a
     return a
 
 

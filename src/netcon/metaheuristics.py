@@ -96,32 +96,36 @@ def iterated_local_search(inst: ProblemInstance, kind: str, budget: Budget, seed
 
 def tabu_search(inst: ProblemInstance, kind: str, budget: Budget, seed=0) -> Solution:
     """TS: full-neighborhood steps with per-item tabu tenures drawn from the
-    variant's DEFAULT_PARAMS limits."""
+    variant's DEFAULT_PARAMS limits.  While no item is tabu, a tree the
+    budget holds as a proven local optimum (the MST-LOC start) steps to the
+    first minimum neighbour that ``loc`` recorded, with no scan."""
     tenure_min, tenure_max = DEFAULT_PARAMS[inst.variant][f"ts_{kind.lower()}"]
     rng = random.Random(seed)
     incumbent = best = mst_loc(inst, kind, budget)
     tabu = TabuList()
     while budget.next_iteration(best):
-        best_nb = None  # (objective, tabu attributes, solution)
-        best_free = None
-        for attrs, sol in neighbors(inst, incumbent, kind):
-            if best_nb is None or sol.objective < best_nb[0]:
-                best_nb = (sol.objective, attrs, sol)
-            if not any(tabu.active(x, budget.iteration) for x in attrs) and (
-                best_free is None or sol.objective < best_free[0]
-            ):
-                best_free = (sol.objective, attrs, sol)
-            if budget.expired():
-                break
+        if not tabu.entries and budget.proved(inst, kind, incumbent):
+            best_nb = best_free = budget.optimum_neighbour  # the scan loc already made
+        else:
+            best_nb = best_free = None  # (tabu attributes, solution)
+            for nb in neighbors(inst, incumbent, kind):
+                obj = nb[1].objective
+                if best_nb is None or obj < best_nb[1].objective:
+                    best_nb = nb
+                if (best_free is None or obj < best_free[1].objective) and not any(
+                    tabu.active(x, budget.iteration) for x in nb[0]
+                ):
+                    best_free = nb
+                if budget.expired():
+                    break
         if best_nb is None:
             break  # degenerate: no neighborhood at all
-        if best_nb[0] < best.objective:
-            incumbent = best = impr(inst, best_nb[2])
+        if best_nb[1].objective < best.objective:
+            incumbent = best = impr(inst, best_nb[1])
             tabu.clear()
         else:
-            step = best_free if best_free is not None else best_nb
-            incumbent = step[2]
-            for item in step[1]:
+            attrs, incumbent = best_free if best_free is not None else best_nb
+            for item in attrs:
                 tenure = rng.randint(tenure_min, tenure_max)
                 tabu.add(item, budget.iteration + tenure)
     return best

@@ -10,6 +10,7 @@ import networkx as nx
 import numpy as np
 
 from netcon import (
+    DEFAULT_PARAMS,
     IT_VARIANTS,
     L,
     L_ETPC,
@@ -24,9 +25,14 @@ from netcon import (
     a_et,
     a_it,
     evaluate,
+    impr,
+    mst_heuristic,
+    neighbors,
     optimal_schedule,
+    shake,
 )
 from netcon.graph import _floyd_warshall
+from netcon.metaheuristics import TabuList
 from netcon.neighborhoods import apply_shift, enumerate_shifts, sequence
 
 
@@ -446,3 +452,60 @@ def reference_segments_cross(p1, p2, p3, p4) -> bool:
     if lo < hi:
         return True
     return not shared_endpoint((p1[0] + lo * r[0], p1[1] + lo * r[1]))
+
+
+def reference_loc(inst: ProblemInstance, a: Solution, kind: str) -> Solution:
+    """First-improvement descent that scans every tree it stands on, with no
+    record of proven optima: accept the first strictly better neighbour,
+    pass it through ``impr`` and scan again."""
+    improved = True
+    while improved:
+        improved = False
+        for _, sol in neighbors(inst, a, kind):
+            if sol.objective < a.objective:
+                a = impr(inst, sol)
+                improved = True
+                break
+    return a
+
+
+def reference_iterated_local_search(inst: ProblemInstance, kind: str, max_iters: int, seed=0):
+    """ILS for ``max_iters`` iterations with no deadline and no record:
+    ``reference_loc`` from the MST, then shake the incumbent and descend."""
+    p = DEFAULT_PARAMS[inst.variant][f"ils_{kind.lower()}"]
+    rng = random.Random(seed)
+    incumbent = best = reference_loc(inst, mst_heuristic(inst), kind)
+    for _ in range(max_iters):
+        incumbent = reference_loc(inst, shake(inst, incumbent, kind, p, rng), kind)
+        if incumbent.objective < best.objective:
+            best = incumbent
+    return best
+
+
+def reference_tabu_search(inst: ProblemInstance, kind: str, max_iters: int, seed=0):
+    """TS for ``max_iters`` iterations with no deadline and no record: every
+    iteration scans the whole neighbourhood for the first strict minimum
+    and the first strict minimum among non-tabu moves."""
+    tenure_min, tenure_max = DEFAULT_PARAMS[inst.variant][f"ts_{kind.lower()}"]
+    rng = random.Random(seed)
+    incumbent = best = reference_loc(inst, mst_heuristic(inst), kind)
+    tabu = TabuList()
+    for iteration in range(1, max_iters + 1):
+        best_nb = best_free = None  # (objective, tabu attributes, solution)
+        for attrs, sol in neighbors(inst, incumbent, kind):
+            if best_nb is None or sol.objective < best_nb[0]:
+                best_nb = (sol.objective, attrs, sol)
+            if not any(tabu.active(x, iteration) for x in attrs) and (
+                best_free is None or sol.objective < best_free[0]
+            ):
+                best_free = (sol.objective, attrs, sol)
+        if best_nb is None:
+            break
+        if best_nb[0] < best.objective:
+            incumbent = best = impr(inst, best_nb[2])
+            tabu.clear()
+        else:
+            _, attrs, incumbent = best_free if best_free is not None else best_nb
+            for item in attrs:
+                tabu.add(item, iteration + rng.randint(tenure_min, tenure_max))
+    return best

@@ -1,10 +1,16 @@
+import dataclasses
 import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netcon import (
     DEFAULT_PARAMS,
+    FAMILIES,
+    KINDS,
+    L,
+    SWRT,
     VARIANTS,
     Budget,
     GeneratorSpec,
@@ -14,22 +20,34 @@ from netcon import (
     SCH,
     TS,
     USRT,
+    Network,
     ProblemInstance,
+    SpanningTree,
     evaluate,
     generate,
     iterated_local_search,
+    loc,
     mst_heuristic,
     mst_loc,
+    neighbors,
     run,
     shake,
     solve_tree,
     tabu_search,
 )
+import netcon.local_search
 import netcon.metaheuristics
 import netcon.neighborhoods
 from netcon.metaheuristics import TabuList
 
-from helpers import random_instance, random_spanning_tree, tri
+from helpers import (
+    random_instance,
+    random_spanning_tree,
+    reference_iterated_local_search,
+    reference_loc,
+    reference_tabu_search,
+    tri,
+)
 
 
 class TestConfig:
@@ -206,3 +224,123 @@ class TestSearch:
         inst = ProblemInstance(tri(), USRT)
         sol = iterated_local_search(inst, NET, Budget(600.0, target=3))  # ends before 600 s
         assert sol.objective == 3
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """A small generated instance with its lengths folded into 1..k (k = 1
+    makes them all equal) and, when drawn, its SWRT weights, L due dates
+    or L_ETPC due dates folded into {0, 1}, so that many neighbours tie."""
+    variant = draw(st.sampled_from(VARIANTS))
+    n = draw(st.integers(3, 9))
+    inst = generate(GeneratorSpec(draw(st.sampled_from(FAMILIES)), n, draw(st.integers(0, 2**16)), variant))
+    k = draw(st.sampled_from((1, 2, 3)))
+    net = Network(n, tuple((a, b, 1 + w % k) for a, b, w in inst.net.edges), depot=inst.net.depot)
+    inst = dataclasses.replace(inst, net=net)
+    if not draw(st.booleans()):
+        return inst
+    if variant == SWRT:
+        return dataclasses.replace(inst, weights=tuple(w % 2 for w in inst.weights))
+    if variant == L:
+        return dataclasses.replace(inst, vertex_due_dates=tuple(d % 2 for d in inst.vertex_due_dates))
+    if variant == L_ETPC:
+        return dataclasses.replace(inst, pair_due_dates={p: d % 2 for p, d in inst.pair_due_dates.items()})
+    return inst
+
+
+def outcome(sol):
+    return sol.objective, sol.tree.edge_ids, sol.schedule.order
+
+
+def count_scans(monkeypatch) -> list:
+    """Count the neighbourhood scans that ``loc`` and TS start."""
+    scans = [0]
+    real = netcon.neighborhoods.neighbors
+
+    def counting(*args):
+        scans[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(netcon.local_search, "neighbors", counting)
+    monkeypatch.setattr(netcon.metaheuristics, "neighbors", counting)
+    return scans
+
+
+class TestProvenOptimum:
+    """The budget's record of loc's last proven local optimum saves scans
+    and changes no result."""
+
+    @settings(max_examples=150)
+    @given(
+        inst=tie_heavy_instances(),
+        kind=st.sampled_from(KINDS),
+        seed=st.integers(0, 4),
+        max_iters=st.integers(0, 4),
+    )
+    def test_equals_reference(self, inst, kind, seed, max_iters):
+        start = reference_loc(inst, mst_heuristic(inst), kind)
+        budget = Budget(600.0)
+        assert outcome(mst_loc(inst, kind, budget)) == outcome(start)
+        # the record holds the stream's first minimum, the neighbour TS steps to
+        first_min = min(neighbors(inst, start, kind), key=lambda nb: nb[1].objective, default=None)
+        recorded = budget.optimum_neighbour
+        assert (recorded is None) == (first_min is None)
+        if first_min is not None:
+            assert recorded[0] == first_min[0] and outcome(recorded[1]) == outcome(first_min[1])
+        ils = run(inst, ILS, kind, Budget(600.0, max_iters=max_iters), seed)
+        assert outcome(ils) == outcome(reference_iterated_local_search(inst, kind, max_iters, seed))
+        ts = run(inst, TS, kind, Budget(600.0, max_iters=max_iters), seed)
+        assert outcome(ts) == outcome(reference_tabu_search(inst, kind, max_iters, seed))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_ts_first_step_reuses_start_scan(self, monkeypatch, variant, kind):
+        inst = generate(GeneratorSpec("euclidean_complete", 7, 5, variant))
+        scans = count_scans(monkeypatch)
+        mst_loc(inst, kind, Budget(600.0))
+        start = scans[0]
+        assert start >= 1
+        for max_iters, extra in ((1, 0), (2, 1)):  # iteration 2 stands on a new tree
+            scans[0] = 0
+            tabu_search(inst, kind, Budget(600.0, max_iters=max_iters))
+            assert scans[0] == start + extra
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_ils_shake_to_same_tree_makes_no_scan(self, monkeypatch, variant, kind):
+        inst = generate(GeneratorSpec("euclidean_complete", 7, 5, variant))
+        scans = count_scans(monkeypatch)
+        want = mst_loc(inst, kind, Budget(600.0))
+        start = scans[0]
+        # a new Solution of the incumbent's tree: the record matches trees, not objects
+        monkeypatch.setattr(netcon.metaheuristics, "shake", lambda inst, s, *_: solve_tree(inst, s.tree))
+        scans[0] = 0
+        got = iterated_local_search(inst, kind, Budget(600.0, max_iters=3))
+        assert scans[0] == start
+        assert outcome(got) == outcome(want)
+
+    def test_reused_budget_keeps_runs_apart(self):
+        """A tree proven for one instance or kind is not proven for another:
+        one budget across runs gives what a fresh budget per run gives."""
+        usrt = ProblemInstance(tri(), USRT)
+        flat = ProblemInstance(tri(), SWRT, weights=(0, 0, 0))  # every tree optimal
+        # a kite whose tree {0, 2, 3} is an SCH local optimum but not a NET one
+        kite = ProblemInstance(
+            Network(4, ((0, 1, 4), (0, 2, 6), (0, 3, 19), (1, 2, 2), (1, 3, 20), (2, 3, 18)), depot=0),
+            USRT,
+        )
+        triangle = SpanningTree.from_edges(usrt.net, [1, 2])
+        runs = [
+            (usrt, triangle, NET),
+            (flat, triangle, NET),
+            (usrt, triangle, NET),
+            (usrt, triangle, SCH),
+            (flat, triangle, SCH),
+            (usrt, triangle, SCH),
+            (kite, SpanningTree.from_edges(kite.net, [0, 2, 3]), SCH),
+            (kite, SpanningTree.from_edges(kite.net, [0, 2, 3]), NET),
+        ]
+        shared = Budget(600.0)
+        for inst, tree, kind in runs:
+            start = solve_tree(inst, tree)
+            assert outcome(loc(inst, start, kind, shared)) == outcome(loc(inst, start, kind, Budget(600.0)))
