@@ -174,9 +174,9 @@ def reconstruct_path(net: Network, u: int, v: int) -> list[int]:
         raise GraphError(f"vertices {u} and {v} must lie in [0, {net.n})")
     if u == v:
         raise EmptyPathError("no path between a vertex and itself")
-    adj = net.adjacency
+    adj, d = net.adjacency, cached_oracle(net)[u].tolist()
     return _walk_back(
-        v, cached_oracle(net)[u].tolist(), lambda x: ((p, w, eid) for p, eid, w in adj[x])
+        v, d, lambda x: min(((p, eid) for p, eid, w in adj[x] if d[p] + w == d[x]), default=None)
     )
 
 
@@ -312,25 +312,24 @@ def minimum_spanning_tree(net: Network) -> SpanningTree:
     return SpanningTree.from_edges(net, kruskal(net.edges, _UnionFind(net.n)))
 
 
-def _walk_back(t: int, d, nbrs) -> list[int]:
+def _walk_back(t: int, d, pred) -> list[int]:
     """Edge ids of the canonical shortest path from the source to ``t``, in
     order from the source.
 
-    ``d`` holds distances from the source, 0 only at the source; ``nbrs(x)``
-    yields ``(neighbor, length, edge id)`` in ascending neighbor order.  The
-    predecessor of ``w`` is the smallest ``p`` with ``d[p] + length == d[w]``.
+    ``d`` holds distances from the source, 0 only at the source.
+    ``pred(x)`` is the predecessor step into ``x``: the smallest
+    ``(label, edge id)`` over the tight edges into ``x``, those with
+    ``d[label] + length == d[x]``, or None if none is tight.  Only a
+    shortest parallel edge can be tight, since ``d[x] <= d[p] + length``.
     """
     path = []
     cur = t
     while d[cur]:
-        target = d[cur]
-        for p, length, eid in nbrs(cur):
-            if d[p] + length == target:
-                path.append(eid)
-                cur = p
-                break
-        else:  # pragma: no cover - impossible for consistent state
+        step = pred(cur)
+        if step is None:  # impossible for consistent state
             raise GraphError("distance matrix inconsistent with adjacency")
+        cur, eid = step
+        path.append(eid)
     path.reverse()
     return path
 
@@ -414,11 +413,14 @@ class ContractedGraph:
         ra, rb = self.label[a], self.label[b]
         if ra == rb:
             raise GraphError("endpoints are in the same super-vertex")
-        adj = self.adj
+        adj, d = self.adj, self.dist[min(ra, rb)].tolist()
         return _walk_back(
             max(ra, rb),
-            self.dist[min(ra, rb)].tolist(),
-            lambda x: sorted((p, length, eid) for p, (length, eid) in adj[x].items()),
+            d,
+            lambda x: min(
+                ((p, eid) for p, (length, eid) in adj[x].items() if d[p] + length == d[x]),
+                default=None,
+            ),
         )
 
     def attach(self, pair):

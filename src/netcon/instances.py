@@ -253,16 +253,16 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
         net = Network(n, tuple(edges), depot=depot)
     except ValueError as exc:
         raise InstanceFormatError("edges", str(exc)) from exc
+    # every data field present goes to ProblemInstance, which rejects the
+    # ones the variant does not take; the variant's own field is required
+    own = {SWRT: "weights", L: "vertex_due_dates", L_ETPC: "pair_due_dates"}.get(variant)
     kwargs = {}
-    if variant == SWRT:
-        weights = _require(doc, "weights", list)
-        _check_int_list("weights", weights, n)
-        kwargs["weights"] = tuple(weights)
-    elif variant == L:
-        due = _require(doc, "vertex_due_dates", list)
-        _check_int_list("vertex_due_dates", due, n)
-        kwargs["vertex_due_dates"] = tuple(due)
-    elif variant == L_ETPC:
+    for name in ("weights", "vertex_due_dates"):
+        if name in doc or name == own:
+            values = _require(doc, name, list)
+            _check_int_list(name, values, n)
+            kwargs[name] = tuple(values)
+    if "pair_due_dates" in doc or own == "pair_due_dates":
         raw = _require(doc, "pair_due_dates", list)
         pairs = {}
         for k, item in enumerate(raw):

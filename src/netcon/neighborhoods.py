@@ -7,10 +7,11 @@ connection sequence to the start of an earlier group and rebuild; a vertex
 recovery sequence is the case of one vertex per group.
 
 Both rebuild procedures resolve shortest-path ties with one shared canonical
-rule (walk back from the larger component representative, preferring the
-smallest adjacent representative), so rebuilding an internal-transportation
-solution from its vertex recovery sequence and from its full pairs connection
-sequence yields the same tree.
+rule (``graph._walk_back``: walk back from the larger component
+representative, stepping into each super-vertex by its predecessor, the
+smallest (representative, edge id) among its tight edges), so rebuilding an
+internal-transportation solution from its vertex recovery sequence and from
+its full pairs connection sequence yields the same tree.
 """
 from __future__ import annotations
 
@@ -91,10 +92,6 @@ class _ITState:
         self.root = net.depot
         # nearest-tree-vertex distance per vertex
         self.d_tree = self.dist[net.depot].copy()
-        # per vertex outside the tree: its shortest (length, edge id) into it
-        self.into: list = [None] * net.n
-        for y, eid, length in net.adjacency[net.depot]:
-            self.into[y] = (length, eid)
         self.chosen: set[int] = set()
 
     def copy(self) -> "_ITState":
@@ -102,51 +99,47 @@ class _ITState:
         new.net, new.dist, new.root = self.net, self.dist, self.root
         new.in_tree = self.in_tree.copy()
         new.d_tree = self.d_tree.copy()
-        new.into = self.into.copy()
         new.chosen = self.chosen.copy()
         return new
 
-    def _nbrs(self, x: int):
-        """Neighbors of ``x`` with the tree as the one vertex ``root``, in
-        ascending order and lazily: a walk stops at its first match."""
-        in_tree, into, root = self.in_tree, self.into, self.root
-        if x == root:
-            yield from ((y, *into[y]) for y in range(len(in_tree)) if not in_tree[y] and into[y])
-            return
-        tree = into[x]  # x's shortest edge into the tree, placed at root
-        for y, eid, length in self.net.adjacency[x]:
-            if tree and y > root:
-                yield (root, *tree)
-                tree = None
-            if not in_tree[y]:
-                yield (y, length, eid)
-        if tree:
-            yield (root, *tree)
-
     def attach(self, v: int):
-        """Connect vertex ``v`` to the tree unless it is in already; O(deg)
-        per joining vertex keeps ``into`` current."""
+        """Connect vertex ``v`` to the tree unless it is in already."""
         in_tree = self.in_tree
         if in_tree[v]:
             return
-        root, d_tree, dist = self.root, self.d_tree, self.dist
+        root, d_tree, dist, adjacency = self.root, self.d_tree, self.dist, self.net.adjacency
         if v > root:
             d = d_tree.tolist()
         else:
             d = np.minimum(dist[v], d_tree[v] + d_tree).tolist()
-        path = _walk_back(max(v, root), d, self._nbrs)
+
+        def pred(x):
+            # every tree vertex stands for ``root`` and lies at d[root]
+            target = d[x]
+            if x == root:  # the tree's edges to outside vertices
+                tight = (
+                    (y, eid)
+                    for t, inside in enumerate(in_tree) if inside
+                    for y, eid, length in adjacency[t]
+                    if not in_tree[y] and d[y] + length == target
+                )
+            else:
+                tight = (
+                    (root if in_tree[y] else y, eid)
+                    for y, eid, length in adjacency[x]
+                    if d[y] + length == target
+                )
+            return min(tight, default=None)
+
+        path = _walk_back(max(v, root), d, pred)
         self.chosen.update(path)
-        into, adjacency, edges = self.into, self.net.adjacency, self.net.edges
+        edges = self.net.edges
         for eid in path:
             for x in edges[eid][:2]:
-                if in_tree[x]:
-                    continue
-                in_tree[x] = True
-                np.minimum(d_tree, dist[x], out=d_tree)
-                root = min(root, x)
-                for y, e, length in adjacency[x]:
-                    if not in_tree[y] and (into[y] is None or (length, e) < into[y]):
-                        into[y] = (length, e)
+                if not in_tree[x]:
+                    in_tree[x] = True
+                    np.minimum(d_tree, dist[x], out=d_tree)
+                    root = min(root, x)
         self.root = root
 
     def partition(self) -> bytes:
@@ -206,7 +199,7 @@ def _replay(snap, order, futures, j, i):
     Exact: a run stands before ``order[k]`` once ``order[:k]`` and its own
     ``order[j]`` are joined, so runs from one partition attach the same
     unjoined items; each adds what the partition decides (A-IT: the vertex
-    set fixes ``in_tree``, ``d_tree``, ``into``, ``root``; A-ET: ``dist``,
+    set fixes ``in_tree``, ``d_tree``, ``root``; A-ET: ``dist``,
     exact under the rank-1 update, the kept parallel edges and Kruskal's
     finish), and joins distinct parts, so adds no edge chosen before."""
     s = snap.copy()

@@ -208,6 +208,33 @@ class TestSolve:
         assert code == 3 and stdout == ""
         assert message in err
 
+    @pytest.mark.parametrize("data, message", [
+        # every data field in the file reaches the instance, the ones its
+        # variant does not take included
+        ({"variant": "USRT", "weights": [1, 5, 1]}, "USRT weights must all be 1"),
+        ({"variant": "SWRT", "weights": [1, 5, 1], "vertex_due_dates": [0, 0, 0]},
+         "SWRT takes only weights"),
+        ({"variant": "L", "vertex_due_dates": [0, 0, 0], "pair_due_dates": [[1, 2, 0]]},
+         "L takes only vertex_due_dates"),
+        ({"variant": "SWRT", "weights": [1, 5]}, "weights: expected 3 entries, got 2"),
+        ({"variant": "USRT", "weights": [1, 1.0, 1]}, "weights[1]: expected an integer"),
+        ({"variant": "L_ETPC", "pair_due_dates": [[1, 2]]}, "pair_due_dates[0]: expected [u, v, d]"),
+        ({"variant": "L_ETPC", "pair_due_dates": [[1, 2, True]]},
+         "pair_due_dates[0]: expected [u, v, d]"),
+        ({"variant": "L_ETPC"}, "pair_due_dates: missing required field"),
+    ], ids=[
+        "usrt-weights", "swrt-with-due-dates", "l-with-pairs", "weights-length",
+        "weights-float", "pair-short", "pair-bool", "pairs-missing",
+    ])
+    def test_bad_variant_data(self, capsys, tmp_path, data, message):
+        path = tmp_path / "data.json"
+        doc = {"format_version": 1, "n": 3, "depot": 0,
+               "edges": [[0, 1, 1], [1, 2, 1], [0, 2, 3]], **data}
+        path.write_text(json.dumps(doc))
+        code, stdout, err = run_cli(capsys, "solve", str(path), "--algo", "mst")
+        assert code == 3 and stdout == ""
+        assert message in err
+
     @pytest.mark.parametrize(
         "family", [{"a": 1}, ["planar_road"], 7, None], ids=["dict", "list", "int", "null"]
     )
@@ -372,13 +399,15 @@ class TestBenchReport:
         ("--time-limit", "inf", "time_limit"),
         ("--time-limit", "1e400", "time_limit"),
         ("--max-iters", "-3", "max_iters"),
+        # the last --instances-dir wins; tmp_path keeps its instances in a subdirectory
+        ("--instances-dir", "{tmp}", "no *.json instances found"),
     ])
     def test_bench_bad_flag(self, capsys, tmp_path, flag, value, message):
         d = self.make_dir(tmp_path, count=1)
         out = tmp_path / "res.csv"
         code, _, err = run_cli(
             capsys, "bench", "--instances-dir", str(d), "--algos", "mst",
-            "--out", str(out), flag, value,
+            "--out", str(out), flag, value.format(tmp=tmp_path),
         )
         assert code == 3
         assert err.startswith("error:") and message in err

@@ -49,6 +49,11 @@ class TestNetwork:
             Network(10**10, ((0, 1, 1),))
         with pytest.raises(GraphError):
             Network(2, ((0, 1, 1),), depot=5)
+        with pytest.raises(GraphError, match="at least one vertex"):
+            Network(0, ())
+        for a, b in ((0, 2), (-1, 1)):
+            with pytest.raises(GraphError, match="edge 0 endpoint out of range"):
+                Network(2, ((a, b, 1),))
 
     @pytest.mark.parametrize("n, depot", [(2, 0.0), (True, 0), (2, False)],
                              ids=["depot-float", "n-bool", "depot-bool"])
@@ -193,6 +198,10 @@ class TestSpanningTree:
             SpanningTree.from_edges(net, (-1, 0))  # -1 used to index the last edge
         with pytest.raises(GraphError, match="edge ids"):
             SpanningTree.from_edges(net, (0, 3))
+        # n - 1 distinct edges that close a cycle leave a vertex out
+        kite = Network(4, ((0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 1)))
+        with pytest.raises(GraphError, match="does not span"):
+            SpanningTree.from_edges(kite, [0, 1, 2])
 
     # the cycle a non-tree edge (a, b) closes is the tree path from a to b
     def test_cycle_tri(self):
@@ -383,3 +392,8 @@ class TestContraction:
         with pytest.raises(GraphError):
             cg.contract_edge(0, 1)
             cg.shortest_path_edges(0, 1)
+        # a distance that no edge into the target accounts for
+        cg = ContractedGraph(net)
+        cg.dist[0, 2] = cg.dist[2, 0] = 99
+        with pytest.raises(GraphError, match="inconsistent"):
+            cg.shortest_path_edges(0, 2)

@@ -240,3 +240,7 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(InstanceFormatError):
             read_instance(path)
+        for text in ("[]", '"USRT"', "3", "null"):
+            path.write_text(text)
+            with pytest.raises(InstanceFormatError, match="<root>: expected a JSON object"):
+                read_instance(path)

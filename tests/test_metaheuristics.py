@@ -25,6 +25,7 @@ from netcon import (
     SpanningTree,
     evaluate,
     generate,
+    impr,
     iterated_local_search,
     loc,
     mst_heuristic,
@@ -219,6 +220,48 @@ class TestSearch:
             b = run(inst, algo, NET, Budget(600.0, max_iters=4), seed=9)
             assert a.tree.edge_ids == b.tree.edge_ids
             assert a.schedule.order == b.schedule.order
+
+    def test_searches_improve_on_start(self, monkeypatch):
+        # ILS's shake finds a better optimum at iteration 2 and TS improves
+        # at iteration 3, so both take their improving branches
+        inst = generate(GeneratorSpec("euclidean_complete", 8, 1, SWRT))
+        start = mst_loc(inst, NET).objective
+        ils = iterated_local_search(inst, NET, Budget(600.0, max_iters=6))
+        cleared = []  # the tabu items each clear drops
+        real_clear = TabuList.clear
+        monkeypatch.setattr(
+            TabuList, "clear", lambda self: cleared.append(dict(self.entries)) or real_clear(self)
+        )
+        ts = tabu_search(inst, NET, Budget(600.0, max_iters=6))
+        assert len(cleared) == 1 and cleared[0]  # the improving step dropped live tabu items
+        assert outcome(ils) == outcome(reference_iterated_local_search(inst, NET, 6))
+        assert outcome(ts) == outcome(reference_tabu_search(inst, NET, 6))
+        assert ils.objective < start and ts.objective < start
+
+    def test_ts_deadline_mid_scan(self, monkeypatch):
+        """The deadline passes right after a TS scan meets a neighbour better
+        than the start: TS steps to the best neighbour seen so far, passes
+        it through impr and starts no further scan."""
+        inst = generate(GeneratorSpec("euclidean_complete", 8, 1, SWRT))
+        start = mst_loc(inst, NET)
+        scans, expired = [], [False]
+        real = netcon.neighborhoods.neighbors
+
+        def cut(*args):
+            scans.append((args, []))
+            for nb in real(*args):
+                scans[-1][1].append(nb)
+                expired[0] = nb[1].objective < start.objective
+                yield nb
+
+        monkeypatch.setattr(netcon.metaheuristics, "neighbors", cut)
+        monkeypatch.setattr(Budget, "expired", lambda self: expired[0])
+        ts = tabu_search(inst, NET, Budget(600.0, max_iters=6))
+        args, seen = scans[-1]
+        assert expired[0] and 0 < len(seen) < len(list(real(*args)))
+        first_min = min(seen, key=lambda nb: nb[1].objective)
+        assert outcome(ts) == outcome(impr(inst, first_min[1]))
+        assert ts.objective < start.objective
 
     def test_target_objective_stops_early(self):
         inst = ProblemInstance(tri(), USRT)

@@ -83,6 +83,15 @@ class TestProblemInstance:
             ProblemInstance(tri(), L_ETPC, pair_due_dates={(1, 1): 3})
         with pytest.raises(ModelError):
             ProblemInstance(tri(), USRT, vertex_due_dates=(0, 0, 0))
+        with pytest.raises(ModelError, match="must be nonnegative"):
+            ProblemInstance(tri(), SWRT, weights=(0, -1, 2))
+        with pytest.raises(ModelError, match="L takes only vertex_due_dates"):
+            ProblemInstance(tri(), L, vertex_due_dates=(0, 0, 0), weights=(1, 1, 1))
+        with pytest.raises(ModelError, match="L_ETPC takes only pair_due_dates"):
+            ProblemInstance(tri(), L_ETPC, pair_due_dates={(0, 1): 1}, vertex_due_dates=(0, 0, 0))
+        for pair in ((0, 3), (-1, 2)):
+            with pytest.raises(ModelError, match="out of range"):
+                ProblemInstance(tri(), L_ETPC, pair_due_dates={pair: 1})
 
     def test_l_needs_non_depot_vertex(self):
         # the maximum lateness over no vertices has no integer value
@@ -175,6 +184,13 @@ class TestEvaluate:
         assert exc.value.position == 0
         assert exc.value.edge_id == 2
 
+    @pytest.mark.parametrize("order", [(0,), (0, 0), (0, 1), (0, 2, 2)],
+                             ids=["short", "repeat", "foreign", "long"])
+    def test_order_must_be_permutation(self, order):
+        tree = SpanningTree.from_edges(tri(), [0, 2])
+        with pytest.raises(ModelError, match="permutation"):
+            EdgeSchedule(tree, order)
+
     def test_et_any_order_ok(self):
         inst = ProblemInstance(tri(), L_ETPC, pair_due_dates={(0, 2): 0})
         obj, _ = evaluate(inst, tri_sched([0, 2], (2, 0)))
@@ -258,6 +274,9 @@ class TestGap:
             gap(-5, -10, 0, L)
         with pytest.raises(ModelError):
             gap(90, 100, None, USRT)
+        for variant in (L, L_ETPC):
+            with pytest.raises(ModelError, match="needs d_min"):
+                gap(50, 40, None, variant)
 
     def test_rounding_half_up(self):
         assert format_gap(Fraction(1, 8)) == "0.13"  # 0.125 rounds up
