@@ -62,7 +62,6 @@ from .solution import Solution, solve_tree
 from .tree_solvers import (
     SizeGuardError,
     brute_force_instance,
-    brute_force_tree,
     es_letpc,
     es_lmax,
     es_swrt,

@@ -10,6 +10,7 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -21,6 +22,7 @@ GRID = 1000  # coordinates drawn from [0, GRID]^2
 WEIGHT_RANGE = (1, 10)  # SWRT vertex weights
 LENGTH_RANGE = (1, 1000)  # random_metric raw edge lengths, before the metric closure
 PAIRS_PER_VERTEX = 6  # L_ETPC relevant pairs: min(6 n, n (n - 1) / 2)
+ROAD_EDGES_PER_VERTEX = 1.75  # planar_road edge target: ceil(1.75 n)
 
 EUCLIDEAN_COMPLETE = "euclidean_complete"
 RANDOM_METRIC = "random_metric"
@@ -143,32 +145,8 @@ def _on_segment(a, c, b) -> bool:
 def _planar_road(rng: random.Random, n: int) -> Network:
     """Euclidean MST plus the shortest non-crossing augmenting edges."""
     points = _sample_points(rng, n)
-    # (i, j, squared distance) in ascending (d², i, j) order: a stable sort
-    # of the pairs listed lexicographically, so kruskal's default (length,
-    # id) order walks it front to back
-    cand = sorted(
-        (
-            (i, j, (points[i][0] - points[j][0]) ** 2 + (points[i][1] - points[j][1]) ** 2)
-            for i in range(n)
-            for j in range(i + 1, n)
-        ),
-        key=lambda c: c[2],
-    )
-    chosen = [cand[k][:2] for k in kruskal(cand, _UnionFind(n))]
-    target = math.ceil(1.75 * n)
-    in_net = set(chosen)
-    for i, j, _ in cand:
-        if len(chosen) >= target:
-            break
-        if (i, j) in in_net:
-            continue
-        if any(
-            _segments_cross(points[i], points[j], points[a], points[b])
-            for a, b in chosen
-        ):
-            continue
-        chosen.append((i, j))
-        in_net.add((i, j))
+    chosen = _planar_edges(points)
+    target = math.ceil(ROAD_EDGES_PER_VERTEX * n)
     if len(chosen) < target:
         warnings.warn(
             f"planar road target of {target} edges unreachable without "
@@ -176,6 +154,68 @@ def _planar_road(rng: random.Random, n: int) -> Network:
         )
     edges = tuple((i, j, _rounded_dist(points[i], points[j])) for i, j in chosen)
     return Network(n, edges, depot=rng.randrange(n))
+
+
+def _planar_edges(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Pairs ``(i, j)``, i < j, of a road network on distinct points: the
+    Euclidean MST, then each pair whose segment shares no point other than a
+    common endpoint with a chosen one, until ``ROAD_EDGES_PER_VERTEX * n``
+    pairs (rounded up) are chosen.  Both passes read the pairs in ascending
+    (d², i, j) order, d the Euclidean distance."""
+    n = len(points)
+    target = math.ceil(ROAD_EDGES_PER_VERTEX * n)
+    xy = np.array(points, dtype=np.int64)
+    i, j = np.triu_indices(n, 1)
+    # the key d² n² + i n + j is unique per pair, so the sorted keys are in
+    # (d², i, j) order; d² <= 2 GRID² and n <= (GRID + 1)² keep it < 2**63
+    keys = ((xy[i] - xy[j]) ** 2).sum(axis=1)
+    keys *= n * n
+    keys += i * n + j
+    keys.sort()
+
+    def blocks():
+        """The pairs as ``(i, j, d²)`` lists, in key order, decoded only as
+        far as a pass reads."""
+        for start in range(0, len(keys), 4 * n):
+            d2, ij = np.divmod(keys[start : start + 4 * n], n * n)
+            a, b = np.divmod(ij, n)
+            yield list(zip(a.tolist(), b.tolist(), d2.tolist()))
+
+    uf = _UnionFind(n)
+    chosen: list[tuple[int, int]] = []
+    for block in blocks():
+        chosen += [block[k][:2] for k in kruskal(block, uf, range(len(block)))]
+        if uf.sets == 1:
+            break
+    in_net = set(chosen)
+    # closed bounding boxes of the chosen segments, one column each, rows
+    # x_lo, y_lo, x_hi, y_hi: segments that share a point have meeting boxes
+    box = np.empty((4, target), dtype=np.int64)
+    for k, (a, b) in enumerate(chosen):
+        box[:, k] = _box(points[a], points[b])
+    for i, j, _ in chain.from_iterable(blocks()):
+        if len(chosen) >= target:
+            break
+        if (i, j) in in_net:
+            continue
+        p, q = points[i], points[j]
+        x0, y0, x1, y1 = bounds = _box(p, q)
+        lo_x, lo_y, hi_x, hi_y = box[:, : len(chosen)]
+        near = np.flatnonzero((lo_x <= x1) & (lo_y <= y1) & (hi_x >= x0) & (hi_y >= y0))
+        if any(
+            _segments_cross(p, q, points[a], points[b])
+            for a, b in map(chosen.__getitem__, near.tolist())
+        ):
+            continue
+        box[:, len(chosen)] = bounds
+        chosen.append((i, j))
+        in_net.add((i, j))
+    return chosen
+
+
+def _box(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int, int, int]:
+    """Closed bounding box of segment pq as (x_lo, y_lo, x_hi, y_hi)."""
+    return min(p[0], q[0]), min(p[1], q[1]), max(p[0], q[0]), max(p[1], q[1])
 
 
 def _attach_variant_data(rng: random.Random, net: Network, spec: GeneratorSpec) -> ProblemInstance:

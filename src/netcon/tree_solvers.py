@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from itertools import combinations, permutations
-
-import numpy as np
+from itertools import combinations
 
 from .graph import Network, SpanningTree, _UnionFind
 from .model import (
@@ -25,19 +23,6 @@ from .model import (
 
 class SizeGuardError(ValueError):
     """Brute-force budget exceeded."""
-
-
-def _children(tree: SpanningTree) -> list[list[int]]:
-    """Per vertex: its children in the tree, ascending."""
-    kids: list[list[int]] = [[] for _ in range(tree.net.n)]
-    for v, (p, _) in enumerate(tree.parent):
-        if p >= 0:
-            kids[p].append(v)
-    return kids
-
-
-def _order_to_schedule(tree: SpanningTree, vertex_order) -> EdgeSchedule:
-    return EdgeSchedule(tree, tuple(tree.parent[v][1] for v in vertex_order))
 
 
 def es_swrt(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, int]:
@@ -220,80 +205,6 @@ def _solve(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, int
 def optimal_schedule(inst: ProblemInstance, tree: SpanningTree) -> EdgeSchedule:
     """ES(T): the exact tree-restricted solver for the instance's variant."""
     return _solve(inst, tree)[0]
-
-
-def brute_force_tree(inst: ProblemInstance, tree: SpanningTree):
-    """Exhaustive minimum over all feasible orders of the tree's edges."""
-    if tree.net.n > 10:
-        raise SizeGuardError(f"brute force limited to n <= 10, got {tree.net.n}")
-    if inst.variant == L_ETPC:
-        return _brute_force_et(inst, tree)
-    return _brute_force_it(inst, tree)
-
-
-def _brute_force_it(inst: ProblemInstance, tree: SpanningTree):
-    """Enumerate out-tree linear extensions with incremental pruning."""
-    net = tree.net
-    kids = _children(tree)
-    weights = inst.weights if inst.variant in (USRT, SWRT) else None
-    due = inst.vertex_due_dates if inst.variant == L else None
-    is_sum = weights is not None
-
-    best_obj = None
-    best_order = None
-    chosen: list[int] = []
-
-    def rec(available: list[int], t: int, partial):
-        nonlocal best_obj, best_order
-        if best_obj is not None and partial >= best_obj:
-            return
-        if not available:
-            best_obj = partial
-            best_order = list(chosen)
-            return
-        for i, v in enumerate(available):
-            t2 = t + net.edges[tree.parent[v][1]][2]
-            if is_sum:
-                p2 = partial + weights[v] * t2
-            else:
-                p2 = max(partial, t2 - due[v])
-            nxt = available[:i] + available[i + 1 :]
-            for c in kids[v]:
-                nxt.append(c)
-            nxt.sort()
-            chosen.append(v)
-            rec(nxt, t2, p2)
-            chosen.pop()
-
-    # -inf is below every lateness and max() returns the exact int beside it
-    rec(kids[net.depot], 0, -math.inf if due is not None else 0)
-    return best_obj, _order_to_schedule(tree, best_order)
-
-
-def _brute_force_et(inst: ProblemInstance, tree: SpanningTree):
-    """Vectorized sweep over all permutations of the tree edges."""
-    edge_ids = list(tree.edge_ids)
-    k = len(edge_ids)
-    idx_of = {eid: i for i, eid in enumerate(edge_ids)}
-    lengths = np.array([tree.net.edges[eid][2] for eid in edge_ids], dtype=np.int64)
-    perms = np.array(list(permutations(range(k))), dtype=np.int64)
-    completions = np.cumsum(lengths[perms], axis=1)
-    pos = np.argsort(perms, axis=1)  # pos[p, i]: position of edge i in perm p
-    edge_completion = np.take_along_axis(completions, pos, axis=1)
-    # Lateness relative to the smallest due date d0 keeps the int64 sweep
-    # exact.  Completions lie in [0, T], T the total length, so the d0 pair's
-    # relative lateness is >= 0.  An offset due date above T + 1 is cut to
-    # T + 1: that pair's relative lateness stays below 0 and never sets the max.
-    d0 = min(inst.pair_due_dates.values())
-    cap = tree.net.total_length + 1
-    obj = None
-    for (u, v), d in sorted(inst.pair_due_dates.items()):
-        path = [idx_of[eid] for eid in tree.path_edges(u, v)]
-        late = edge_completion[:, path].max(axis=1) - min(d - d0, cap)
-        obj = late if obj is None else np.maximum(obj, late, out=obj)
-    best = int(obj.argmin())
-    order = tuple(edge_ids[i] for i in perms[best])
-    return int(obj[best]) - d0, EdgeSchedule(tree, order)
 
 
 def iter_spanning_trees(net: Network):

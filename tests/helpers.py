@@ -20,6 +20,7 @@ from netcon import (
     EdgeSchedule,
     Network,
     ProblemInstance,
+    SizeGuardError,
     Solution,
     SpanningTree,
     a_et,
@@ -31,7 +32,7 @@ from netcon import (
     optimal_schedule,
     shake,
 )
-from netcon.graph import _floyd_warshall
+from netcon.graph import _floyd_warshall, _UnionFind, kruskal
 from netcon.metaheuristics import TabuList
 from netcon.neighborhoods import apply_shift, enumerate_shifts, sequence
 
@@ -452,6 +453,119 @@ def reference_segments_cross(p1, p2, p3, p4) -> bool:
     if lo < hi:
         return True
     return not shared_endpoint((p1[0] + lo * r[0], p1[1] + lo * r[1]))
+
+
+def reference_planar_edges(points) -> list[tuple[int, int]]:
+    """``planar_road``'s pairs by the plain loop: every pair in a tuple list
+    stably sorted by d², ``kruskal``'s default order for the MST, then the
+    shortest pairs that cross no chosen segment, each tested against every
+    chosen one, up to ceil(1.75 n) pairs."""
+    n = len(points)
+    cand = sorted(
+        (
+            (i, j, (points[i][0] - points[j][0]) ** 2 + (points[i][1] - points[j][1]) ** 2)
+            for i, j in itertools.combinations(range(n), 2)
+        ),
+        key=lambda c: c[2],
+    )
+    chosen = [cand[k][:2] for k in kruskal(cand, _UnionFind(n))]
+    target = math.ceil(1.75 * n)
+    for i, j, _ in cand:
+        if len(chosen) >= target:
+            break
+        if (i, j) not in chosen and not any(
+            reference_segments_cross(points[i], points[j], points[a], points[b])
+            for a, b in chosen
+        ):
+            chosen.append((i, j))
+    return chosen
+
+
+def _children(tree: SpanningTree) -> list[list[int]]:
+    """Per vertex: its children in the tree, ascending."""
+    kids: list[list[int]] = [[] for _ in range(tree.net.n)]
+    for v, (p, _) in enumerate(tree.parent):
+        if p >= 0:
+            kids[p].append(v)
+    return kids
+
+
+def _order_to_schedule(tree: SpanningTree, vertex_order) -> EdgeSchedule:
+    return EdgeSchedule(tree, tuple(tree.parent[v][1] for v in vertex_order))
+
+
+def brute_force_tree(inst: ProblemInstance, tree: SpanningTree):
+    """Exhaustive minimum over all feasible orders of the tree's edges."""
+    if tree.net.n > 10:
+        raise SizeGuardError(f"brute force limited to n <= 10, got {tree.net.n}")
+    if inst.variant == L_ETPC:
+        return _brute_force_et(inst, tree)
+    return _brute_force_it(inst, tree)
+
+
+def _brute_force_it(inst: ProblemInstance, tree: SpanningTree):
+    """Enumerate out-tree linear extensions with incremental pruning."""
+    net = tree.net
+    kids = _children(tree)
+    weights = inst.weights if inst.variant in (USRT, SWRT) else None
+    due = inst.vertex_due_dates if inst.variant == L else None
+    is_sum = weights is not None
+
+    best_obj = None
+    best_order = None
+    chosen: list[int] = []
+
+    def rec(available: list[int], t: int, partial):
+        nonlocal best_obj, best_order
+        if best_obj is not None and partial >= best_obj:
+            return
+        if not available:
+            best_obj = partial
+            best_order = list(chosen)
+            return
+        for i, v in enumerate(available):
+            t2 = t + net.edges[tree.parent[v][1]][2]
+            if is_sum:
+                p2 = partial + weights[v] * t2
+            else:
+                p2 = max(partial, t2 - due[v])
+            nxt = available[:i] + available[i + 1 :]
+            for c in kids[v]:
+                nxt.append(c)
+            nxt.sort()
+            chosen.append(v)
+            rec(nxt, t2, p2)
+            chosen.pop()
+
+    # -inf is below every lateness and max() returns the exact int beside it
+    rec(kids[net.depot], 0, -math.inf if due is not None else 0)
+    return best_obj, _order_to_schedule(tree, best_order)
+
+
+def _brute_force_et(inst: ProblemInstance, tree: SpanningTree):
+    """Vectorized sweep over all permutations of the tree edges."""
+    edge_ids = list(tree.edge_ids)
+    k = len(edge_ids)
+    idx_of = {eid: i for i, eid in enumerate(edge_ids)}
+    lengths = np.array([tree.net.edges[eid][2] for eid in edge_ids], dtype=np.int64)
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
+    completions = np.cumsum(lengths[perms], axis=1)
+    pos = np.argsort(perms, axis=1)  # pos[p, i]: position of edge i in perm p
+    edge_completion = np.take_along_axis(completions, pos, axis=1)
+    # Lateness relative to the smallest due date d0 keeps the int64 sweep
+    # exact.  Completions lie in [0, T], T the total length, so the d0 pair's
+    # relative lateness is >= 0.  An offset due date above T + 1 is cut to
+    # T + 1: that pair's relative lateness stays below 0 and never sets the max.
+    d0 = min(inst.pair_due_dates.values())
+    cap = tree.net.total_length + 1
+    obj = None
+    for (u, v), d in sorted(inst.pair_due_dates.items()):
+        path = [idx_of[eid] for eid in tree.path_edges(u, v)]
+        late = edge_completion[:, path].max(axis=1) - min(d - d0, cap)
+        obj = late if obj is None else np.maximum(obj, late, out=obj)
+    best = int(obj.argmin())
+    order = tuple(edge_ids[i] for i in perms[best])
+    return int(obj[best]) - d0, EdgeSchedule(tree, order)
 
 
 def reference_loc(inst: ProblemInstance, a: Solution, kind: str) -> Solution:

@@ -21,7 +21,6 @@ from netcon import (
     a_et,
     a_it,
     brute_force_instance,
-    brute_force_tree,
     cached_oracle,
     evaluate,
     gap,
@@ -37,6 +36,7 @@ from netcon.cli import main
 
 from helpers import (
     attach_data,
+    brute_force_tree,
     random_feasible_order,
     random_instance,
     random_network,

@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from netcon import (
     FAMILIES,
@@ -20,13 +21,15 @@ from netcon import (
     write_instance,
 )
 from netcon.instances import (
+    GRID,
+    _planar_edges,
     _rounded_dist,
     _segments_cross,
     instance_from_dict,
     instance_to_dict,
 )
 
-from helpers import reference_segments_cross
+from helpers import reference_planar_edges, reference_segments_cross
 
 
 class TestRoundedDist:
@@ -72,6 +75,38 @@ class TestSegmentsCross:
         assert not reference_segments_cross((0, 0), (1, 0), (0, 1), (1, 1))  # parallel
 
 
+class TestPlanarEdges:
+    # distinct points of a 7x7 lattice: collinear overlaps, T-touches and
+    # many equal squared distances
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)),
+            min_size=2,
+            max_size=25,
+            unique=True,
+        )
+    )
+    @example([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)])  # only the path fits
+    # the pair to (6, 6) comes after all 55 others, so the MST pass reads
+    # past the first block of 4 n pairs
+    @example([(x, y) for x in range(4) for y in range(3)][1:] + [(6, 6)])
+    @settings(max_examples=150)
+    def test_matches_reference(self, points):
+        edges, expected = _planar_edges(points), reference_planar_edges(points)
+        assert edges == expected
+        target = math.ceil(1.75 * len(points))
+        assert (len(edges) < target) == (len(expected) < target)
+
+    def test_pair_keys_fit_int64(self):
+        # each pair's key d² n² + i n + j is below (d² + 1) n², d² <= 2 GRID²,
+        # at the largest n a spec accepts
+        largest = (GRID + 1) ** 2
+        GeneratorSpec("planar_road", largest, 0, USRT)
+        with pytest.raises(ValueError):
+            GeneratorSpec("planar_road", largest + 1, 0, USRT)
+        assert (2 * GRID**2 + 1) * largest**2 < 2**63
+
+
 class TestGenerators:
     def test_euclidean_complete_counts(self):
         inst = generate(GeneratorSpec("euclidean_complete", 5, 0, USRT))
@@ -115,6 +150,8 @@ class TestGenerators:
         (120, 0): "f183105b4b1fb16b6293156a0d899eb56c72dcba3f4c0f34055c331096b61942",
         (120, 1): "3c0f37129155baf5973ab0cf36fe2b4e80475b240625f5c1b9a608a81412c612",
         (120, 2): "594dbae0d75093c3e489916c382679bea767ca80803438edaffc821296cbb1bd",
+        (250, 0): "9c2133a1b151a0c77eb51705703f6c7e8c770ef2fb68d74cc20cf75a189f1146",
+        (1000, 0): "af889cecf28cd79d81a0a0810be282093611f6ade0a016d49aea94f79c008865",
     }
 
     # the same digests at n=20 pin the generator's constant ranges: SWRT

@@ -16,7 +16,6 @@ from netcon import (
     SizeGuardError,
     SpanningTree,
     brute_force_instance,
-    brute_force_tree,
     es_letpc,
     es_lmax,
     es_swrt,
@@ -28,6 +27,7 @@ from netcon import tree_solvers
 
 from helpers import (
     attach_data,
+    brute_force_tree,
     random_network,
     random_spanning_tree,
     reference_effective_due_dates,
