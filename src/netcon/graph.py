@@ -104,6 +104,11 @@ class Network:
         return sum(w for _, _, w in self.edges)
 
     @cached_property
+    def lengths(self) -> tuple[int, ...]:
+        """Edge lengths by edge id, then a 0 that the depot's parent edge id -1 reads."""
+        return tuple(w for _, _, w in self.edges) + (0,)
+
+    @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """Per vertex: tuple of (neighbor, edge id, length), neighbors ascending."""
         adj: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n)]

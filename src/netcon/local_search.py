@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 import time
 
-from .graph import minimum_spanning_tree
+from .graph import _as_int, minimum_spanning_tree
 from .model import ProblemInstance
 from .neighborhoods import neighbors, rebuild, sequence
 from .solution import Solution, solve_tree
@@ -13,12 +13,13 @@ __all__ = ["Budget", "Solution", "solve_tree", "impr", "loc", "mst_heuristic", "
 
 
 def check_limits(time_limit: float, max_iters: int | None) -> None:
-    """Reject a NaN, infinite or negative time limit (no deadline is ever
-    reached at NaN, and a run record cannot hold either in JSON) and a
-    negative iteration cap."""
-    if not 0 <= time_limit < math.inf:
-        raise ValueError(f"time_limit must be a finite number >= 0, got {time_limit}")
-    if max_iters is not None and max_iters < 0:
+    """Reject a NaN, infinite, negative or bool time limit (no deadline is
+    ever reached at NaN, and a run record cannot hold either in JSON) and an
+    iteration cap that is negative or, by the instance data's rule, not an
+    integer or a bool."""
+    if isinstance(time_limit, bool) or not 0 <= time_limit < math.inf:
+        raise ValueError(f"time_limit must be a finite number >= 0, got {time_limit!r}")
+    if max_iters is not None and _as_int(max_iters, "max_iters", ValueError) < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
 
 

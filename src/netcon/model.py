@@ -105,6 +105,23 @@ class ProblemInstance:
         stable, so equal due dates keep the input order."""
         return tuple(sorted(self.pair_due_dates.items(), key=lambda item: item[1]))
 
+    @cached_property
+    def scaled_weights(self) -> tuple[int, ...]:
+        """USRT/SWRT: each weight times L**2, L the network's total length."""
+        scale = self.net.total_length**2
+        return tuple(w * scale for w in self.weights)
+
+    @cached_property
+    def due_ranks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """L: ``(rank, by_rank)``, the vertices by descending due date (tie:
+        ascending vertex) and each vertex's position in that order."""
+        due = self.vertex_due_dates
+        by_rank = tuple(sorted(range(self.net.n), key=lambda v: (-due[v], v)))
+        rank = [0] * self.net.n
+        for r, v in enumerate(by_rank):
+            rank[v] = r
+        return tuple(rank), by_rank
+
     @property
     def q(self) -> int:
         return len(self.pair_due_dates)

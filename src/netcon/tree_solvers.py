@@ -36,52 +36,57 @@ def es_swrt(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, in
     The objective is summed over the finished sequence with the original
     weights and lengths, not the merged block sums.
 
-    Heap keys are exact ints floor(w * L**2 / l), L the network's total
-    length: a block length is a sum of distinct edges, so l <= L, and unequal
-    ratios differ by at least 1/(l1 * l2) >= 1/L**2, so the floors keep the
-    strict order; equal ratios tie on the key and go smallest head first.
+    Ratios compare as exact ints floor(W / l), W = w * L**2 kept per block
+    and L the network's total length: a block length is a sum of distinct
+    edges, so l <= L, and unequal ratios differ by at least
+    1/(l1 * l2) >= 1/L**2, so the floors keep the strict order; equal ratios
+    tie and go smallest head first.  A heap entry is the one int
+    key * n + head, key = -floor(W / l), which for 0 <= head < n orders as
+    (key, head).  ``cur[head]`` is the head's latest entry, None once it
+    merged: an entry is current iff it equals that, and an older entry of
+    equal value has the same priority, so whichever pops first merges.
     """
     if inst.variant not in (USRT, SWRT):
         raise ValueError(f"es_swrt does not apply to variant {inst.variant}")
     net = tree.net
-    depot = net.depot
-    parent = tree.parent
-    scale = net.total_length**2
-    heappop, heappush = heapq.heappop, heapq.heappush
-    weight = list(inst.weights)
-    length = [net.edges[eid][2] if p >= 0 else 0 for p, eid in parent]
-    leader = list(range(net.n))
+    n, depot, parent, lengths = net.n, net.depot, tree.parent, net.lengths
+    heappop, heappushpop = heapq.heappop, heapq.heappushpop
+    weight = list(inst.scaled_weights)
+    length = [lengths[eid] for _, eid in parent]
+    leader = list(range(n))
     # block sequences: head -> nxt -> ... -> tail; the depot block's head is
     # the depot itself, which is not part of its sequence
-    nxt = [-1] * net.n
-    tail = list(range(net.n))
-    heap = [(-(weight[v] * scale // length[v]), v, length[v]) for v in range(net.n) if v != depot]
+    nxt = [-1] * n
+    tail = list(range(n))
+    heap = [-(w // l) * n + v for v, (w, l) in enumerate(zip(weight, length)) if v != depot]
+    cur = heap[:]
+    cur.insert(depot, None)
     heapq.heapify(heap)
     while heap:
-        _, h, l = heappop(heap)
-        # lengths only grow, and a merged head's last entry is the one that
-        # was popped, so an entry is current iff it has its block's length
-        if l != length[h]:
-            continue
-        p = parent[h][0]
-        while leader[p] != p:  # path halving
-            leader[p] = leader[leader[p]]
-            p = leader[p]
-        nxt[tail[p]] = h
-        tail[p] = tail[h]
-        leader[h] = p
-        if p != depot:
+        e = heappop(heap)
+        while e == cur[h := e % n]:
+            cur[h] = None
+            p = parent[h][0]
+            while leader[p] != p:
+                leader[p] = p = leader[leader[p]]  # path halving
+            nxt[tail[p]] = h
+            tail[p] = tail[h]
+            leader[h] = p
+            if p == depot:
+                break
             weight[p] += weight[h]
             length[p] += length[h]
-            heappush(heap, (-(weight[p] * scale // length[p]), p, length[p]))
+            cur[p] = -(weight[p] // length[p]) * n + p
+            e = heappushpop(heap, cur[p])
+    weights = inst.weights
     order = []
     t = obj = 0
     v = nxt[depot]
     while v >= 0:
         eid = parent[v][1]
         order.append(eid)
-        t += net.edges[eid][2]
-        obj += inst.weights[v] * t
+        t += lengths[eid]
+        obj += weights[v] * t
         v = nxt[v]
     return EdgeSchedule(tree, tuple(order)), obj
 
@@ -92,30 +97,29 @@ def es_lmax(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, in
 
     Builds the sequence backwards in O(n log n): a heap holds the jobs with
     no unplaced children, and the one with the largest due date (tie:
-    smallest vertex) goes last.  The maximum lateness is taken in one forward
-    pass over the finished sequence.
+    smallest vertex) goes last.  That order does not depend on the tree, so
+    the heap holds each vertex's rank in the instance's ``due_ranks``.  The
+    maximum lateness is taken in one forward pass over the finished sequence.
     """
     if inst.variant != L:
         raise ValueError(f"es_lmax does not apply to variant {inst.variant}")
-    depot = tree.net.depot
-    parent = tree.parent
+    depot, parent, lengths = tree.net.depot, tree.parent, tree.net.lengths
     due = inst.vertex_due_dates
+    rank, by_rank = inst.due_ranks
     heappop, heappush = heapq.heappop, heapq.heappush
-    pending_kids = [0] * tree.net.n
+    pending_kids = [0] * (tree.net.n + 1)  # the last slot counts the depot's parent -1
     for p, _ in parent:
-        if p >= 0:
-            pending_kids[p] += 1
-    heap = [(-due[v], v) for v in range(tree.net.n) if v != depot and not pending_kids[v]]
-    heapq.heapify(heap)
+        pending_kids[p] += 1
+    pending_kids[depot] += 1  # so the depot is never placed
+    heap = [r for r, v in enumerate(by_rank) if not pending_kids[v]]  # ascending: a heap
     tail: list[int] = []
     while heap:
-        v = heappop(heap)[1]
+        v = by_rank[heappop(heap)]
         tail.append(v)
         p = parent[v][0]
         pending_kids[p] -= 1
-        if not pending_kids[p] and p != depot:
-            heappush(heap, (-due[p], p))
-    edges = tree.net.edges
+        if not pending_kids[p]:
+            heappush(heap, rank[p])
     order = []
     t = 0
     # -inf is below every lateness; ProblemInstance rejects L without a
@@ -124,7 +128,7 @@ def es_lmax(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, in
     for v in reversed(tail):
         eid = parent[v][1]
         order.append(eid)
-        t += edges[eid][2]
+        t += lengths[eid]
         if t - due[v] > obj:
             obj = t - due[v]
     return EdgeSchedule(tree, tuple(order)), obj
@@ -136,32 +140,35 @@ def _effective_due_dates(inst: ProblemInstance, tree: SpanningTree) -> dict[int,
 
     Offline path painting: pairs in ascending due date paint the unpainted
     edges of their tree paths, so each edge is written once, by its smallest
-    due date.  Vertices joined by painted edges share a union-find set, and
-    ``top`` names each set's highest vertex, the one whose parent edge is
-    still unpainted (or the depot); a path walk jumps from top to top.  Once
+    due date.  Vertices joined by painted edges share a union-find set whose
+    root is its highest vertex, the one whose parent edge is still unpainted
+    (or the depot): a painted set is linked under the set of its root's
+    parent, whose root stays.  A path walk jumps from root to root.  Once
     every edge is painted the remaining pairs change nothing.
     """
     d_e = {eid: math.inf for eid in tree.edge_ids}
     parent, depth = tree.parent, tree.depth
-    uf = _UnionFind(tree.net.n)
-    find = uf.find
-    top = list(range(tree.net.n))  # per set representative
+    link = list(range(tree.net.n))
+
+    def find(x: int) -> int:
+        while link[x] != x:
+            link[x] = x = link[link[x]]  # path halving
+        return x
+
     unpainted = len(d_e)
     for (u, v), d in inst.pairs_by_due_date:
         if not unpainted:
             break
-        x, y = top[find(u)], top[find(v)]
+        x, y = find(u), find(v)
         while x != y:
-            # the deeper top lies strictly below the pair's lowest common
+            # the deeper root lies strictly below the pair's lowest common
             # ancestor, so its parent edge is an unpainted edge of the path
             if depth[x] < depth[y]:
                 x, y = y, x
             p, eid = parent[x]
             d_e[eid] = d
             unpainted -= 1
-            t = top[find(p)]
-            uf.union(x, p)
-            top[find(p)] = x = t
+            link[x] = x = find(p)
     return d_e
 
 
@@ -177,20 +184,18 @@ def es_letpc(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, i
     """
     if inst.variant != L_ETPC:
         raise ValueError(f"es_letpc does not apply to variant {inst.variant}")
-    d_e = _effective_due_dates(inst, tree)
-    order = sorted(tree.edge_ids, key=lambda eid: (d_e[eid], eid))
-    edges = tree.net.edges
+    keyed = sorted((d, eid) for eid, d in _effective_due_dates(inst, tree).items())
+    lengths = tree.net.lengths
     t = 0
     # every relevant pair covers at least one edge, so the result is an int
     obj = -math.inf
-    for eid in order:
-        d = d_e[eid]
+    for d, eid in keyed:
         if d == math.inf:
             break  # uncovered edges sort last and set no lateness
-        t += edges[eid][2]
+        t += lengths[eid]
         if t - d > obj:
             obj = t - d
-    return EdgeSchedule(tree, tuple(order)), obj
+    return EdgeSchedule(tree, tuple(eid for _, eid in keyed)), obj
 
 
 def _solve(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, int]:

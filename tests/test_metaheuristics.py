@@ -2,6 +2,7 @@ import dataclasses
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -115,6 +116,17 @@ class TestBudget:
                 Budget(bad)
         with pytest.raises(ValueError, match="max_iters"):
             Budget(1.0, max_iters=-3)
+
+    def test_limit_types_checked(self):
+        # the instance data's rule: an integer (numpy's included), not a bool
+        for bad in (True, False, 2.5, 2.0, "3"):
+            with pytest.raises(ValueError, match="max_iters"):
+                Budget(1.0, max_iters=bad)
+        for bad in (True, False):
+            with pytest.raises(ValueError, match="time_limit"):
+                Budget(bad)
+        assert Budget(1.0, max_iters=np.int64(2)).max_iters == 2
+        assert Budget(0, max_iters=0).max_iters == 0
 
 
 class TestTabuList:

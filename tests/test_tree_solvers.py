@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -279,6 +280,77 @@ class TestHeapSolversMatchReferences:
 
 
 @st.composite
+def tied_networks(draw, values=st.integers(0, 3), min_n=1):
+    """``tied_trees`` plus up to four drawn non-tree edges (lengths 1-3), so
+    that ``exchanges()`` yields trees whose parent maps come from path
+    reversal; the tree is the first n - 1 edge ids."""
+    tree, vals = draw(tied_trees(values, min_n))
+    net = tree.net
+    present = {tuple(sorted(e[:2])) for e in net.edges}
+    spare = [p for p in itertools.combinations(range(net.n), 2) if p not in present]
+    extra = draw(st.lists(st.sampled_from(spare), max_size=4, unique=True)) if spare else []
+    lengths = draw(st.lists(st.integers(1, 3), min_size=len(extra), max_size=len(extra)))
+    net = Network(
+        net.n, net.edges + tuple((a, b, w) for (a, b), w in zip(extra, lengths)), net.depot
+    )
+    return SpanningTree.from_edges(net, range(net.n - 1)), vals
+
+
+class TestExchangeTreesMatchReferences:
+    """On every tree one edge exchange away, the heap solvers give the
+    quadratic references' orders."""
+
+    @given(tied_networks(HUGE_VALUES))
+    @settings(max_examples=150)
+    def test_swrt(self, case):
+        tree, weights = case
+        inst = ProblemInstance(tree.net, SWRT, weights=weights)
+        for _, _, other in tree.exchanges():
+            assert es_swrt(inst, other)[0].order == reference_es_swrt(inst, other).order
+
+    @given(tied_networks(HUGE_DUE_DATES, min_n=2))
+    @settings(max_examples=150)
+    def test_lmax(self, case):
+        tree, due = case
+        inst = ProblemInstance(tree.net, L, vertex_due_dates=due)
+        for _, _, other in tree.exchanges():
+            assert es_lmax(inst, other)[0].order == reference_es_lmax(inst, other).order
+
+
+class TestTablesPerInstance:
+    """The scaled weights and due-date ranks belong to their instance: two
+    instances of a variant on one shared network, solved alternately, and a
+    ``dataclasses.replace`` copy, each match the references."""
+
+    def test_swrt_and_lmax(self):
+        rng = random.Random(7)
+        net = random_network(rng, 9, extra_edges=5, max_len=6)
+        pair = {
+            SWRT: [
+                ProblemInstance(net, SWRT, weights=tuple(rng.randint(0, 5) for _ in range(9)))
+                for _ in range(2)
+            ],
+            L: [
+                ProblemInstance(net, L, vertex_due_dates=tuple(rng.randint(-5, 30) for _ in range(9)))
+                for _ in range(2)
+            ],
+        }
+        assert pair[SWRT][0].weights != pair[SWRT][1].weights
+        assert pair[L][0].vertex_due_dates != pair[L][1].vertex_due_dates
+        refs = {SWRT: reference_es_swrt, L: reference_es_lmax}
+        base = random_spanning_tree(rng, net)
+        trees = [base] + [tree for _, _, tree in base.exchanges()]
+        for variant, (a, b) in pair.items():
+            field = "weights" if variant == SWRT else "vertex_due_dates"
+            c = dataclasses.replace(a, **{field: tuple(reversed(getattr(a, field)))})
+            for tree in trees:
+                for inst in (a, b, c, a):
+                    sched, obj = ES[variant](inst, tree)
+                    assert sched.order == refs[variant](inst, tree).order
+                    assert obj == evaluate(inst, sched)[0]
+
+
+@st.composite
 def tied_pair_trees(draw):
     """A tie-heavy tree (n >= 2) and an L_ETPC instance on it: a drawn share
     of the vertex pairs, due dates equal, negative or 2**80-sized."""
@@ -357,6 +429,14 @@ class TestReturnedObjectives:
 
 
 class TestEsLetpc:
+    @given(tied_pair_trees() | uncovered_pair_trees())
+    @settings(max_examples=300)
+    def test_order_by_reference_due_dates(self, case):
+        tree, inst = case
+        ref = reference_effective_due_dates(inst, tree)
+        expected = tuple(sorted(tree.edge_ids, key=lambda e: (ref[e], e)))
+        assert es_letpc(inst, tree)[0].order == expected
+
     @given(tied_pair_trees())
     @settings(max_examples=400)
     def test_painted_due_dates_match_reference(self, case):
