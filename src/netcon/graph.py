@@ -220,51 +220,54 @@ class SpanningTree:
             raise GraphError("edge set does not span all vertices")
         return cls(net, ids, tuple(parent))
 
-    def exchanges(self):
-        """Every tree one edge exchange away, as ``(add, remove, tree)``:
-        non-tree edges ``add`` ascending, and for each the tree edges
-        ``remove`` on the cycle ``add`` closes, in ``path_edges`` order.
+    def moves(self):
+        """Every edge exchange as ``(add, remove, path, y)``: non-tree edges
+        ``add`` ascending, and for each the tree edges ``remove`` on the
+        cycle ``add`` closes, in ``path_edges`` order.
 
         ``remove`` cuts off the subtree under its lower endpoint ``c``, which
-        holds exactly one endpoint ``x`` of ``add``.  The parent pointers on
-        the path from ``x`` up to ``c`` reverse, and ``x`` hangs on ``add``:
-        the tree ``from_edges`` builds from the swapped id set.
+        holds exactly one endpoint ``x`` of ``add``; ``path`` lists the
+        vertices from ``x`` up to ``c``, and ``y`` is ``add``'s other endpoint.
         """
-        net, parent, ids = self.net, self.parent, self.edge_ids
-        in_tree = set(ids)
+        net, parent = self.net, self.parent
+        in_tree = set(self.edge_ids)
         for add, (a, b, _) in enumerate(net.edges):
             if add in in_tree:
                 continue
             side_a, side_b = self._sides(a, b)
-            # a-side cuts bottom-up, then b-side cuts top-down
-            cuts = [(side_a[: i + 1], b) for i in range(len(side_a))]
-            cuts += [(side_b[: i + 1], a) for i in reversed(range(len(side_b)))]
-            for path, y in cuts:
-                remove = parent[path[-1]][1]
-                new = list(parent)
-                new[path[0]] = (y, add)
-                for child, v in zip(path, path[1:]):
-                    new[v] = (child, parent[child][1])
-                swapped = list(ids)
-                del swapped[bisect.bisect_left(swapped, remove)]
-                bisect.insort(swapped, add)
-                yield add, remove, SpanningTree(net, tuple(swapped), tuple(new))
+            for i in range(len(side_a)):  # a-side cuts bottom-up
+                yield add, parent[side_a[i]][1], side_a[: i + 1], b
+            for i in reversed(range(len(side_b))):  # then b-side cuts top-down
+                yield add, parent[side_b[i]][1], side_b[: i + 1], a
+
+    def hang(self, new: list, move) -> None:
+        """Apply ``move`` to ``new``, a list equal to ``parent`` on its path:
+        the path's first vertex hangs on ``add`` at ``y`` and the pointers
+        along the path reverse.  Writing ``parent[v]`` back undoes it."""
+        add, _, path, y = move
+        parent = self.parent
+        new[path[0]] = (y, add)
+        for child, v in zip(path, path[1:]):
+            new[v] = (child, parent[child][1])
+
+    def exchanged(self, move) -> "SpanningTree":
+        """The tree a move leads to, as ``from_edges`` of the swapped ids."""
+        add, remove, _, _ = move
+        new = list(self.parent)
+        self.hang(new, move)
+        swapped = list(self.edge_ids)
+        del swapped[bisect.bisect_left(swapped, remove)]
+        bisect.insort(swapped, add)
+        return SpanningTree(self.net, tuple(swapped), tuple(new))
+
+    def exchanges(self):
+        """Every tree one edge exchange away, as ``(add, remove, tree)``."""
+        for move in self.moves():
+            yield move[0], move[1], self.exchanged(move)
 
     @cached_property
     def depth(self) -> tuple[int, ...]:
-        d = [-1] * self.net.n
-        d[self.net.depot] = 0
-        for v in range(self.net.n):
-            chain = []
-            x = v
-            while d[x] < 0:
-                chain.append(x)
-                x = self.parent[x][0]
-            base = d[x]
-            for y in reversed(chain):
-                base += 1
-                d[y] = base
-        return tuple(d)
+        return tuple(tree_depths(self.parent, self.net.depot))
 
     @cached_property
     def total_length(self) -> int:
@@ -292,6 +295,22 @@ class SpanningTree:
         """Tree edges on the unique u-v path, in order from u to v."""
         side_u, side_v = self._sides(u, v)
         return [self.parent[x][1] for x in side_u + side_v[::-1]]
+
+
+def tree_depths(parent, depot: int) -> list[int]:
+    """Each vertex's depth under a parent map (vertex -> (parent vertex,
+    edge id)) rooted at ``depot``."""
+    d = [-1] * len(parent)
+    d[depot] = 0
+    for v in range(len(parent)):
+        chain, x = [], v
+        while d[x] < 0:
+            chain.append(x)
+            x = parent[x][0]
+        for y in reversed(chain):
+            d[y] = d[x] + 1
+            x = y
+    return d
 
 
 def kruskal(edges, uf: _UnionFind, edge_ids=None) -> list[int]:

@@ -35,8 +35,10 @@ class Budget:
     ``(attrs, Solution)``, or None if the neighbourhood was empty.  ``loc``
     returns a recorded tree at once, and TS with an empty tabu list takes
     the recorded neighbour as its step.  Both are exact:
-    - every searched Solution comes from ``solve_tree``, so the neighbour
-      stream depends only on (instance, kind, tree);
+    - every searched objective comes from the ES kernel on the neighbour's
+      parent map; a deferred tree and schedule are rebuilt and checked
+      against it, so the neighbour stream depends only on (instance, kind,
+      tree);
     - ``loc`` from a tree with no improving neighbour returns that tree,
       whether its scan finishes or the deadline stops it;
     - with no tabu item, TS's best free neighbour is its best neighbour,

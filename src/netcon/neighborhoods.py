@@ -1,7 +1,9 @@
 """Neighborhood moves and the sequence-to-tree rebuild procedures.
 
-NET exchanges a non-tree edge for a tree edge on the cycle it closes, and
-derives each new tree from the current one (``SpanningTree.exchanges``).
+NET exchanges a non-tree edge for a tree edge on the cycle it closes.  A
+scan applies each move (``SpanningTree.moves``) in place to one private
+parent list, runs the ES(T) kernel on it and undoes the move before
+yielding; the neighbour's tree and schedule are built only when read.
 SCH is one shift move for every variant: move one element of the solution's
 connection sequence to the start of an earlier group and rebuild; a vertex
 recovery sequence is the case of one vertex per group.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from functools import partial
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .model import (
     vertex_recovery_sequence,
 )
 from .solution import Solution, solve_tree
+from .tree_solvers import kernel
 
 NET = "NET"
 SCH = "SCH"
@@ -210,10 +214,18 @@ def _replay(snap, order, futures, j, i):
 def neighbors(inst: ProblemInstance, current: Solution, kind: str):
     """Stream of (tabu attributes, rebuilt solution) in deterministic order:
     a NET exchange gives (add, remove), an SCH shift the moved vertex (v,) or
-    pair (u, v)."""
+    pair (u, v).  A NET neighbour is deferred: it builds its tree and
+    schedule on first read and checks ES(T)'s objective on them."""
     if kind == NET:
-        for add, remove, tree in current.tree.exchanges():
-            yield (add, remove), solve_tree(inst, tree)
+        tree, es = current.tree, kernel(inst)
+        parent = tree.parent
+        scratch = list(parent)
+        for move in tree.moves():
+            tree.hang(scratch, move)
+            obj = es(inst, scratch)[1]
+            for v in move[2]:
+                scratch[v] = parent[v]
+            yield move[:2], Solution.deferred(inst, obj, partial(tree.exchanged, move))
     elif kind == SCH:
         order, starts = sequence(inst, current.schedule, True)
         pairs = inst.variant not in IT_VARIANTS

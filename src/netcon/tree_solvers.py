@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from itertools import combinations
 
-from .graph import Network, SpanningTree, _UnionFind
+from .graph import Network, SpanningTree, tree_depths
 from .model import (
     L,
     L_ETPC,
@@ -25,9 +24,9 @@ class SizeGuardError(ValueError):
     """Brute-force budget exceeded."""
 
 
-def es_swrt(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, int]:
-    """Minimum total weighted recovery time order for an out-tree, and its
-    objective.
+def es_swrt(inst: ProblemInstance, parent) -> tuple[tuple[int, ...], int]:
+    """Minimum total weighted recovery time order (edge ids) for the out-tree
+    of a parent map (vertex -> (parent vertex, edge id)), and its objective.
 
     Horn's ratio merging in O(n log n): the non-root block with the largest
     weight/length ratio (tie: smallest head vertex) is concatenated onto the
@@ -48,8 +47,8 @@ def es_swrt(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, in
     """
     if inst.variant not in (USRT, SWRT):
         raise ValueError(f"es_swrt does not apply to variant {inst.variant}")
-    net = tree.net
-    n, depot, parent, lengths = net.n, net.depot, tree.parent, net.lengths
+    net = inst.net
+    n, depot, lengths = net.n, net.depot, net.lengths
     heappop, heappushpop = heapq.heappop, heapq.heappushpop
     weight = list(inst.scaled_weights)
     length = [lengths[eid] for _, eid in parent]
@@ -88,12 +87,12 @@ def es_swrt(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, in
         t += lengths[eid]
         obj += weights[v] * t
         v = nxt[v]
-    return EdgeSchedule(tree, tuple(order)), obj
+    return tuple(order), obj
 
 
-def es_lmax(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, int]:
-    """Minimum maximum-lateness order for an out-tree (least-cost-last), and
-    its objective.
+def es_lmax(inst: ProblemInstance, parent) -> tuple[tuple[int, ...], int]:
+    """Minimum maximum-lateness order for the out-tree of a parent map
+    (least-cost-last), and its objective.
 
     Builds the sequence backwards in O(n log n): a heap holds the jobs with
     no unplaced children, and the one with the largest due date (tie:
@@ -103,11 +102,11 @@ def es_lmax(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, in
     """
     if inst.variant != L:
         raise ValueError(f"es_lmax does not apply to variant {inst.variant}")
-    depot, parent, lengths = tree.net.depot, tree.parent, tree.net.lengths
+    depot, lengths = inst.net.depot, inst.net.lengths
     due = inst.vertex_due_dates
     rank, by_rank = inst.due_ranks
     heappop, heappush = heapq.heappop, heapq.heappush
-    pending_kids = [0] * (tree.net.n + 1)  # the last slot counts the depot's parent -1
+    pending_kids = [0] * (inst.net.n + 1)  # the last slot counts the depot's parent -1
     for p, _ in parent:
         pending_kids[p] += 1
     pending_kids[depot] += 1  # so the depot is never placed
@@ -131,10 +130,10 @@ def es_lmax(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, in
         t += lengths[eid]
         if t - due[v] > obj:
             obj = t - due[v]
-    return EdgeSchedule(tree, tuple(order)), obj
+    return tuple(order), obj
 
 
-def _effective_due_dates(inst: ProblemInstance, tree: SpanningTree) -> dict[int, float]:
+def _effective_due_dates(inst: ProblemInstance, parent) -> dict[int, float]:
     """Per tree edge: the smallest due date over relevant pairs whose tree
     path contains the edge; infinity if none.
 
@@ -146,9 +145,9 @@ def _effective_due_dates(inst: ProblemInstance, tree: SpanningTree) -> dict[int,
     parent, whose root stays.  A path walk jumps from root to root.  Once
     every edge is painted the remaining pairs change nothing.
     """
-    d_e = {eid: math.inf for eid in tree.edge_ids}
-    parent, depth = tree.parent, tree.depth
-    link = list(range(tree.net.n))
+    d_e = {eid: math.inf for _, eid in parent if eid >= 0}
+    depth = tree_depths(parent, inst.net.depot)
+    link = list(range(inst.net.n))
 
     def find(x: int) -> int:
         while link[x] != x:
@@ -172,9 +171,9 @@ def _effective_due_dates(inst: ProblemInstance, tree: SpanningTree) -> dict[int,
     return d_e
 
 
-def es_letpc(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, int]:
-    """Minimum maximum pair lateness order in the external setting, and its
-    objective.
+def es_letpc(inst: ProblemInstance, parent) -> tuple[tuple[int, ...], int]:
+    """Minimum maximum pair lateness order in the external setting for the
+    tree of a parent map, and its objective.
 
     Edges get effective due dates (minimum over covering relevant pairs) and
     are sequenced in ascending (due date, edge id) order.  A pair connects
@@ -184,8 +183,8 @@ def es_letpc(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, i
     """
     if inst.variant != L_ETPC:
         raise ValueError(f"es_letpc does not apply to variant {inst.variant}")
-    keyed = sorted((d, eid) for eid, d in _effective_due_dates(inst, tree).items())
-    lengths = tree.net.lengths
+    keyed = sorted((d, eid) for eid, d in _effective_due_dates(inst, parent).items())
+    lengths = inst.net.lengths
     t = 0
     # every relevant pair covers at least one edge, so the result is an int
     obj = -math.inf
@@ -195,29 +194,52 @@ def es_letpc(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, i
         t += lengths[eid]
         if t - d > obj:
             obj = t - d
-    return EdgeSchedule(tree, tuple(eid for _, eid in keyed)), obj
+    return tuple(eid for _, eid in keyed), obj
 
 
-def _solve(inst: ProblemInstance, tree: SpanningTree) -> tuple[EdgeSchedule, int]:
-    """ES(T) and its objective, by the instance's variant."""
+def kernel(inst: ProblemInstance):
+    """The ES(T) kernel of the instance's variant, ``(inst, parent map) ->
+    (order, objective)``."""
     if inst.variant in (USRT, SWRT):
-        return es_swrt(inst, tree)
-    if inst.variant == L:
-        return es_lmax(inst, tree)
-    return es_letpc(inst, tree)
+        return es_swrt
+    return es_lmax if inst.variant == L else es_letpc
 
 
 def optimal_schedule(inst: ProblemInstance, tree: SpanningTree) -> EdgeSchedule:
     """ES(T): the exact tree-restricted solver for the instance's variant."""
-    return _solve(inst, tree)[0]
+    return EdgeSchedule(tree, kernel(inst)(inst, tree.parent)[0])
 
 
 def iter_spanning_trees(net: Network):
-    """All spanning trees as sorted edge-id tuples, in lexicographic order."""
-    for combo in combinations(range(net.m), net.n - 1):
-        uf = _UnionFind(net.n)
-        if all(uf.union(*net.edges[eid][:2]) for eid in combo):
-            yield combo
+    """All spanning trees as sorted edge-id tuples, in lexicographic order:
+    include-first backtracking over ascending edge ids.  An edge is taken
+    when it joins two sets of a union-find (by size, without path
+    compression, so one link undoes a union on return) and passed over
+    while enough edges remain after it."""
+    edges, need = net.edges, net.n - 1
+    link, size, chosen = list(range(net.n)), [1] * net.n, []
+
+    def find(x: int) -> int:
+        while link[x] != x:
+            x = link[x]
+        return x
+
+    def extend(e: int):
+        if len(chosen) == need:
+            yield tuple(chosen)
+        elif net.m - e >= need - len(chosen):
+            a, b = sorted((find(edges[e][0]), find(edges[e][1])), key=size.__getitem__)
+            if a != b:  # the smaller set a hangs below b
+                link[a] = b
+                size[b] += size[a]
+                chosen.append(e)
+                yield from extend(e + 1)
+                chosen.pop()
+                size[b] -= size[a]
+                link[a] = a
+            yield from extend(e + 1)
+
+    return extend(0)
 
 
 def brute_force_instance(inst: ProblemInstance):
@@ -225,10 +247,11 @@ def brute_force_instance(inst: ProblemInstance):
     net = inst.net
     if not (net.n <= 7 or net.m <= net.n + 3):
         raise SizeGuardError(f"instance too large for brute force (n={net.n}, m={net.m})")
-    best_obj = None
-    best_sched = None
+    es = kernel(inst)
+    best_obj = best_sched = None
     for combo in iter_spanning_trees(net):
-        sched, obj = _solve(inst, SpanningTree.from_edges(net, combo))
+        tree = SpanningTree.from_edges(net, combo)
+        order, obj = es(inst, tree.parent)
         if best_obj is None or obj < best_obj:
-            best_obj, best_sched = obj, sched
+            best_obj, best_sched = obj, EdgeSchedule(tree, order)
     return best_obj, best_sched

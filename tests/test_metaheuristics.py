@@ -40,6 +40,7 @@ from netcon import (
 import netcon.local_search
 import netcon.metaheuristics
 import netcon.neighborhoods
+import netcon.tree_solvers
 from netcon.metaheuristics import TabuList
 
 from helpers import (
@@ -195,15 +196,15 @@ class TestSearch:
             clock[0] += 1.0
             return clock[0]
 
-        evaluated = [0]
-        real_solve_tree = netcon.neighborhoods.solve_tree
+        evaluated = [0]  # ES(T) kernel calls: the SWRT instance's es_swrt
+        real_es_swrt = netcon.tree_solvers.es_swrt
 
-        def counting_solve_tree(*args):
+        def counting_es_swrt(*args):
             evaluated[0] += 1
-            return real_solve_tree(*args)
+            return real_es_swrt(*args)
 
         monkeypatch.setattr(time, "monotonic", fake_monotonic)
-        monkeypatch.setattr(netcon.neighborhoods, "solve_tree", counting_solve_tree)
+        monkeypatch.setattr(netcon.tree_solvers, "es_swrt", counting_es_swrt)
         for algo in (ILS, TS):
             for kind in (NET, SCH):
                 evaluated[0] = 0

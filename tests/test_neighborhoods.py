@@ -28,7 +28,8 @@ from netcon import (
     solve_tree,
     vertex_recovery_sequence,
 )
-from netcon import graph, neighborhoods
+import netcon.local_search
+from netcon import Budget, L, Solution, graph, loc, neighborhoods
 from netcon.neighborhoods import apply_shift, enumerate_shifts, sequence
 
 from helpers import (
@@ -368,6 +369,107 @@ class TestNetExchange:
         current = mst_heuristic(inst)
         stream = list(neighbors(inst, current, NET))
         assert stream and stream == reference_net_neighbors(inst, current)
+
+
+def count_builds(monkeypatch) -> dict:
+    """Count every ``SpanningTree`` and ``EdgeSchedule`` constructed."""
+    built = {SpanningTree: 0, EdgeSchedule: 0}
+    for cls in built:
+        real = cls.__init__
+
+        def counting(self, *args, _cls=cls, _real=real):
+            built[_cls] += 1
+            _real(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+class TestDeferredNetNeighbours:
+    """A NET neighbour holds ES(T)'s objective from the scan and builds its
+    tree and schedule on first read, after the scan has moved on."""
+
+    @given(small_instances(), st.lists(st.integers(0, 10**6), max_size=3))
+    @settings(max_examples=100)
+    def test_read_after_exhausting(self, inst, picks):
+        # every objective is read during the scan and every tree and
+        # schedule only once the generator is exhausted, last neighbour
+        # first: the scan's one parent list leaves nothing behind
+        current = mst_heuristic(inst)
+        for pick in [*picks, None]:
+            stream, objectives = [], []
+            for attrs, sol in neighbors(inst, current, NET):
+                objectives.append(sol.objective)
+                stream.append((attrs, sol))
+            built = [(attrs, sol.tree, sol.schedule) for attrs, sol in reversed(stream)][::-1]
+            reference = reference_net_neighbors(inst, current)
+            assert objectives == [sol.objective for _, sol in reference]
+            assert built == [(attrs, sol.tree, sol.schedule) for attrs, sol in reference]
+            if pick is None or not stream:
+                break
+            current = stream[pick % len(stream)][1]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_unread_neighbours_build_nothing(self, monkeypatch, variant):
+        inst = generate(GeneratorSpec("euclidean_complete", 8, 1, variant))
+        current = mst_heuristic(inst)
+        built = count_builds(monkeypatch)
+        stream = list(neighbors(inst, current, NET))
+        assert len(stream) > 2 and built == {SpanningTree: 0, EdgeSchedule: 0}
+        sol = stream[1][1]
+        assert sol.schedule.tree is sol.tree
+        assert built == {SpanningTree: 1, EdgeSchedule: 1}
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_loc_builds_only_what_it_reads(self, monkeypatch, variant):
+        # the accepted neighbours, which impr reads, and the scan's first
+        # minimum once read; the other neighbours of every scan stay unbuilt
+        inst = generate(GeneratorSpec("euclidean_complete", 9, 4, variant))
+        built = spy_on(monkeypatch, "exchanged", SpanningTree)
+        accepted = []
+        real_impr = netcon.local_search.impr
+
+        def spy_impr(inst, s):
+            accepted.append(s)
+            return real_impr(inst, s)
+
+        monkeypatch.setattr(netcon.local_search, "impr", spy_impr)
+        budget = Budget(60.0)
+        start = solve_tree(inst, random_spanning_tree(random.Random(5), inst.net))
+        loc(inst, start, NET, budget)
+        assert accepted and built == [s.tree for s in accepted]
+        first_min = budget.optimum_neighbour[1]
+        assert built == [s.tree for s in accepted] + [first_min.tree]
+
+    def test_corrupted_objective_raises(self, monkeypatch):
+        inst = generate(GeneratorSpec("euclidean_complete", 7, 2, L))
+        current = mst_heuristic(inst)
+        real = neighborhoods.kernel(inst)
+
+        def off_by_one(inst, parent):
+            order, obj = real(inst, parent)
+            return order, obj + 1
+
+        monkeypatch.setattr(neighborhoods, "kernel", lambda inst: off_by_one)
+        (_, sol), *_ = neighbors(inst, current, NET)
+        for read in ("tree", "schedule"):
+            with pytest.raises(RuntimeError, match="differs"):
+                getattr(sol, read)
+        made = Solution.deferred(inst, current.objective - 1, lambda: current.tree)
+        with pytest.raises(RuntimeError, match="differs"):
+            made == current
+
+    def test_solution_read_only_and_compared_on_all_fields(self):
+        inst = generate(GeneratorSpec("euclidean_complete", 6, 3, USRT))
+        sol = mst_heuristic(inst)
+        with pytest.raises(AttributeError):
+            sol.objective = 0
+        with pytest.raises(AttributeError):
+            sol.tree = None
+        assert sol == Solution(sol.tree, sol.schedule, sol.objective)
+        assert sol != Solution(sol.tree, sol.schedule, sol.objective + 1)
+        other = next(neighbors(inst, sol, NET))[1]
+        assert other != sol and other == solve_tree(inst, other.tree)
 
 
 class TestSchReplay:

@@ -54,24 +54,24 @@ class TestEsSwrt:
         net = Network(3, ((0, 1, 2), (0, 2, 1)))
         inst = ProblemInstance(net, SWRT, weights=(1, 1, 1))
         tree = SpanningTree.from_edges(net, [0, 1])
-        sched, obj = es_swrt(inst, tree)
-        assert sched.order == (1, 0)
-        assert evaluate(inst, sched)[0] == obj == 4
+        order, obj = es_swrt(inst, tree.parent)
+        assert order == (1, 0)
+        assert evaluate(inst, EdgeSchedule(tree, order))[0] == obj == 4
 
     def test_chain_unique_order(self):
         net = Network(3, ((0, 1, 1), (1, 2, 2)))
         inst = ProblemInstance(net, SWRT, weights=(1, 1, 10))
         tree = SpanningTree.from_edges(net, [0, 1])
-        sched, obj = es_swrt(inst, tree)
-        assert sched.order == (0, 1)
-        assert evaluate(inst, sched)[0] == obj == 1 + 10 * 3
+        order, obj = es_swrt(inst, tree.parent)
+        assert order == (0, 1)
+        assert evaluate(inst, EdgeSchedule(tree, order))[0] == obj == 1 + 10 * 3
 
     def test_tri_usrt(self):
         inst = ProblemInstance(tri(), USRT)
         tree = SpanningTree.from_edges(tri(), [0, 2])
-        sched, obj = es_swrt(inst, tree)
-        assert sched.order == (0, 2)
-        assert evaluate(inst, sched)[0] == obj == 3
+        order, obj = es_swrt(inst, tree.parent)
+        assert order == (0, 2)
+        assert evaluate(inst, EdgeSchedule(tree, order))[0] == obj == 3
 
     def test_wrong_variant(self):
         inst = ProblemInstance(tri(), L, vertex_due_dates=(0, 0, 0))
@@ -80,15 +80,17 @@ class TestEsSwrt:
 
     def test_equal_ratio_star_smallest_head_first(self):
         inst = ProblemInstance(unit_star(), USRT)
-        sched, _ = es_swrt(inst, SpanningTree.from_edges(unit_star(), range(4)))
-        assert sched.order == (0, 1, 2, 3)
+        tree = SpanningTree.from_edges(unit_star(), range(4))
+        order, _ = es_swrt(inst, tree.parent)
+        assert order == (0, 1, 2, 3)
 
     def test_equal_ratio_two_levels(self):
         # every weight/length ratio is 1; merged blocks keep ratio 1
         net = Network(5, ((0, 1, 2), (0, 2, 1), (1, 3, 1), (2, 4, 3)))
         inst = ProblemInstance(net, SWRT, weights=(1, 2, 1, 1, 3))
-        sched, _ = es_swrt(inst, SpanningTree.from_edges(net, range(4)))
-        assert sched.order == (0, 1, 2, 3)
+        tree = SpanningTree.from_edges(net, range(4))
+        order, _ = es_swrt(inst, tree.parent)
+        assert order == (0, 1, 2, 3)
 
 
 class TestEsLmax:
@@ -97,17 +99,18 @@ class TestEsLmax:
         net = Network(3, ((0, 1, 1), (0, 2, 2)))
         inst = ProblemInstance(net, L, vertex_due_dates=(0, 3, 2))
         tree = SpanningTree.from_edges(net, [0, 1])
-        sched, obj = es_lmax(inst, tree)
-        assert sched.order == (1, 0)
-        assert evaluate(inst, sched)[0] == obj == 0
+        order, obj = es_lmax(inst, tree.parent)
+        assert order == (1, 0)
+        assert evaluate(inst, EdgeSchedule(tree, order))[0] == obj == 0
         reverse = EdgeSchedule(tree, (0, 1))
         assert evaluate(inst, reverse)[0] == 1
 
     def test_chain_unique_order(self):
         net = Network(3, ((0, 1, 1), (1, 2, 2)))
         inst = ProblemInstance(net, L, vertex_due_dates=(0, 5, 5))
-        sched, _ = es_lmax(inst, SpanningTree.from_edges(net, [0, 1]))
-        assert sched.order == (0, 1)
+        tree = SpanningTree.from_edges(net, [0, 1])
+        order, _ = es_lmax(inst, tree.parent)
+        assert order == (0, 1)
 
     def test_equal_due_dates(self):
         rng = random.Random(31)
@@ -116,19 +119,21 @@ class TestEsLmax:
             tree = random_spanning_tree(rng, net)
             d = rng.randint(0, 30)
             inst = ProblemInstance(net, L, vertex_due_dates=(d,) * net.n)
-            sched, obj = es_lmax(inst, tree)
-            assert evaluate(inst, sched)[0] == obj == tree.total_length - d
+            order, obj = es_lmax(inst, tree.parent)
+            assert evaluate(inst, EdgeSchedule(tree, order))[0] == obj == tree.total_length - d
 
     def test_equal_due_star_smallest_vertex_last(self):
         inst = ProblemInstance(unit_star(), L, vertex_due_dates=(0,) * 5)
-        sched, _ = es_lmax(inst, SpanningTree.from_edges(unit_star(), range(4)))
-        assert sched.order == (3, 2, 1, 0)
+        tree = SpanningTree.from_edges(unit_star(), range(4))
+        order, _ = es_lmax(inst, tree.parent)
+        assert order == (3, 2, 1, 0)
 
     def test_equal_due_two_levels(self):
         net = Network(5, ((0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 4, 1)))
         inst = ProblemInstance(net, L, vertex_due_dates=(4,) * 5)
-        sched, _ = es_lmax(inst, SpanningTree.from_edges(net, range(4)))
-        assert sched.order == (1, 3, 0, 2)
+        tree = SpanningTree.from_edges(net, range(4))
+        order, _ = es_lmax(inst, tree.parent)
+        assert order == (1, 3, 0, 2)
 
 
 @st.composite
@@ -205,34 +210,34 @@ class TestHeapSolversMatchReferences:
     def test_swrt(self, case):
         tree, weights = case
         inst = ProblemInstance(tree.net, SWRT, weights=weights)
-        assert es_swrt(inst, tree)[0].order == reference_es_swrt(inst, tree).order
+        assert es_swrt(inst, tree.parent)[0] == reference_es_swrt(inst, tree).order
 
     @given(tied_trees())
     @settings(max_examples=100)
     def test_usrt(self, case):
         inst = ProblemInstance(case[0].net, USRT)
-        assert es_swrt(inst, case[0])[0].order == reference_es_swrt(inst, case[0]).order
+        assert es_swrt(inst, case[0].parent)[0] == reference_es_swrt(inst, case[0]).order
 
     @given(tied_trees(HUGE_VALUES))
     @settings(max_examples=300)
     def test_swrt_huge_weights(self, case):
         tree, weights = case
         inst = ProblemInstance(tree.net, SWRT, weights=weights)
-        assert es_swrt(inst, tree)[0].order == reference_es_swrt(inst, tree).order
+        assert es_swrt(inst, tree.parent)[0] == reference_es_swrt(inst, tree).order
 
     @given(tied_trees(min_n=2))
     @settings(max_examples=400)
     def test_lmax(self, case):
         tree, due = case
         inst = ProblemInstance(tree.net, L, vertex_due_dates=due)
-        assert es_lmax(inst, tree)[0].order == reference_es_lmax(inst, tree).order
+        assert es_lmax(inst, tree.parent)[0] == reference_es_lmax(inst, tree).order
 
     @given(tied_trees(HUGE_VALUES | st.sampled_from((2**80, 2**80 + 1)), min_n=2))
     @settings(max_examples=200)
     def test_lmax_huge_due_dates(self, case):
         tree, due = case
         inst = ProblemInstance(tree.net, L, vertex_due_dates=due)
-        assert es_lmax(inst, tree)[0].order == reference_es_lmax(inst, tree).order
+        assert es_lmax(inst, tree.parent)[0] == reference_es_lmax(inst, tree).order
 
     @given(farey_sibling_trees())
     @settings(max_examples=300)
@@ -241,14 +246,14 @@ class TestHeapSolversMatchReferences:
         # largest total length, and on a tie still puts the smaller head first
         tree, weights = case
         inst = ProblemInstance(tree.net, SWRT, weights=weights)
-        assert es_swrt(inst, tree)[0].order == reference_es_swrt(inst, tree).order
+        assert es_swrt(inst, tree.parent)[0] == reference_es_swrt(inst, tree).order
 
     def test_float_colliding_ratios(self):
         # float(2**53 + 1) == float(2**53), but their integer keys differ by
         # L**2 = 16: vertex 2, the larger ratio, goes before the smaller head 1
         inst = ProblemInstance(unit_star(), SWRT, weights=(0, 2**53, 2**53 + 1, 2**53, 1))
         tree = SpanningTree.from_edges(unit_star(), range(4))
-        assert es_swrt(inst, tree)[0].order == reference_es_swrt(inst, tree).order == (1, 0, 2, 3)
+        assert es_swrt(inst, tree.parent)[0] == reference_es_swrt(inst, tree).order == (1, 0, 2, 3)
 
     def test_overflowing_ratios(self):
         # every w/l here is beyond the float range; the ~2**1107 integer keys
@@ -258,7 +263,7 @@ class TestHeapSolversMatchReferences:
         net = Network(5, ((0, 1, 1), (0, 2, 2), (0, 3, 3), (0, 4, 2)))
         inst = ProblemInstance(net, SWRT, weights=(0, big, 2 * big, 2 * big, 2 * big))
         tree = SpanningTree.from_edges(net, range(4))
-        assert es_swrt(inst, tree)[0].order == reference_es_swrt(inst, tree).order == (0, 1, 3, 2)
+        assert es_swrt(inst, tree.parent)[0] == reference_es_swrt(inst, tree).order == (0, 1, 3, 2)
 
     def test_overflowing_merged_blocks(self):
         # a huge child merges into its small parent; the merged block's ratio
@@ -268,7 +273,7 @@ class TestHeapSolversMatchReferences:
         net = Network(4, ((0, 1, 1), (1, 2, 1), (0, 3, 1)))
         inst = ProblemInstance(net, SWRT, weights=(0, 1, 2 * big, big))
         tree = SpanningTree.from_edges(net, range(3))
-        assert es_swrt(inst, tree)[0].order == reference_es_swrt(inst, tree).order == (0, 1, 2)
+        assert es_swrt(inst, tree.parent)[0] == reference_es_swrt(inst, tree).order == (0, 1, 2)
 
     def test_huge_due_dates(self):
         # last come 2 (due 2**80 + 1, beats 4 on the vertex), 4, then 1 and 3
@@ -276,7 +281,7 @@ class TestHeapSolversMatchReferences:
         net = Network(5, ((0, 1, 1), (1, 2, 1), (0, 3, 2), (0, 4, 1)))
         inst = ProblemInstance(net, L, vertex_due_dates=(0, 2**80, 2**80 + 1, 2**80, 2**80 + 1))
         tree = SpanningTree.from_edges(net, range(4))
-        assert es_lmax(inst, tree)[0].order == reference_es_lmax(inst, tree).order == (2, 0, 3, 1)
+        assert es_lmax(inst, tree.parent)[0] == reference_es_lmax(inst, tree).order == (2, 0, 3, 1)
 
 
 @st.composite
@@ -306,7 +311,7 @@ class TestExchangeTreesMatchReferences:
         tree, weights = case
         inst = ProblemInstance(tree.net, SWRT, weights=weights)
         for _, _, other in tree.exchanges():
-            assert es_swrt(inst, other)[0].order == reference_es_swrt(inst, other).order
+            assert es_swrt(inst, other.parent)[0] == reference_es_swrt(inst, other).order
 
     @given(tied_networks(HUGE_DUE_DATES, min_n=2))
     @settings(max_examples=150)
@@ -314,7 +319,7 @@ class TestExchangeTreesMatchReferences:
         tree, due = case
         inst = ProblemInstance(tree.net, L, vertex_due_dates=due)
         for _, _, other in tree.exchanges():
-            assert es_lmax(inst, other)[0].order == reference_es_lmax(inst, other).order
+            assert es_lmax(inst, other.parent)[0] == reference_es_lmax(inst, other).order
 
 
 class TestTablesPerInstance:
@@ -345,9 +350,9 @@ class TestTablesPerInstance:
             c = dataclasses.replace(a, **{field: tuple(reversed(getattr(a, field)))})
             for tree in trees:
                 for inst in (a, b, c, a):
-                    sched, obj = ES[variant](inst, tree)
-                    assert sched.order == refs[variant](inst, tree).order
-                    assert obj == evaluate(inst, sched)[0]
+                    order, obj = ES[variant](inst, tree.parent)
+                    assert order == refs[variant](inst, tree).order
+                    assert obj == evaluate(inst, EdgeSchedule(tree, order))[0]
 
 
 @st.composite
@@ -390,10 +395,10 @@ class TestReturnedObjectives:
 
     @staticmethod
     def check(inst, tree):
-        sched, obj = ES[inst.variant](inst, tree)
+        order, obj = ES[inst.variant](inst, tree.parent)
         assert type(obj) is int
-        assert obj == evaluate(inst, sched)[0]
-        assert sched.order == optimal_schedule(inst, tree).order
+        assert obj == evaluate(inst, EdgeSchedule(tree, order))[0]
+        assert order == optimal_schedule(inst, tree).order
         if tree.net.n <= 7:
             assert obj == brute_force_tree(inst, tree)[0]
 
@@ -424,7 +429,7 @@ class TestReturnedObjectives:
     @settings(max_examples=200)
     def test_letpc_uncovered_edges(self, case):
         tree, inst = case
-        assert math.inf in tree_solvers._effective_due_dates(inst, tree).values()
+        assert math.inf in tree_solvers._effective_due_dates(inst, tree.parent).values()
         self.check(inst, tree)
 
 
@@ -435,21 +440,21 @@ class TestEsLetpc:
         tree, inst = case
         ref = reference_effective_due_dates(inst, tree)
         expected = tuple(sorted(tree.edge_ids, key=lambda e: (ref[e], e)))
-        assert es_letpc(inst, tree)[0].order == expected
+        assert es_letpc(inst, tree.parent)[0] == expected
 
     @given(tied_pair_trees())
     @settings(max_examples=400)
     def test_painted_due_dates_match_reference(self, case):
         tree, inst = case
-        painted = tree_solvers._effective_due_dates(inst, tree)
+        painted = tree_solvers._effective_due_dates(inst, tree.parent)
         assert painted == reference_effective_due_dates(inst, tree)
 
     def test_tri_pairs(self):
         inst = ProblemInstance(tri(), L_ETPC, pair_due_dates={(1, 2): 1, (0, 1): 3})
         tree = SpanningTree.from_edges(tri(), [0, 2])
-        sched, obj = es_letpc(inst, tree)
-        assert sched.order == (2, 0)
-        assert evaluate(inst, sched)[0] == obj == 0
+        order, obj = es_letpc(inst, tree.parent)
+        assert order == (2, 0)
+        assert evaluate(inst, EdgeSchedule(tree, order))[0] == obj == 0
 
     def test_single_spanning_pair(self):
         rng = random.Random(32)
@@ -463,17 +468,17 @@ class TestEsLetpc:
                 continue  # only the whole-tree case is asserted
             d = rng.randint(0, 10)
             inst = ProblemInstance(net, L_ETPC, pair_due_dates={(u, v): d})
-            sched, obj = es_letpc(inst, tree)
-            assert evaluate(inst, sched)[0] == obj == tree.total_length - d
+            order, obj = es_letpc(inst, tree.parent)
+            assert evaluate(inst, EdgeSchedule(tree, order))[0] == obj == tree.total_length - d
 
     def test_leaf_edge_first(self):
         # q=1 relevant pair = endpoints of one leaf edge: that edge goes first
         net = Network(3, ((0, 1, 4), (1, 2, 6)))
         inst = ProblemInstance(net, L_ETPC, pair_due_dates={(1, 2): 5})
         tree = SpanningTree.from_edges(net, [0, 1])
-        sched, obj = es_letpc(inst, tree)
-        assert sched.order == (1, 0)
-        assert evaluate(inst, sched)[0] == obj == 6 - 5
+        order, obj = es_letpc(inst, tree.parent)
+        assert order == (1, 0)
+        assert evaluate(inst, EdgeSchedule(tree, order))[0] == obj == 6 - 5
 
     def test_equal_due_dates_out_of_order(self):
         # pairs with due date 3 come in non-sorted order, one reversed; the
@@ -485,20 +490,21 @@ class TestEsLetpc:
             ((2, 4), 1), ((3, 5), 3), ((1, 4), 3), ((0, 2), 3), ((2, 3), 7)
         )
         tree = SpanningTree.from_edges(net, range(5))
-        painted = tree_solvers._effective_due_dates(inst, tree)
+        painted = tree_solvers._effective_due_dates(inst, tree.parent)
         assert painted == reference_effective_due_dates(inst, tree)
-        sched, obj = es_letpc(inst, tree)
-        assert sched.order == tuple(sorted(tree.edge_ids, key=lambda e: (painted[e], e)))
-        assert evaluate(inst, sched)[0] == obj == brute_force_tree(inst, tree)[0]
+        order, obj = es_letpc(inst, tree.parent)
+        assert order == tuple(sorted(tree.edge_ids, key=lambda e: (painted[e], e)))
+        assert evaluate(inst, EdgeSchedule(tree, order))[0] == obj == brute_force_tree(inst, tree)[0]
 
     def test_due_dates_above_total_length(self):
         # effective due dates are real due dates however large; a cap at the
         # total length + 1 tied e0 with e1 here and put e0 first
         path = Network(3, ((0, 1, 1), (1, 2, 1)))
         inst = ProblemInstance(path, L_ETPC, pair_due_dates={(0, 2): 10**6, (1, 2): 5})
-        sched, obj = es_letpc(inst, SpanningTree.from_edges(path, [0, 1]))
-        assert sched.order == (1, 0)
-        assert evaluate(inst, sched)[0] == obj == 1 - 5
+        tree = SpanningTree.from_edges(path, [0, 1])
+        order, obj = es_letpc(inst, tree.parent)
+        assert order == (1, 0)
+        assert evaluate(inst, EdgeSchedule(tree, order))[0] == obj == 1 - 5
 
 
 class TestBruteForceTree:
