@@ -362,35 +362,32 @@ class ContractedGraph:
     """A network under repeated edge contraction with maintained distances,
     and the state of A-ET after a prefix of a pairs order.
 
-    ``label[v]`` names v's super-vertex by its smallest member, and ``sets``
+    ``label[v]`` names v's super-vertex by its smallest member, ``members``
+    maps each label to the tuple of its super-vertex's vertices, and ``sets``
     counts the super-vertices.  ``chosen`` holds the edges ``attach`` has
-    contracted so far, which alone determine the state.  ``dist`` stays a
-    full n-by-n matrix, a private copy of the network's; only rows/columns
-    of labels are meaningful.  The state starts from the network's
-    adjacency, which has no parallel edges; contraction creates them and
-    keeps the shortest one (tie: smallest original edge id), and removes
-    loops.
+    contracted so far, which alone determine the state.  ``dist`` is a full
+    n-by-n matrix of which only rows/columns of labels are meaningful: the
+    shared read-only ``cached_oracle`` until the first contraction, then a
+    new matrix per contraction.  A merge stores a new member tuple and a new
+    matrix and writes neither old one, so a copy shares them and costs O(n).
+    The super-vertex adjacency is read from the network's through
+    ``members``; no parallel edge or loop is kept.
     """
 
     def __init__(self, net: Network):
         self.net = net
         self.label = list(range(net.n))
+        self.members = [(v,) for v in range(net.n)]
         self.sets = net.n
-        # adj[r]: dict of other label -> (length, original edge id)
-        self.adj: list[dict[int, tuple[int, int]]] = [
-            {y: (w, eid) for y, eid, w in nbrs} for nbrs in net.adjacency
-        ]
-        self.dist = cached_oracle(net).copy()
+        self.dist = cached_oracle(net)
         self.chosen: set[int] = set()
 
     def copy(self) -> "ContractedGraph":
         """An independent copy of this state."""
         new = object.__new__(ContractedGraph)
-        new.net = self.net
+        new.net, new.dist, new.sets = self.net, self.dist, self.sets
         new.label = self.label.copy()
-        new.sets = self.sets
-        new.adj = [a.copy() for a in self.adj]
-        new.dist = self.dist.copy()
+        new.members = self.members.copy()
         new.chosen = self.chosen.copy()
         return new
 
@@ -402,26 +399,19 @@ class ContractedGraph:
         update is exact: a cross term d(a, x) + d(x, b) is never below
         d(a, b) by the triangle inequality, and dz(z) = 0 makes row z dz.
         """
-        label = self.label
+        label, members, adjacency = self.label, self.members, self.net.adjacency
         x, y = label[x], label[y]
-        if x == y or y not in self.adj[x]:
+        small, other = (x, y) if len(members[x]) <= len(members[y]) else (y, x)
+        if x == y or not any(label[w] == other for m in members[small] for w, _, _ in adjacency[m]):
             raise GraphError(f"vertices {x} and {y} are not adjacent super-vertices")
         z, gone = min(x, y), max(x, y)
         dist = self.dist
         dz = np.minimum(dist[x], dist[y])
-        np.minimum(dist, dz[:, None] + dz, out=dist)
-
-        # z keeps the shorter of each pair of parallel edges (tie: edge id)
-        adj = self.adj
-        keep, drop = adj[z], adj[gone]
-        del keep[gone], drop[z]
-        for u, entry in drop.items():
-            other = adj[u]
-            del other[gone]
-            if u not in keep or entry < keep[u]:
-                keep[u] = other[z] = entry
-        adj[gone] = {}
-        self.label = [z if r == gone else r for r in label]
+        merged = dz[:, None] + dz
+        self.dist = np.minimum(dist, merged, out=merged)
+        for m in members[gone]:
+            label[m] = z
+        members[z], members[gone] = members[z] + members[gone], ()
         self.sets -= 1
         return z
 
@@ -432,17 +422,24 @@ class ContractedGraph:
         The canonical rule (``_walk_back``) walks back from the larger
         label: the predecessor of ``w`` is the smallest adjacent label ``p``
         with ``dist[s, p] + len(p, w) == dist[s, w]``, where ``s`` is the
-        smaller label.
+        smaller label.  An edge inside a super-vertex is never tight, since
+        lengths are positive.
         """
-        ra, rb = self.label[a], self.label[b]
+        label, members, adjacency = self.label, self.members, self.net.adjacency
+        ra, rb = label[a], label[b]
         if ra == rb:
             raise GraphError("endpoints are in the same super-vertex")
-        adj, d = self.adj, self.dist[min(ra, rb)].tolist()
+        d = self.dist[min(ra, rb)].tolist()
         return _walk_back(
             max(ra, rb),
             d,
             lambda x: min(
-                ((p, eid) for p, (length, eid) in adj[x].items() if d[p] + length == d[x]),
+                (
+                    (label[y], eid)
+                    for m in members[x]
+                    for y, eid, length in adjacency[m]
+                    if d[label[y]] + length == d[x]
+                ),
                 default=None,
             ),
         )

@@ -204,8 +204,10 @@ def _replay(snap, order, futures, j, i):
     ``order[j]`` are joined, so runs from one partition attach the same
     unjoined items; each adds what the partition decides (A-IT: the vertex
     set fixes ``in_tree``, ``d_tree``, ``root``; A-ET: ``dist``,
-    exact under the rank-1 update, the kept parallel edges and Kruskal's
-    finish), and joins distinct parts, so adds no edge chosen before."""
+    exact under the rank-1 update, each super-vertex's member set and
+    Kruskal's finish), and joins distinct parts, so adds no edge chosen
+    before.  An A-ET copy shares its matrix and member tuples with
+    ``snap``; a contraction replaces them and never writes them."""
     s = snap.copy()
     s.attach(order[j])
     return _run(s, order, itertools.chain(range(i, j), range(j + 1, len(order) + 1)), futures)

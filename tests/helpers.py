@@ -194,27 +194,39 @@ def walk_tips(tips, s: int, t: int, edge_id) -> list[int]:
     return path
 
 
+def contracted_adjacency(cg) -> list[dict[int, tuple[int, int]]]:
+    """Per vertex, the super-vertex adjacency from ``net.edges`` and
+    ``cg.label`` alone: at a label, other label -> (length, edge id) of the
+    shortest edge between the two (tie: smallest edge id); empty elsewhere."""
+    adj: list[dict[int, tuple[int, int]]] = [{} for _ in range(cg.net.n)]
+    for eid, (a, b, w) in enumerate(cg.net.edges):
+        x, y = cg.label[a], cg.label[b]
+        if x != y and (y not in adj[x] or (w, eid) < adj[x][y]):
+            adj[x][y] = adj[y][x] = (w, eid)
+    return adj
+
+
 def recompute_contracted(cg):
     """Independent (dist, tips) for a ContractedGraph state: fresh Floyd-Warshall
-    over the surviving parallel-edge minima, plus ``reference_tips`` over the
-    active representatives."""
+    over ``contracted_adjacency``, plus ``reference_tips`` over the active
+    representatives."""
     n = cg.net.n
     active = sorted(set(cg.label))
+    adj = contracted_adjacency(cg)
     big = cg.net.total_length + 1
     dist = np.full((n, n), big, dtype=np.int64)
     for v in active:
         dist[v, v] = 0
     for x in active:
-        for y, (length, _) in cg.adj[x].items():
-            if length < dist[x, y]:
-                dist[x, y] = dist[y, x] = length
+        for y, (length, _) in adj[x].items():
+            dist[x, y] = length
     sub = dist[np.ix_(active, active)]
     _floyd_warshall(sub)
     dist[np.ix_(active, active)] = sub
     d = dist.tolist()
     tips = reference_tips(
         {(s, v): d[s][v] for s in active for v in active},
-        lambda v: [(y, length) for y, (length, _) in cg.adj[v].items()],
+        lambda v: [(y, length) for y, (length, _) in adj[v].items()],
         active,
     )
     return dist, tips
@@ -237,7 +249,8 @@ def tip_path(cg, tips, a: int, b: int) -> list[int]:
     """Original edge ids of the path between the super-vertices of ``a`` and
     ``b`` that follows ``tips`` back from the larger representative."""
     ra, rb = cg.label[a], cg.label[b]
-    return walk_tips(tips, min(ra, rb), max(ra, rb), lambda p, x: cg.adj[x][p][1])
+    adj = contracted_adjacency(cg)
+    return walk_tips(tips, min(ra, rb), max(ra, rb), lambda p, x: adj[x][p][1])
 
 
 def reference_rebuild(net: Network, pairs) -> SpanningTree:
@@ -258,10 +271,9 @@ def reference_rebuild(net: Network, pairs) -> SpanningTree:
             cg.contract_edge(a, b)
         chosen.update(path)
     while cg.sets > 1:
+        adj = contracted_adjacency(cg)
         _, eid, x, y = min(
-            (length, eid, x, y)
-            for x in set(cg.label)
-            for y, (length, eid) in cg.adj[x].items()
+            (length, eid, x, y) for x in set(cg.label) for y, (length, eid) in adj[x].items()
         )
         cg.contract_edge(x, y)
         chosen.add(eid)

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netcon import (
+    L_ETPC,
+    SCH,
     ContractedGraph,
     EmptyPathError,
     GraphError,
@@ -14,10 +16,14 @@ from netcon import (
     all_pairs_shortest_paths,
     cached_oracle,
     minimum_spanning_tree,
+    mst_heuristic,
+    neighbors,
     reconstruct_path,
 )
 
 from helpers import (
+    attach_data,
+    contracted_adjacency,
     forest_labels,
     nx_distances,
     random_network,
@@ -161,14 +167,15 @@ class TestShortestPaths:
                 reconstruct_path(tri(), u, v)
 
     def test_cached_matrix_is_read_only(self):
-        # every rebuild shares the cached matrix; a contracted graph works
-        # on its own copy
+        # every rebuild shares the cached matrix; a contraction replaces a
+        # contracted graph's matrix instead of writing it
         net = tri()
         with pytest.raises(ValueError):
             cached_oracle(net)[0, 1] = 0
         cg = ContractedGraph(net)
-        assert cg.dist.flags.writeable
+        assert cg.dist is cached_oracle(net)
         cg.contract_edge(0, 1)
+        assert cg.dist is not cached_oracle(net)
         assert cached_oracle(net)[0, 2] == 2 and cg.dist[0, 2] == 1
 
 
@@ -312,7 +319,7 @@ class TestContraction:
         cg = ContractedGraph(Network(2, ((0, 1, 4),)))
         cg.contract_edge(0, 1)
         assert cg.sets == 1
-        assert cg.adj[0] == {}
+        assert cg.members[0] == (0, 1)
 
     def test_four_cycle_recompute(self):
         net = Network(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)))
@@ -331,6 +338,18 @@ class TestContraction:
         cg.contract_edge(0, 1)
         with pytest.raises(GraphError):
             cg.contract_edge(0, 1)
+        # {0, 1}, {2, 3} and {4, 5}: the only edge between the first two
+        # joins members 1 and 3, neither of them a label
+        net = Network(6, ((0, 1, 1), (2, 3, 1), (1, 3, 1), (3, 4, 1), (4, 5, 1)))
+        cg = ContractedGraph(net)
+        for a, b in ((0, 1), (2, 3), (4, 5)):
+            cg.contract_edge(a, b)
+        with pytest.raises(GraphError, match="not adjacent"):
+            cg.contract_edge(0, 4)
+        with pytest.raises(GraphError, match="not adjacent"):
+            cg.contract_edge(5, 1)
+        assert cg.contract_edge(0, 2) == 0
+        assert cg.label == [0, 0, 0, 0, 4, 4] and cg.sets == 2
 
     def test_random_sequences_match_recompute(self):
         rng = random.Random(14)
@@ -340,9 +359,10 @@ class TestContraction:
             while cg.sets > 1:
                 act = sorted(set(cg.label))
                 x = act[rng.randrange(len(act))]
-                if not cg.adj[x]:
+                adj = contracted_adjacency(cg)
+                if not adj[x]:
                     continue
-                y = sorted(cg.adj[x])[rng.randrange(len(cg.adj[x]))]
+                y = sorted(adj[x])[rng.randrange(len(adj[x]))]
                 cg.contract_edge(x, y)
                 dist, tips = recompute_contracted(cg)
                 act = sorted(set(cg.label))
@@ -352,26 +372,40 @@ class TestContraction:
                     assert cg.shortest_path_edges(a, b) == tip_path(cg, tips, a, b)
 
     def test_copy_is_independent(self):
+        # a copy shares the matrix and the member tuples; attaching on it
+        # replaces them in the copy and leaves every object of the original
         rng = random.Random(15)
         for _ in range(20):
             net = random_network(rng, rng.randint(4, 9))
             cg = ContractedGraph(net)
             a, b, _ = net.edges[0]
             cg.contract_edge(a, b)
-            before = (cg.dist.copy(), [dict(d) for d in cg.adj], cg.sets)
-            label = cg.label.copy()
+            dist, values, adj = cg.dist, cg.dist.copy(), contracted_adjacency(cg)
+            label, members, sets = cg.label.copy(), cg.members.copy(), cg.sets
             twin = cg.copy()
+            assert twin.dist is dist
             x = max(twin.label)
-            twin.attach((x, min(twin.adj[x])))
-            assert np.array_equal(cg.dist, before[0]) and cg.adj == before[1]
-            assert cg.sets == before[2] and cg.label[x] == x
-            assert cg.label == label and twin.label != label
+            twin.attach((x, min(contracted_adjacency(twin)[x])))
+            assert cg.dist is dist and np.array_equal(dist, values)
+            assert contracted_adjacency(cg) == adj and cg.label[x] == x
+            assert (cg.label, cg.members, cg.sets) == (label, members, sets)
+            assert twin.label != label and twin.members != members and twin.dist is not dist
             assert cg.chosen == set() and twin.chosen
             for state in (cg, twin):
                 dist, _ = recompute_contracted(state)
                 active = sorted(set(state.label))
                 ix = np.ix_(active, active)
                 assert np.array_equal(state.dist[ix], dist[ix])
+
+    def test_scan_leaves_cached_oracle_intact(self):
+        # every SCH snapshot starts from the cached matrix, and no
+        # contraction writes it
+        rng = random.Random(17)
+        net = random_network(rng, 9, complete=True)
+        inst = attach_data(rng, net, L_ETPC, max_pairs=20)
+        assert ContractedGraph(net).dist is cached_oracle(net)
+        assert list(neighbors(inst, mst_heuristic(inst), SCH))
+        assert np.array_equal(cached_oracle(net), all_pairs_shortest_paths(net))
 
     @given(attach_runs())
     @settings(max_examples=200)
@@ -392,8 +426,10 @@ class TestContraction:
         with pytest.raises(GraphError):
             cg.contract_edge(0, 1)
             cg.shortest_path_edges(0, 1)
-        # a distance that no edge into the target accounts for
+        # a distance that no edge into the target accounts for, on a
+        # private copy of the shared matrix
         cg = ContractedGraph(net)
+        cg.dist = cg.dist.copy()
         cg.dist[0, 2] = cg.dist[2, 0] = 99
         with pytest.raises(GraphError, match="inconsistent"):
             cg.shortest_path_edges(0, 2)
