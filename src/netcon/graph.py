@@ -200,25 +200,7 @@ class SpanningTree:
             raise GraphError(f"expected {net.n - 1} distinct edges, got {len(ids)}")
         if ids and not 0 <= ids[0] <= ids[-1] < net.m:
             raise GraphError(f"edge ids must lie in [0, {net.m})")
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(net.n)]
-        for eid in ids:
-            a, b, _ = net.edges[eid]
-            adj[a].append((b, eid))
-            adj[b].append((a, eid))
-        parent = [(-2, -2)] * net.n
-        parent[net.depot] = (-1, -1)
-        stack = [net.depot]
-        seen = 1
-        while stack:
-            v = stack.pop()
-            for w, eid in adj[v]:
-                if parent[w] == (-2, -2):
-                    parent[w] = (v, eid)
-                    seen += 1
-                    stack.append(w)
-        if seen != net.n:
-            raise GraphError("edge set does not span all vertices")
-        return cls(net, ids, tuple(parent))
+        return cls(net, ids, tuple(parent_map(net, ids)))
 
     def moves(self):
         """Every edge exchange as ``(add, remove, path, y)``: non-tree edges
@@ -295,6 +277,30 @@ class SpanningTree:
         """Tree edges on the unique u-v path, in order from u to v."""
         side_u, side_v = self._sides(u, v)
         return [self.parent[x][1] for x in side_u + side_v[::-1]]
+
+
+def parent_map(net: Network, edge_ids) -> list[tuple[int, int]]:
+    """The parent map (vertex -> (parent vertex, edge id), depot -> (-1, -1))
+    of the edges ``edge_ids`` hung from the depot, in any order; raises
+    GraphError if they leave a vertex off the depot's component.  A tree's
+    parent map is unique, so the order of ``edge_ids`` is never seen."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(net.n)]
+    edges = net.edges
+    for eid in edge_ids:
+        a, b, _ = edges[eid]
+        adj[a].append((b, eid))
+        adj[b].append((a, eid))
+    parent = [None] * net.n
+    parent[net.depot] = (-1, -1)
+    reached = [net.depot]
+    for v in reached:  # grows as it is read: breadth first
+        for w, eid in adj[v]:
+            if parent[w] is None:
+                parent[w] = (v, eid)
+                reached.append(w)
+    if len(reached) != net.n:
+        raise GraphError("edge set does not span all vertices")
+    return parent
 
 
 def tree_depths(parent, depot: int) -> list[int]:
@@ -444,20 +450,48 @@ class ContractedGraph:
             ),
         )
 
-    def attach(self, pair):
-        """Join the pair via a shortest path in the contracted graph and
-        contract that path, unless the pair is joined already.  Lengths are
-        positive, so the path meets each super-vertex once, and each of its
-        edges joins two super-vertices when its turn comes."""
+    def path(self, pair):
+        """The edges ``attach(pair)`` adds: the shortest path between the
+        pair's super-vertices, or None if the pair is joined already."""
         u, v = pair
         if self.label[u] == self.label[v]:
-            return
-        path = self.shortest_path_edges(u, v)
+            return None
+        return self.shortest_path_edges(u, v)
+
+    def join(self, path):
+        """Contract ``path``, a ``path(pair)`` of this state.  Lengths are
+        positive, so the path meets each super-vertex once, and each of its
+        edges joins two super-vertices when its turn comes."""
         self.chosen.update(path)
         edges = self.net.edges
         for eid in path:
             a, b, _ = edges[eid]
             self.contract_edge(a, b)
+
+    def attach(self, pair):
+        """Join the pair via a shortest path in the contracted graph and
+        contract that path, unless the pair is joined already."""
+        path = self.path(pair)
+        if path is not None:
+            self.join(path)
+
+    def probe(self, pair):
+        """``(path, partition after joining it)`` for ``path(pair)``, or None
+        if the pair is joined already; this state is left as it is.  The
+        super-vertices on the path merge into the one named by their
+        smallest label."""
+        path = self.path(pair)
+        if path is None:
+            return None
+        label, members, edges = self.label, self.members, self.net.edges
+        merged = {label[x] for eid in path for x in edges[eid][:2]}
+        z = min(merged)
+        merged.remove(z)
+        after = array("I", label)
+        for r in merged:
+            for m in members[r]:
+                after[m] = z
+        return path, after.tobytes()
 
     def partition(self) -> bytes:
         """The labels as bytes: the partition, which decides what is added next."""

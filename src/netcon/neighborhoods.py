@@ -3,10 +3,12 @@
 NET exchanges a non-tree edge for a tree edge on the cycle it closes.  A
 scan applies each move (``SpanningTree.moves``) in place to one private
 parent list, runs the ES(T) kernel on it and undoes the move before
-yielding; the neighbour's tree and schedule are built only when read.
-SCH is one shift move for every variant: move one element of the solution's
-connection sequence to the start of an earlier group and rebuild; a vertex
-recovery sequence is the case of one vertex per group.
+yielding.  SCH is one shift move for every variant: move one element of the
+solution's connection sequence to the start of an earlier group and
+rebuild; a vertex recovery sequence is the case of one vertex per group.
+An SCH scan runs the ES(T) kernel on the ``parent_map`` of each distinct
+rebuilt edge set.  Either kind yields deferred neighbours, whose tree and
+schedule are built only when read.
 
 Both rebuild procedures resolve shortest-path ties with one shared canonical
 rule (``graph._walk_back``: walk back from the larger component
@@ -23,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .graph import ContractedGraph, Network, SpanningTree, _walk_back, cached_oracle
+from .graph import ContractedGraph, Network, SpanningTree, _walk_back, cached_oracle, parent_map
 from .model import (
     IT_VARIANTS,
     EdgeSchedule,
@@ -106,11 +108,12 @@ class _ITState:
         new.chosen = self.chosen.copy()
         return new
 
-    def attach(self, v: int):
-        """Connect vertex ``v`` to the tree unless it is in already."""
+    def path(self, v: int):
+        """The edges ``attach(v)`` adds: a shortest path from the tree to
+        ``v``, or None if ``v`` is in the tree already."""
         in_tree = self.in_tree
         if in_tree[v]:
-            return
+            return None
         root, d_tree, dist, adjacency = self.root, self.d_tree, self.dist, self.net.adjacency
         if v > root:
             d = d_tree.tolist()
@@ -121,22 +124,26 @@ class _ITState:
             # every tree vertex stands for ``root`` and lies at d[root]
             target = d[x]
             if x == root:  # the tree's edges to outside vertices
-                tight = (
+                tight = [
                     (y, eid)
                     for t, inside in enumerate(in_tree) if inside
                     for y, eid, length in adjacency[t]
                     if not in_tree[y] and d[y] + length == target
-                )
+                ]
             else:
-                tight = (
+                tight = [
                     (root if in_tree[y] else y, eid)
                     for y, eid, length in adjacency[x]
                     if d[y] + length == target
-                )
+                ]
             return min(tight, default=None)
 
-        path = _walk_back(max(v, root), d, pred)
+        return _walk_back(max(v, root), d, pred)
+
+    def join(self, path):
+        """Add ``path``, a ``path(v)`` of this state, to the tree."""
         self.chosen.update(path)
+        in_tree, d_tree, dist, root = self.in_tree, self.d_tree, self.dist, self.root
         edges = self.net.edges
         for eid in path:
             for x in edges[eid][:2]:
@@ -145,6 +152,24 @@ class _ITState:
                     np.minimum(d_tree, dist[x], out=d_tree)
                     root = min(root, x)
         self.root = root
+
+    def attach(self, v: int):
+        """Connect vertex ``v`` to the tree unless it is in already."""
+        path = self.path(v)
+        if path is not None:
+            self.join(path)
+
+    def probe(self, v: int):
+        """``(path, partition after joining it)`` for ``path(v)``, or None if
+        ``v`` is in the tree already; this state is left as it is."""
+        path = self.path(v)
+        if path is None:
+            return None
+        after, edges = bytearray(self.in_tree), self.net.edges
+        for eid in path:
+            a, b, _ = edges[eid]
+            after[a] = after[b] = 1
+        return path, bytes(after)
 
     def partition(self) -> bytes:
         """The tree's vertex set: the partition, which decides what is added next."""
@@ -175,12 +200,13 @@ def a_et(net: Network, order) -> SpanningTree:
     return _fold(ContractedGraph(net), order)
 
 
-def _run(s, order, ks, futures, snaps=()):
+def _run(s, order, ks, futures, passed, snaps=()):
     """Chosen edges of ``s`` folding ``order[k]`` for k in ``ks`` (copied to ``snaps``
-    at its keys) up to a known future; stores the future of each partition passed."""
-    passed = []  # (partition, chosen edges) at each change of the partition
+    at its keys) up to a known future; stores the future of each partition passed.
+    ``passed`` holds ``[(partition, chosen edges)]`` of ``s``, which has no stored
+    future, and gets one more at each change of the partition."""
     for k in ks:
-        if not passed or len(s.chosen) > len(passed[-1][1]):
+        if len(s.chosen) > len(passed[-1][1]):
             key = s.partition()
             if (future := futures.get(key)) is not None:
                 break
@@ -200,6 +226,9 @@ def _run(s, order, ks, futures, snaps=()):
 def _replay(snap, order, futures, j, i):
     """Chosen edges of the shift (j, i) replayed from ``snap``, the state
     after ``order[:i]``: ``order[j]``, then ``order[i:j]``, then the suffix.
+    The replay probes ``order[j]`` first and copies ``snap`` only if the
+    partition it leads to has no stored future; the copy joins the probed
+    path without walking it again.
     Exact: a run stands before ``order[k]`` once ``order[:k]`` and its own
     ``order[j]`` are joined, so runs from one partition attach the same
     unjoined items; each adds what the partition decides (A-IT: the vertex
@@ -208,18 +237,26 @@ def _replay(snap, order, futures, j, i):
     Kruskal's finish), and joins distinct parts, so adds no edge chosen
     before.  An A-ET copy shares its matrix and member tuples with
     ``snap``; a contraction replaces them and never writes them."""
+    path, key = snap.probe(order[j]) or ((), snap.partition())
+    if (future := futures.get(key)) is not None:
+        return frozenset(itertools.chain(snap.chosen, path, future))
     s = snap.copy()
-    s.attach(order[j])
-    return _run(s, order, itertools.chain(range(i, j), range(j + 1, len(order) + 1)), futures)
+    s.join(path)
+    ks = itertools.chain(range(i, j), range(j + 1, len(order) + 1))
+    return _run(s, order, ks, futures, [(key, frozenset(s.chosen))])
 
 
 def neighbors(inst: ProblemInstance, current: Solution, kind: str):
     """Stream of (tabu attributes, rebuilt solution) in deterministic order:
     a NET exchange gives (add, remove), an SCH shift the moved vertex (v,) or
-    pair (u, v).  A NET neighbour is deferred: it builds its tree and
-    schedule on first read and checks ES(T)'s objective on them."""
+    pair (u, v).  Every neighbour is deferred: it holds ES(T)'s objective
+    from the scan, builds its tree and schedule on first read and checks
+    that objective on them, so a neighbour never read builds no
+    ``SpanningTree``.  An SCH scan runs ES(T) once per distinct tree, on
+    its ``parent_map``; neighbours with one tree share one Solution."""
+    es = kernel(inst)
     if kind == NET:
-        tree, es = current.tree, kernel(inst)
+        tree = current.tree
         parent = tree.parent
         scratch = list(parent)
         for move in tree.moves():
@@ -234,15 +271,19 @@ def neighbors(inst: ProblemInstance, current: Solution, kind: str):
         shifts = list(enumerate_shifts(starts, len(order)))
         if not shifts:
             return
-        base = (ContractedGraph if pairs else _ITState)(inst.net)
+        net = inst.net
+        base = (ContractedGraph if pairs else _ITState)(net)
         snaps, futures = dict.fromkeys(i for _, i in shifts), {}  # the base run fills both
-        _run(base, order, range(len(order) + 1), futures, snaps)
-        solved = {}  # chosen edges -> Solution: one ES(T) per distinct tree
+        _run(base, order, range(len(order) + 1), futures, [(base.partition(), frozenset())], snaps)
+        solved = {}  # chosen edges -> deferred Solution
         for j, i in shifts:
             edges = _replay(snaps[i], order, futures, j, i)
             sol = solved.get(edges)
             if sol is None:
-                sol = solved[edges] = solve_tree(inst, SpanningTree.from_edges(inst.net, edges))
+                obj = es(inst, parent_map(net, edges))[1]
+                sol = solved[edges] = Solution.deferred(
+                    inst, obj, partial(SpanningTree.from_edges, net, edges)
+                )
             yield (order[j] if pairs else (order[j],)), sol
     else:
         raise ValueError(f"unknown neighborhood kind {kind!r}")

@@ -20,6 +20,7 @@ from netcon import (
     neighbors,
     reconstruct_path,
 )
+from netcon import graph
 
 from helpers import (
     attach_data,
@@ -209,6 +210,34 @@ class TestSpanningTree:
         kite = Network(4, ((0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 1)))
         with pytest.raises(GraphError, match="does not span"):
             SpanningTree.from_edges(kite, [0, 1, 2])
+
+    def test_from_edges_checks_through_parent_map(self):
+        # from_edges builds its parent map with graph.parent_map, the helper
+        # the SCH scan runs ES(T) on; its own checks must still hold
+        kite = Network(4, ((0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 1)))
+        with pytest.raises(GraphError, match="expected 3 distinct edges, got 2"):
+            SpanningTree.from_edges(kite, [0, 3])
+        with pytest.raises(GraphError, match="expected 3 distinct edges, got 3"):
+            SpanningTree.from_edges(kite, [0, 3, 3])
+        for ids in ([0, 1, 2], [2, 0, 1]):  # a cycle leaves vertex 3 off
+            with pytest.raises(GraphError, match="does not span"):
+                SpanningTree.from_edges(kite, ids)
+            with pytest.raises(GraphError, match="does not span"):
+                graph.parent_map(kite, ids)
+        tree = SpanningTree.from_edges(kite, [3, 0, 2])
+        assert tree.edge_ids == (0, 2, 3)
+        assert tree.parent == ((-1, -1), (0, 0), (0, 2), (2, 3))
+        assert graph.parent_map(kite, frozenset({3, 2, 0})) == list(tree.parent)
+
+    @given(st.randoms(use_true_random=False), st.integers(1, 9))
+    @settings(max_examples=100)
+    def test_parent_map_ignores_edge_order(self, rng, n):
+        net = random_network(rng, n)
+        net = Network(n, net.edges, depot=rng.randrange(n))
+        tree = random_spanning_tree(rng, net)
+        ids = list(tree.edge_ids)
+        rng.shuffle(ids)
+        assert tuple(graph.parent_map(net, ids)) == tree.parent
 
     # the cycle a non-tree edge (a, b) closes is the tree path from a to b
     def test_cycle_tri(self):

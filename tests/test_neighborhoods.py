@@ -29,6 +29,7 @@ from netcon import (
     vertex_recovery_sequence,
 )
 import netcon.local_search
+import netcon.solution
 from netcon import Budget, L, Solution, graph, loc, neighborhoods
 from netcon.neighborhoods import apply_shift, enumerate_shifts, sequence
 
@@ -600,14 +601,117 @@ class TestSchReplay:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_one_solve_per_distinct_tree(self, monkeypatch, variant):
+        # the scan runs the ES(T) kernel once per distinct tree, on its
+        # parent map; a read neighbour solves again through netcon.solution
         inst = generate(GeneratorSpec("euclidean_complete", 7, 3, variant))
         current = solve_tree(inst, minimum_spanning_tree(inst.net))
         calls = []
-        real = neighborhoods.solve_tree
-        monkeypatch.setattr(
-            neighborhoods, "solve_tree", lambda inst, tree: calls.append(tree) or real(inst, tree)
-        )
+        real = neighborhoods.kernel(inst)
+
+        def counting(inst, parent):
+            calls.append(tuple(parent))
+            return real(inst, parent)
+
+        monkeypatch.setattr(neighborhoods, "kernel", lambda inst: counting)
         stream = list(neighbors(inst, current, SCH))
         distinct = {sol.tree.edge_ids for _, sol in stream}
         assert len(calls) == len(distinct) < len(stream)
+        assert set(calls) == {sol.tree.parent for _, sol in stream}
         assert stream == reference_sch_neighbors(inst, current)
+
+
+class TestDeferredSchNeighbours:
+    """An SCH neighbour holds the objective ES(T) took on the parent map of
+    its replayed edges and builds its tree and schedule on first read."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_unread_neighbours_build_nothing(self, monkeypatch, variant):
+        inst = generate(GeneratorSpec("euclidean_complete", 8, 1, variant))
+        current = mst_heuristic(inst)
+        built = count_builds(monkeypatch)
+        stream = list(neighbors(inst, current, SCH))
+        assert len(stream) > 2 and built == {SpanningTree: 0, EdgeSchedule: 0}
+        sol = stream[1][1]
+        assert sol.schedule.tree is sol.tree
+        assert built == {SpanningTree: 1, EdgeSchedule: 1}
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_loc_builds_only_what_it_reads(self, monkeypatch, variant):
+        # the accepted neighbours, which impr reads, and the scan's first
+        # minimum once read: deferred neighbours build through
+        # netcon.solution.solve_tree, which impr's own rebuilds do not call
+        inst = generate(GeneratorSpec("euclidean_complete", 9, 4, variant))
+        built = spy_on(monkeypatch, "solve_tree", netcon.solution)
+        accepted = []
+        real_impr = netcon.local_search.impr
+
+        def spy_impr(inst, s):
+            accepted.append(s)
+            return real_impr(inst, s)
+
+        monkeypatch.setattr(netcon.local_search, "impr", spy_impr)
+        budget = Budget(60.0)
+        start = solve_tree(inst, random_spanning_tree(random.Random(5), inst.net))
+        loc(inst, start, SCH, budget)
+        assert accepted and [s.tree for s in built] == [s.tree for s in accepted]
+        first_min = budget.optimum_neighbour[1].tree
+        assert [s.tree for s in built] == [s.tree for s in accepted] + [first_min]
+
+    def test_corrupted_objective_raises(self, monkeypatch):
+        inst = generate(GeneratorSpec("euclidean_complete", 7, 2, L))
+        current = mst_heuristic(inst)
+        real = neighborhoods.kernel(inst)
+
+        def off_by_one(inst, parent):
+            order, obj = real(inst, parent)
+            return order, obj + 1
+
+        monkeypatch.setattr(neighborhoods, "kernel", lambda inst: off_by_one)
+        (_, sol), *_ = neighbors(inst, current, SCH)
+        for read in ("tree", "schedule"):
+            with pytest.raises(RuntimeError, match="differs"):
+                getattr(sol, read)
+
+
+def _joined_it(state, v) -> bool:
+    return state.in_tree[v]
+
+
+def _joined_et(state, pair) -> bool:
+    return state.label[pair[0]] == state.label[pair[1]]
+
+
+class TestProbe:
+    """``probe(item)`` reads ``path(item)`` and the partition that joining it
+    leads to off a state it leaves as it is; the oracle is ``attach`` on a
+    copy."""
+
+    @given(small_instances(range(2, 10)), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_probe_equals_attach_on_a_copy(self, inst, rnd):
+        # most drawn instances fold lengths into 1..3, so ties are many
+        net = inst.net
+        for make, items, joined in (
+            (neighborhoods._ITState, list(range(net.n)), _joined_it),
+            (graph.ContractedGraph, list(itertools.combinations(range(net.n), 2)), _joined_et),
+        ):
+            state = make(net)
+            for item in rnd.sample(items, rnd.randint(0, len(items))):
+                state.attach(item)
+            for item in rnd.sample(items, min(len(items), 12)):
+                chosen, key, dist = state.chosen.copy(), state.partition(), state.dist
+                probed = state.probe(item)
+                assert state.chosen == chosen and state.partition() == key
+                assert state.dist is dist
+                oracle = state.copy()
+                oracle.attach(item)
+                added = oracle.chosen - chosen
+                assert (probed is None) == joined(state, item) == (not added)
+                if probed is None:
+                    continue
+                path, after = probed
+                assert len(path) == len(added) and set(path) == added
+                assert after == oracle.partition()
+                split = state.copy()
+                split.join(path)
+                assert split.chosen == oracle.chosen and split.partition() == after
