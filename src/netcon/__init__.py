@@ -2,14 +2,12 @@
 
 from .graph import (
     ContractedGraph,
-    EmptyPathError,
     GraphError,
     Network,
     SpanningTree,
     all_pairs_shortest_paths,
     cached_oracle,
     minimum_spanning_tree,
-    reconstruct_path,
 )
 from .instances import (
     FAMILIES,

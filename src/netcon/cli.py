@@ -8,7 +8,6 @@ import functools
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -204,8 +203,6 @@ def cmd_bench(args) -> int:
     for a in algos:
         if a not in ALGORITHMS:
             raise ValueError(f"--algos: unknown algorithm {a!r}")
-    if args.jobs < 1:
-        raise ValueError(f"--jobs: must be at least 1, got {args.jobs}")
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError:
@@ -215,25 +212,16 @@ def cmd_bench(args) -> int:
     if not seeds:
         raise ValueError("--seeds: no seeds given")
     check_limits(args.time_limit, args.max_iters)
-    tasks = [
-        (str(path), algo, args.time_limit, seed, args.max_iters)
+    records = [
+        _run(str(path), algo, args.time_limit, seed, args.max_iters)[0]
         for path in instances
         for algo in algos
         for seed in seeds
     ]
-    if args.jobs == 1:
-        records = [_solve_one(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
-            records = list(pool.map(_solve_one, tasks))
     records.sort(key=lambda r: (r.instance, r.algorithm, r.seed))
     _append_csv(args.out, records)
     print(args.out)
     return EXIT_OK
-
-
-def _solve_one(task) -> RunRecord:
-    return _run(*task)[0]
 
 
 def cmd_report(args) -> int:
@@ -337,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-limit", type=float, default=600.0)
     p.add_argument("--seeds", default="0", help="comma-separated seeds")
     p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)
 

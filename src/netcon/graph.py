@@ -18,10 +18,6 @@ class GraphError(ValueError):
     """Invalid graph data or a violated structural precondition."""
 
 
-class EmptyPathError(GraphError):
-    """Path reconstruction requested between a vertex and itself."""
-
-
 def _as_int(value, what: str, error=GraphError) -> int:
     """``value`` as an int if it is an integer (numpy's included) and not a
     bool, the rule the instance reader applies; ``error`` otherwise."""
@@ -172,19 +168,6 @@ def cached_oracle(net: Network) -> np.ndarray:
     return dist
 
 
-def reconstruct_path(net: Network, u: int, v: int) -> list[int]:
-    """Edge ids of the canonical shortest u-v path (``_walk_back``), in order
-    from u to v."""
-    if not (0 <= u < net.n and 0 <= v < net.n):
-        raise GraphError(f"vertices {u} and {v} must lie in [0, {net.n})")
-    if u == v:
-        raise EmptyPathError("no path between a vertex and itself")
-    adj, d = net.adjacency, cached_oracle(net)[u].tolist()
-    return _walk_back(
-        v, d, lambda x: min(((p, eid) for p, eid, w in adj[x] if d[p] + w == d[x]), default=None)
-    )
-
-
 @dataclass(frozen=True)
 class SpanningTree:
     """A spanning tree given by edge ids plus a parent map rooted at the depot."""
@@ -205,7 +188,7 @@ class SpanningTree:
     def moves(self):
         """Every edge exchange as ``(add, remove, path, y)``: non-tree edges
         ``add`` ascending, and for each the tree edges ``remove`` on the
-        cycle ``add`` closes, in ``path_edges`` order.
+        cycle ``add`` closes, in order along the tree path between its ends.
 
         ``remove`` cuts off the subtree under its lower endpoint ``c``, which
         holds exactly one endpoint ``x`` of ``add``; ``path`` lists the
@@ -242,11 +225,6 @@ class SpanningTree:
         bisect.insort(swapped, add)
         return SpanningTree(self.net, tuple(swapped), tuple(new))
 
-    def exchanges(self):
-        """Every tree one edge exchange away, as ``(add, remove, tree)``."""
-        for move in self.moves():
-            yield move[0], move[1], self.exchanged(move)
-
     @cached_property
     def depth(self) -> tuple[int, ...]:
         return tuple(tree_depths(self.parent, self.net.depot))
@@ -272,11 +250,6 @@ class SpanningTree:
             side_v.append(v)
             u, v = parent[u][0], parent[v][0]
         return side_u, side_v
-
-    def path_edges(self, u: int, v: int) -> list[int]:
-        """Tree edges on the unique u-v path, in order from u to v."""
-        side_u, side_v = self._sides(u, v)
-        return [self.parent[x][1] for x in side_u + side_v[::-1]]
 
 
 def parent_map(net: Network, edge_ids) -> list[tuple[int, int]]:
@@ -370,7 +343,7 @@ class ContractedGraph:
 
     ``label[v]`` names v's super-vertex by its smallest member, ``members``
     maps each label to the tuple of its super-vertex's vertices, and ``sets``
-    counts the super-vertices.  ``chosen`` holds the edges ``attach`` has
+    counts the super-vertices.  ``chosen`` holds the edges ``join`` has
     contracted so far, which alone determine the state.  ``dist`` is a full
     n-by-n matrix of which only rows/columns of labels are meaningful: the
     shared read-only ``cached_oracle`` until the first contraction, then a
@@ -421,9 +394,9 @@ class ContractedGraph:
         self.sets -= 1
         return z
 
-    def shortest_path_edges(self, a: int, b: int) -> list[int]:
+    def path(self, pair):
         """Original edge ids of the canonical shortest path between the
-        super-vertices of ``a`` and ``b``.
+        super-vertices of the pair, or None if the pair is joined already.
 
         The canonical rule (``_walk_back``) walks back from the larger
         label: the predecessor of ``w`` is the smallest adjacent label ``p``
@@ -432,9 +405,9 @@ class ContractedGraph:
         lengths are positive.
         """
         label, members, adjacency = self.label, self.members, self.net.adjacency
-        ra, rb = label[a], label[b]
+        ra, rb = label[pair[0]], label[pair[1]]
         if ra == rb:
-            raise GraphError("endpoints are in the same super-vertex")
+            return None
         d = self.dist[min(ra, rb)].tolist()
         return _walk_back(
             max(ra, rb),
@@ -450,14 +423,6 @@ class ContractedGraph:
             ),
         )
 
-    def path(self, pair):
-        """The edges ``attach(pair)`` adds: the shortest path between the
-        pair's super-vertices, or None if the pair is joined already."""
-        u, v = pair
-        if self.label[u] == self.label[v]:
-            return None
-        return self.shortest_path_edges(u, v)
-
     def join(self, path):
         """Contract ``path``, a ``path(pair)`` of this state.  Lengths are
         positive, so the path meets each super-vertex once, and each of its
@@ -467,13 +432,6 @@ class ContractedGraph:
         for eid in path:
             a, b, _ = edges[eid]
             self.contract_edge(a, b)
-
-    def attach(self, pair):
-        """Join the pair via a shortest path in the contracted graph and
-        contract that path, unless the pair is joined already."""
-        path = self.path(pair)
-        if path is not None:
-            self.join(path)
 
     def probe(self, pair):
         """``(path, partition after joining it)`` for ``path(pair)``, or None

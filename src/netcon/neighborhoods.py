@@ -83,7 +83,7 @@ def rebuild(inst: ProblemInstance, order) -> Solution:
 
 class _ITState:
     """A-IT after a prefix of a vertex order: the depot tree grown so far,
-    whose vertex set alone decides what later attaches add.
+    whose vertex set alone decides what later joins add.
 
     The path is the one ``a_et`` would choose on the state "tree plus
     singletons": the tree acts as one super-vertex whose id is its smallest
@@ -109,8 +109,8 @@ class _ITState:
         return new
 
     def path(self, v: int):
-        """The edges ``attach(v)`` adds: a shortest path from the tree to
-        ``v``, or None if ``v`` is in the tree already."""
+        """A shortest path from the tree to ``v``, or None if ``v`` is in the
+        tree already."""
         in_tree = self.in_tree
         if in_tree[v]:
             return None
@@ -153,12 +153,6 @@ class _ITState:
                     root = min(root, x)
         self.root = root
 
-    def attach(self, v: int):
-        """Connect vertex ``v`` to the tree unless it is in already."""
-        path = self.path(v)
-        if path is not None:
-            self.join(path)
-
     def probe(self, v: int):
         """``(path, partition after joining it)`` for ``path(v)``, or None if
         ``v`` is in the tree already; this state is left as it is."""
@@ -180,9 +174,10 @@ class _ITState:
 
 
 def _fold(state, order) -> SpanningTree:
-    attach = state.attach
+    path, join = state.path, state.join
     for item in order:
-        attach(item)
+        if (edges := path(item)) is not None:
+            join(edges)
     state.finish()
     return SpanningTree.from_edges(state.net, state.chosen)
 
@@ -196,7 +191,7 @@ def a_it(net: Network, order) -> SpanningTree:
 def a_et(net: Network, order) -> SpanningTree:
     """Join the first unconnected pair of ``order`` via a shortest path in the
     contracted graph, then contract that path; Kruskal finishes the forest a
-    reduced sequence leaves (``ContractedGraph.attach`` and ``finish``)."""
+    reduced sequence leaves (``ContractedGraph.path``, ``join`` and ``finish``)."""
     return _fold(ContractedGraph(net), order)
 
 
@@ -213,8 +208,8 @@ def _run(s, order, ks, futures, passed, snaps=()):
             passed.append((key, frozenset(s.chosen)))
         if k in snaps:
             snaps[k] = s.copy()
-        if k < len(order):
-            s.attach(order[k])
+        if k < len(order) and (path := s.path(order[k])) is not None:
+            s.join(path)
     else:
         s.finish()
     edges = s.chosen.union(future or ())  # future: None unless a lookup ended the run

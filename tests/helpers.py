@@ -168,6 +168,35 @@ def attach_data(
     )
 
 
+def tree_path(tree: SpanningTree, u: int, v: int) -> list[int]:
+    """Edge ids of the tree path from ``u`` to ``v``, in order, from networkx
+    on the tree's edges alone."""
+    g = nx.Graph()
+    g.add_nodes_from(range(tree.net.n))
+    g.add_edges_from((*tree.net.edges[eid][:2], {"eid": eid}) for eid in tree.edge_ids)
+    path = nx.shortest_path(g, u, v)  # a tree has one path
+    return [g.edges[x, y]["eid"] for x, y in zip(path, path[1:])]
+
+
+def reference_moves(tree: SpanningTree) -> list[tuple[int, int]]:
+    """Every edge exchange as ``(add, remove)``: non-tree edges ``add``
+    ascending, each with the edges ``remove`` of ``tree_path`` from its first
+    endpoint to its second, in path order."""
+    ids = set(tree.edge_ids)
+    return [
+        (add, remove)
+        for add, (a, b, _) in enumerate(tree.net.edges)
+        if add not in ids
+        for remove in tree_path(tree, a, b)
+    ]
+
+
+def attach(state, item) -> None:
+    """Join ``item`` on an A-IT or A-ET state unless it is joined already."""
+    if (path := state.path(item)) is not None:
+        state.join(path)
+
+
 def reference_tips(dist, nbrs, vertices) -> dict[tuple[int, int], int]:
     """Canonical predecessors from distances alone: ``tips[s, v]`` (``s != v``)
     is the smallest neighbor ``y`` of ``v`` with
@@ -335,25 +364,15 @@ def reference_sch_neighbors(inst: ProblemInstance, current) -> list:
 
 def reference_net_neighbors(inst: ProblemInstance, current) -> list:
     """The NET stream with every neighbour tree rebuilt from scratch: for
-    each non-tree edge ``add`` ascending, each tree edge ``remove`` on the
-    networkx tree path from ``add``'s first endpoint to its second, in path
-    order; then ``from_edges`` of the swapped id set and
-    ``reference_solution``."""
-    net = inst.net
+    each move of ``reference_moves``, ``from_edges`` of the swapped id set
+    and ``reference_solution``."""
     ids = set(current.tree.edge_ids)
-    g = nx.Graph()
-    g.add_nodes_from(range(net.n))
-    g.add_edges_from((*net.edges[eid][:2], {"eid": eid}) for eid in ids)
-    stream = []
-    for add, (a, b, _) in enumerate(net.edges):
-        if add in ids:
-            continue
-        path = nx.shortest_path(g, a, b)  # a tree has one path
-        for x, y in zip(path, path[1:]):
-            remove = g.edges[x, y]["eid"]
-            tree = SpanningTree.from_edges(net, ids - {remove} | {add})
-            stream.append(((add, remove), reference_solution(inst, tree)))
-    return stream
+    return [
+        ((add, remove), reference_solution(
+            inst, SpanningTree.from_edges(inst.net, ids - {remove} | {add})
+        ))
+        for add, remove in reference_moves(current.tree)
+    ]
 
 
 def reference_effective_due_dates(inst: ProblemInstance, tree: SpanningTree) -> dict:
@@ -361,7 +380,7 @@ def reference_effective_due_dates(inst: ProblemInstance, tree: SpanningTree) -> 
     every relevant pair lowers each edge of its tree path to its due date."""
     d_e = {eid: math.inf for eid in tree.edge_ids}
     for (u, v), d in inst.pair_due_dates.items():
-        for eid in tree.path_edges(u, v):
+        for eid in tree_path(tree, u, v):
             if d < d_e[eid]:
                 d_e[eid] = d
     return d_e
@@ -572,7 +591,7 @@ def _brute_force_et(inst: ProblemInstance, tree: SpanningTree):
     cap = tree.net.total_length + 1
     obj = None
     for (u, v), d in sorted(inst.pair_due_dates.items()):
-        path = [idx_of[eid] for eid in tree.path_edges(u, v)]
+        path = [idx_of[eid] for eid in tree_path(tree, u, v)]
         late = edge_completion[:, path].max(axis=1) - min(d - d0, cap)
         obj = late if obj is None else np.maximum(obj, late, out=obj)
     best = int(obj.argmin())

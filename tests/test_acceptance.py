@@ -195,7 +195,7 @@ def test_criterion_5_contraction_update(capsys):
             if not (
                 np.array_equal(cg.dist[ix], dist[ix])
                 and all(
-                    cg.shortest_path_edges(a, b) == tip_path(cg, tips, a, b)
+                    cg.path((a, b)) == tip_path(cg, tips, a, b)
                     for a, b in itertools.combinations(alive, 2)
                 )
             ):

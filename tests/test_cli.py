@@ -388,7 +388,6 @@ class TestBenchReport:
         assert tri_usrt in err
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--jobs", "0", "--jobs:"),
         ("--seeds", "x", "--seeds:"),
         ("--seeds", ",", "--seeds: no seeds given"),
         ("--algos", ",", "--algos: no algorithms given"),
@@ -413,31 +412,15 @@ class TestBenchReport:
         assert err.startswith("error:") and message in err
         assert not out.exists()
 
-    def test_bench_jobs_capped_by_tasks(self, capsys, tmp_path, monkeypatch):
-        # a fork-based pool starts all max_workers at the first submit
-        seen = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr("netcon.cli.ProcessPoolExecutor", SerialPool)
-        d = self.make_dir(tmp_path)
-        code, _, _ = run_cli(
-            capsys, "bench", "--instances-dir", str(d), "--algos", "mst",
-            "--jobs", "500", "--out", str(tmp_path / "res.csv"),
-        )
-        assert code == 0
-        assert seen == [2]
+    def test_bench_jobs_flag_removed(self, capsys, tmp_path):
+        d = self.make_dir(tmp_path, count=1)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                capsys, "bench", "--instances-dir", str(d), "--algos", "mst",
+                "--jobs", "2", "--out", str(tmp_path / "res.csv"),
+            )
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_report_undefined_gaps(self, capsys, tmp_path):
         from netcon import L, Network

@@ -9,7 +9,6 @@ from netcon import (
     L_ETPC,
     SCH,
     ContractedGraph,
-    EmptyPathError,
     GraphError,
     Network,
     SpanningTree,
@@ -18,11 +17,11 @@ from netcon import (
     minimum_spanning_tree,
     mst_heuristic,
     neighbors,
-    reconstruct_path,
 )
 from netcon import graph
 
 from helpers import (
+    attach,
     attach_data,
     contracted_adjacency,
     forest_labels,
@@ -30,6 +29,7 @@ from helpers import (
     random_network,
     random_spanning_tree,
     recompute_contracted,
+    reference_moves,
     reference_tips,
     tip_path,
     tri,
@@ -113,14 +113,13 @@ class TestShortestPaths:
     def test_single_edge(self):
         net = Network(2, ((0, 1, 7),))
         assert all_pairs_shortest_paths(net)[0, 1] == 7
-        assert reconstruct_path(net, 0, 1) == [0]
+        assert ContractedGraph(net).path((0, 1)) == [0]
 
     def test_tri_paths(self):
-        net = tri()
-        assert reconstruct_path(net, 0, 2) == [0, 2]
-        assert reconstruct_path(net, 0, 1) == [0]
-        with pytest.raises(EmptyPathError):
-            reconstruct_path(net, 1, 1)
+        cg = ContractedGraph(tri())
+        assert cg.path((0, 2)) == [0, 2]
+        assert cg.path((0, 1)) == [0]
+        assert cg.path((1, 1)) is None  # a joined pair has no path
 
     def test_against_independent_dijkstra(self):
         rng = random.Random(11)
@@ -136,12 +135,10 @@ class TestShortestPaths:
         for _ in range(20):
             net = random_network(rng, rng.randint(2, 9))
             dist = all_pairs_shortest_paths(net)
-            for u in range(net.n):
-                for v in range(net.n):
-                    if u == v:
-                        continue
-                    path = reconstruct_path(net, u, v)
-                    assert sum(net.edges[e][2] for e in path) == dist[u, v]
+            cg = ContractedGraph(net)
+            for u, v in itertools.combinations(range(net.n), 2):
+                path = cg.path((u, v))
+                assert sum(net.edges[e][2] for e in path) == dist[u, v]
 
     def test_reconstruct_path_smallest_predecessor(self):
         # lengths 1-2 make equal-length shortest paths frequent
@@ -156,16 +153,10 @@ class TestShortestPaths:
             def edge_id(p, x):
                 return next(eid for y, eid, _ in adj[x] if y == p)
 
-            for u in range(net.n):
-                for v in range(net.n):
-                    if u != v:
-                        expected = walk_tips(tips, u, v, edge_id)
-                        assert reconstruct_path(net, u, v) == expected
-
-    def test_reconstruct_path_out_of_range(self):
-        for u, v in ((-1, 0), (0, -1), (3, 0), (0, 3)):
-            with pytest.raises(GraphError, match="must lie in"):
-                reconstruct_path(tri(), u, v)
+            # on a network with no contraction, the walk starts at the larger vertex
+            cg = ContractedGraph(net)
+            for u, v in itertools.combinations(range(net.n), 2):
+                assert cg.path((u, v)) == walk_tips(tips, u, v, edge_id)
 
     def test_cached_matrix_is_read_only(self):
         # every rebuild shares the cached matrix; a contraction replaces a
@@ -239,37 +230,37 @@ class TestSpanningTree:
         rng.shuffle(ids)
         assert tuple(graph.parent_map(net, ids)) == tree.parent
 
-    # the cycle a non-tree edge (a, b) closes is the tree path from a to b
+    # the moves of a non-tree edge (a, b) remove the edges of the cycle it
+    # closes, in order along the tree path from a to b
     def test_cycle_tri(self):
         tree = SpanningTree.from_edges(tri(), [0, 1])
-        assert tree.path_edges(1, 2) == [0, 1]
+        assert [move[1] for move in tree.moves()] == [0, 1]
 
     def test_cycle_star(self):
         net = Network(4, ((0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1)))
         tree = SpanningTree.from_edges(net, [0, 1, 2])
-        assert tree.path_edges(1, 2) == [0, 1]
+        assert [move[1] for move in tree.moves()] == [0, 1]
 
     def test_cycle_path(self):
         net = Network(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)))
         tree = SpanningTree.from_edges(net, [0, 1, 2])
-        assert tree.path_edges(0, 3) == [0, 1, 2]
+        assert [move[1] for move in tree.moves()] == [0, 1, 2]
 
     def test_path_edges_and_depth(self):
         rng = random.Random(13)
         for _ in range(20):
             net = random_network(rng, rng.randint(2, 9))
             tree = random_spanning_tree(rng, net)
-            for u in range(net.n):
-                for v in range(net.n):
-                    if u == v:
-                        continue
-                    path = tree.path_edges(u, v)
-                    # path really connects u to v inside the tree
-                    cur = u
-                    for eid in path:
-                        a, b, _ = net.edges[eid]
-                        cur = b if cur == a else a
-                    assert cur == v
+            removed = {}
+            for add, remove, _, _ in tree.moves():
+                removed.setdefault(add, []).append(remove)
+            for add, path in removed.items():
+                # the removed edges really lead from add's first endpoint to its second
+                cur, end, _ = net.edges[add]
+                for eid in path:
+                    a, b, _ = net.edges[eid]
+                    cur = b if cur == a else a
+                assert cur == end
 
 
 @st.composite
@@ -293,13 +284,13 @@ def attach_runs(draw):
 
 
 class TestExchange:
-    """``exchanges`` derives each swapped tree from the parent map; a
+    """``exchanged`` derives each swapped tree from the parent map; a
     depot-rooted tree has one parent map, so it must equal the rebuild."""
 
     def test_tri(self):
         tree = SpanningTree.from_edges(tri(), [0, 1])
         # cut e1 (0-2), hang 2 on e2 (1-2)
-        moves = {(add, remove): new for add, remove, new in tree.exchanges()}
+        moves = {move[:2]: tree.exchanged(move) for move in tree.moves()}
         assert moves[2, 1] == SpanningTree.from_edges(tri(), [0, 2])
         assert moves[2, 1].parent == ((-1, -1), (0, 0), (1, 2))
 
@@ -307,8 +298,8 @@ class TestExchange:
         # path 0-1-2-3 rooted at 0, swap e0 (0-1) for e3 (0-3): 3 becomes
         # the child of 0, and 2, 1 hang below it in reverse
         net = Network(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)))
-        moves = SpanningTree.from_edges(net, [0, 1, 2]).exchanges()
-        tree = {(add, remove): new for add, remove, new in moves}[3, 0]
+        base = SpanningTree.from_edges(net, [0, 1, 2])
+        tree = {move[:2]: base.exchanged(move) for move in base.moves()}[3, 0]
         assert tree.edge_ids == (1, 2, 3)
         assert tree.parent == ((-1, -1), (2, 1), (3, 2), (0, 3))
 
@@ -321,19 +312,14 @@ class TestExchange:
         net = tree.net
         for pick in [*picks, None]:
             ids = set(tree.edge_ids)
-            moves = list(tree.exchanges())
-            expected = [
-                (add, remove)
-                for add in range(net.m)
-                if add not in ids
-                for remove in tree.path_edges(*net.edges[add][:2])
-            ]
-            assert [(add, remove) for add, remove, _ in moves] == expected
-            for add, remove, new in moves:
-                assert new == SpanningTree.from_edges(net, ids - {remove} | {add})
+            moves = list(tree.moves())
+            assert [move[:2] for move in moves] == reference_moves(tree)
+            for move in moves:
+                add, remove = move[:2]
+                assert tree.exchanged(move) == SpanningTree.from_edges(net, ids - {remove} | {add})
             if pick is None or not moves:
                 break
-            tree = moves[pick % len(moves)][2]
+            tree = tree.exchanged(moves[pick % len(moves)])
 
 
 class TestContraction:
@@ -398,7 +384,7 @@ class TestContraction:
                 ix = np.ix_(act, act)
                 assert np.array_equal(cg.dist[ix], dist[ix])
                 for a, b in itertools.combinations(act, 2):
-                    assert cg.shortest_path_edges(a, b) == tip_path(cg, tips, a, b)
+                    assert cg.path((a, b)) == tip_path(cg, tips, a, b)
 
     def test_copy_is_independent(self):
         # a copy shares the matrix and the member tuples; attaching on it
@@ -414,7 +400,7 @@ class TestContraction:
             twin = cg.copy()
             assert twin.dist is dist
             x = max(twin.label)
-            twin.attach((x, min(contracted_adjacency(twin)[x])))
+            attach(twin, (x, min(contracted_adjacency(twin)[x])))
             assert cg.dist is dist and np.array_equal(dist, values)
             assert contracted_adjacency(cg) == adj and cg.label[x] == x
             assert (cg.label, cg.members, cg.sets) == (label, members, sets)
@@ -444,21 +430,20 @@ class TestContraction:
         net, pairs = run
         cg = ContractedGraph(net)
         for pair in pairs:
-            cg.attach(pair)
+            attach(cg, pair)
             assert cg.label == forest_labels(net, cg.chosen)
             assert cg.sets == net.n - len(cg.chosen) == len(set(cg.label))
 
     def test_shortest_path_edges(self):
         net = tri()
         cg = ContractedGraph(net)
-        assert cg.shortest_path_edges(0, 2) == [0, 2]
-        with pytest.raises(GraphError):
-            cg.contract_edge(0, 1)
-            cg.shortest_path_edges(0, 1)
+        assert cg.path((0, 2)) == [0, 2]
+        cg.contract_edge(0, 1)
+        assert cg.path((0, 1)) is None  # a joined pair has no path
         # a distance that no edge into the target accounts for, on a
         # private copy of the shared matrix
         cg = ContractedGraph(net)
         cg.dist = cg.dist.copy()
         cg.dist[0, 2] = cg.dist[2, 0] = 99
         with pytest.raises(GraphError, match="inconsistent"):
-            cg.shortest_path_edges(0, 2)
+            cg.path((0, 2))

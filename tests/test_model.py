@@ -36,6 +36,7 @@ from helpers import (
     random_instance,
     random_order,
     random_spanning_tree,
+    tree_path,
     tri,
 )
 
@@ -315,7 +316,7 @@ class TestRandomConsistency:
                 t += inst.net.edges[eid][2]
                 completion[eid] = t
             expected = {
-                (u, v): max(completion[eid] for eid in tree.path_edges(u, v))
+                (u, v): max(completion[eid] for eid in tree_path(tree, u, v))
                 for u, v in sorted(inst.pair_due_dates)
             }
             obj, times = evaluate(inst, sched)

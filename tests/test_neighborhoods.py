@@ -34,12 +34,14 @@ from netcon import Budget, L, Solution, graph, loc, neighborhoods
 from netcon.neighborhoods import apply_shift, enumerate_shifts, sequence
 
 from helpers import (
+    attach,
     attach_data,
     group_of,
     random_feasible_order,
     random_instance,
     random_network,
     random_spanning_tree,
+    reference_moves,
     reference_net_neighbors,
     reference_rebuild,
     reference_sch_neighbors,
@@ -51,19 +53,19 @@ from helpers import (
 class TestEdgeExchange:
     def test_tri(self):
         tree = SpanningTree.from_edges(tri(), [0, 1])
-        assert [(add, remove) for add, remove, _ in tree.exchanges()] == [(2, 0), (2, 1)]
+        assert [move[:2] for move in tree.moves()] == [(2, 0), (2, 1)]
 
     def test_tree_shaped_empty(self):
         net = Network(3, ((0, 1, 1), (1, 2, 1)))
         tree = SpanningTree.from_edges(net, [0, 1])
-        assert list(tree.exchanges()) == []
+        assert list(tree.moves()) == []
 
     def test_k4_count(self):
         rng = random.Random(41)
         net = random_network(rng, 4, complete=True)
         tree = random_spanning_tree(rng, net)
-        moves = [(add, remove) for add, remove, _ in tree.exchanges()]
-        assert 3 <= len(moves) <= 9
+        moves = [move[:2] for move in tree.moves()]
+        assert moves == reference_moves(tree) and 3 <= len(moves) <= 9
         inst = attach_data(rng, net, USRT)
         stream = list(neighbors(inst, solve_tree(inst, tree), NET))
         assert [attrs for attrs, _ in stream] == moves
@@ -576,13 +578,13 @@ class TestSchReplay:
                 for item in rnd.sample(items, len(items)):
                     same = reached.setdefault(state.partition(), {})
                     same[frozenset(state.chosen)] = state.copy()
-                    state.attach(item)
+                    attach(state, item)
             suffix = rnd.sample(items, rnd.randint(0, len(items)))
             for states in reached.values():
                 added = set()
                 for before, state in states.items():
                     for item in suffix:
-                        state.attach(item)
+                        attach(state, item)
                     state.finish()
                     added.add(frozenset(state.chosen - before))
                 assert len(added) == 1
@@ -697,14 +699,14 @@ class TestProbe:
         ):
             state = make(net)
             for item in rnd.sample(items, rnd.randint(0, len(items))):
-                state.attach(item)
+                attach(state, item)
             for item in rnd.sample(items, min(len(items), 12)):
                 chosen, key, dist = state.chosen.copy(), state.partition(), state.dist
                 probed = state.probe(item)
                 assert state.chosen == chosen and state.partition() == key
                 assert state.dist is dist
                 oracle = state.copy()
-                oracle.attach(item)
+                attach(oracle, item)
                 added = oracle.chosen - chosen
                 assert (probed is None) == joined(state, item) == (not added)
                 if probed is None:

@@ -34,6 +34,7 @@ from helpers import (
     reference_effective_due_dates,
     reference_es_lmax,
     reference_es_swrt,
+    tree_path,
     tri,
 )
 
@@ -287,7 +288,7 @@ class TestHeapSolversMatchReferences:
 @st.composite
 def tied_networks(draw, values=st.integers(0, 3), min_n=1):
     """``tied_trees`` plus up to four drawn non-tree edges (lengths 1-3), so
-    that ``exchanges()`` yields trees whose parent maps come from path
+    that the exchanged trees of ``moves()`` take parent maps from path
     reversal; the tree is the first n - 1 edge ids."""
     tree, vals = draw(tied_trees(values, min_n))
     net = tree.net
@@ -310,7 +311,8 @@ class TestExchangeTreesMatchReferences:
     def test_swrt(self, case):
         tree, weights = case
         inst = ProblemInstance(tree.net, SWRT, weights=weights)
-        for _, _, other in tree.exchanges():
+        for move in tree.moves():
+            other = tree.exchanged(move)
             assert es_swrt(inst, other.parent)[0] == reference_es_swrt(inst, other).order
 
     @given(tied_networks(HUGE_DUE_DATES, min_n=2))
@@ -318,7 +320,8 @@ class TestExchangeTreesMatchReferences:
     def test_lmax(self, case):
         tree, due = case
         inst = ProblemInstance(tree.net, L, vertex_due_dates=due)
-        for _, _, other in tree.exchanges():
+        for move in tree.moves():
+            other = tree.exchanged(move)
             assert es_lmax(inst, other.parent)[0] == reference_es_lmax(inst, other).order
 
 
@@ -344,7 +347,7 @@ class TestTablesPerInstance:
         assert pair[L][0].vertex_due_dates != pair[L][1].vertex_due_dates
         refs = {SWRT: reference_es_swrt, L: reference_es_lmax}
         base = random_spanning_tree(rng, net)
-        trees = [base] + [tree for _, _, tree in base.exchanges()]
+        trees = [base] + [base.exchanged(move) for move in base.moves()]
         for variant, (a, b) in pair.items():
             field = "weights" if variant == SWRT else "vertex_due_dates"
             c = dataclasses.replace(a, **{field: tuple(reversed(getattr(a, field)))})
@@ -378,7 +381,7 @@ def uncovered_pair_trees(draw):
     cut = draw(st.sampled_from(tree.edge_ids))
     avoiding = [
         p for p in itertools.combinations(range(tree.net.n), 2)
-        if cut not in tree.path_edges(*p)
+        if cut not in tree_path(tree, *p)
     ]
     pairs = draw(st.lists(st.sampled_from(avoiding), min_size=1, unique=True))
     due = st.integers(-3, 3) | st.sampled_from((0, -(2**80), 2**80, 2**80 + 1))
@@ -463,7 +466,7 @@ class TestEsLetpc:
             tree = random_spanning_tree(rng, net)
             leaves = [v for v in range(net.n) if v != net.depot]
             u, v = rng.sample(leaves + [net.depot], 2)
-            path = tree.path_edges(u, v)
+            path = tree_path(tree, u, v)
             if len(path) != net.n - 1:
                 continue  # only the whole-tree case is asserted
             d = rng.randint(0, 10)
