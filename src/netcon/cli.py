@@ -20,7 +20,7 @@ from .instances import (
     read_instance,
     write_instance,
 )
-from .local_search import Budget, check_limits, mst_heuristic, mst_loc
+from .local_search import Budget, mst_heuristic, mst_loc
 from .metaheuristics import DEFAULT_PARAMS, ILS, TS, run
 from .model import VARIANTS, UndefinedGapError, evaluate, format_gap, gap
 from .neighborhoods import NET, SCH
@@ -85,27 +85,27 @@ class RunRecord:
         }
 
 
-def _run_algorithm(inst, algorithm: str, time_limit: float, seed: int, max_iters):
+def _run_algorithm(inst, algorithm: str, budget: Budget, seed: int):
     """Returns (solution, params dict)."""
     if algorithm == "mst":
         return mst_heuristic(inst), {}
     if algorithm in ("mst-loc-net", "mst-loc-sch"):
         kind = NET if algorithm.endswith("net") else SCH
-        return mst_loc(inst, kind, Budget(time_limit)), {"kind": kind}
+        return mst_loc(inst, kind, budget), {"kind": kind}
     if algorithm == "oracle":
         obj, sched = brute_force_instance(inst)
         return Solution(sched.tree, sched, obj), {}
     meta, kind = algorithm.split("-")
-    sol = run(inst, ILS if meta == "ils" else TS, kind.upper(), Budget(time_limit, max_iters), seed)
+    sol = run(inst, ILS if meta == "ils" else TS, kind.upper(), budget, seed)
     value = DEFAULT_PARAMS[inst.variant][f"{meta}_{kind}"]
-    params: dict = {"time_limit": time_limit}
+    params: dict = {"time_limit": budget.seconds}
     if meta == "ils":
         params["shake_p"] = value
         params["accept"] = "always"  # ILS moves to every new local optimum
     else:
         params["tenure_min"], params["tenure_max"] = value
-    if max_iters is not None:
-        params["max_iters"] = max_iters
+    if budget.max_iters is not None:
+        params["max_iters"] = budget.max_iters
     return sol, params
 
 
@@ -116,8 +116,9 @@ def _run(path, algorithm: str, time_limit=600.0, seed=0, max_iters=None):
     from ES(T); the reported one is checked once against ``evaluate``.
     """
     inst, family = read_instance(path)
+    budget = Budget(time_limit, max_iters)
     start = time.monotonic()
-    sol, params = _run_algorithm(inst, algorithm, time_limit, seed, max_iters)
+    sol, params = _run_algorithm(inst, algorithm, budget, seed)
     wall_ms = int((time.monotonic() - start) * 1000)
     checked, _ = evaluate(inst, sol.schedule)
     if checked != sol.objective:
@@ -169,7 +170,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    check_limits(args.time_limit, args.max_iters)
     record, sol = _run(args.instance, args.algo, args.time_limit, args.seed, args.max_iters)
     _print_run(record, sol, seed=record.seed, params=record.params)
     if args.csv:
@@ -211,7 +211,6 @@ def cmd_bench(args) -> int:
         ) from None
     if not seeds:
         raise ValueError("--seeds: no seeds given")
-    check_limits(args.time_limit, args.max_iters)
     records = [
         _run(str(path), algo, args.time_limit, seed, args.max_iters)[0]
         for path in instances

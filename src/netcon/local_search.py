@@ -12,25 +12,16 @@ from .solution import Solution, solve_tree
 __all__ = ["Budget", "Solution", "solve_tree", "impr", "loc", "mst_heuristic", "mst_loc"]
 
 
-def check_limits(time_limit: float, max_iters: int | None) -> None:
-    """Reject a NaN, infinite, negative or bool time limit (no deadline is
-    ever reached at NaN, and a run record cannot hold either in JSON) and an
-    iteration cap that is negative or, by the instance data's rule, not an
-    integer or a bool."""
-    if isinstance(time_limit, bool) or not 0 <= time_limit < math.inf:
-        raise ValueError(f"time_limit must be a finite number >= 0, got {time_limit!r}")
-    if max_iters is not None and _as_int(max_iters, "max_iters", ValueError) < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-
-
 class Budget:
     """The context of one search run: a monotonic deadline ``seconds`` from
     now, an optional iteration cap, an optional target objective, the
     iterations counted so far, and the last local optimum ``loc`` proved.
-    A search uses its budget up, so every run takes a new one.
+    A search uses its budget up, so every run takes a new one.  ``seconds``
+    is finite, >= 0 and no bool (NaN never expires; a run record's JSON holds
+    neither), ``max_iters`` None or, by the instance data's rule, an int >= 0.
 
-    The optimum is recorded when a ``loc`` scan runs to its end with no
-    improving neighbour, as the instance (compared by identity), the kind,
+    The optimum is recorded when a ``loc`` scan ends before the deadline with
+    no improving neighbour, as the instance (compared by identity), the kind,
     the tree's ``edge_ids`` and the scan's first minimum neighbour
     ``(attrs, Solution)``, or None if the neighbourhood was empty.  ``loc``
     returns a recorded tree at once, and TS with an empty tabu list takes
@@ -45,7 +36,11 @@ class Budget:
       the first strict minimum of the stream."""
 
     def __init__(self, seconds: float, max_iters: int | None = None, target: int | None = None):
-        check_limits(seconds, max_iters)
+        if isinstance(seconds, bool) or not 0 <= seconds < math.inf:
+            raise ValueError(f"time_limit must be a finite number >= 0, got {seconds!r}")
+        if max_iters is not None and _as_int(max_iters, "max_iters", ValueError) < 0:
+            raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+        self.seconds = seconds
         self.end = time.monotonic() + seconds
         self.max_iters = max_iters
         self.target = target
@@ -90,16 +85,14 @@ def impr(inst: ProblemInstance, s0: Solution) -> Solution:
             return cur
 
 
-def loc(inst: ProblemInstance, a: Solution, kind: str, budget: Budget | None = None) -> Solution:
+def loc(inst: ProblemInstance, a: Solution, kind: str, budget: Budget) -> Solution:
     """First-improvement descent; every accepted neighbor passes through impr.
     Once the budget's deadline has passed the current solution is returned.
-    A scan that ends with no improving neighbour is recorded on the budget,
-    and a tree the budget holds as proven is returned without a scan."""
-    while budget is None or not budget.proved(inst, kind, a):
+    A scan the deadline did not cut that finds no improving neighbour is
+    recorded on the budget; a tree it holds as proven is returned at once."""
+    while not budget.proved(inst, kind, a):
         first_min = None  # the scan's first minimum (attrs, Solution)
-        for nb in neighbors(inst, a, kind):
-            if budget is not None and budget.expired():
-                return a
+        for nb in neighbors(inst, a, kind, budget):
             sol = nb[1]
             if sol.objective < a.objective:
                 a = impr(inst, sol)
@@ -107,7 +100,7 @@ def loc(inst: ProblemInstance, a: Solution, kind: str, budget: Budget | None = N
             if first_min is None or sol.objective < first_min[1].objective:
                 first_min = nb
         else:
-            if budget is not None:
+            if not budget.expired():  # a scan the deadline cut proves nothing
                 budget.optimum = (inst, kind, a.tree.edge_ids)
                 budget.optimum_neighbour = first_min
             return a
@@ -119,6 +112,6 @@ def mst_heuristic(inst: ProblemInstance) -> Solution:
     return solve_tree(inst, minimum_spanning_tree(inst.net))
 
 
-def mst_loc(inst: ProblemInstance, kind: str, budget: Budget | None = None) -> Solution:
+def mst_loc(inst: ProblemInstance, kind: str, budget: Budget) -> Solution:
     """MST start followed by local search with the given neighborhood kind."""
     return loc(inst, mst_heuristic(inst), kind, budget)

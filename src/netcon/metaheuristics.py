@@ -108,7 +108,7 @@ def tabu_search(inst: ProblemInstance, kind: str, budget: Budget, seed=0) -> Sol
             best_nb = best_free = budget.optimum_neighbour  # the scan loc already made
         else:
             best_nb = best_free = None  # (tabu attributes, solution)
-            for nb in neighbors(inst, incumbent, kind):
+            for nb in neighbors(inst, incumbent, kind, budget):
                 obj = nb[1].objective
                 if best_nb is None or obj < best_nb[1].objective:
                     best_nb = nb
@@ -116,10 +116,8 @@ def tabu_search(inst: ProblemInstance, kind: str, budget: Budget, seed=0) -> Sol
                     tabu.active(x, budget.iteration) for x in nb[0]
                 ):
                     best_free = nb
-                if budget.expired():
-                    break
         if best_nb is None:
-            break  # degenerate: no neighborhood at all
+            break  # degenerate: no neighborhood, or the deadline came before its first neighbour
         if best_nb[1].objective < best.objective:
             incumbent = best = impr(inst, best_nb[1])
             tabu.clear()

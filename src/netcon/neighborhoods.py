@@ -241,20 +241,23 @@ def _replay(snap, order, futures, j, i):
     return _run(s, order, ks, futures, [(key, frozenset(s.chosen))])
 
 
-def neighbors(inst: ProblemInstance, current: Solution, kind: str):
+def neighbors(inst: ProblemInstance, current: Solution, kind: str, budget):
     """Stream of (tabu attributes, rebuilt solution) in deterministic order:
     a NET exchange gives (add, remove), an SCH shift the moved vertex (v,) or
     pair (u, v).  Every neighbour is deferred: it holds ES(T)'s objective
     from the scan, builds its tree and schedule on first read and checks
     that objective on them, so a neighbour never read builds no
     ``SpanningTree``.  An SCH scan runs ES(T) once per distinct tree, on
-    its ``parent_map``; neighbours with one tree share one Solution."""
+    its ``parent_map``; neighbours with one tree share one Solution.
+    The stream ends at ``budget``'s deadline, checked before each move."""
     es = kernel(inst)
     if kind == NET:
         tree = current.tree
         parent = tree.parent
         scratch = list(parent)
         for move in tree.moves():
+            if budget.expired():
+                return
             tree.hang(scratch, move)
             obj = es(inst, scratch)[1]
             for v in move[2]:
@@ -272,6 +275,8 @@ def neighbors(inst: ProblemInstance, current: Solution, kind: str):
         _run(base, order, range(len(order) + 1), futures, [(base.partition(), frozenset())], snaps)
         solved = {}  # chosen edges -> deferred Solution
         for j, i in shifts:
+            if budget.expired():
+                return
             edges = _replay(snaps[i], order, futures, j, i)
             sol = solved.get(edges)
             if sol is None:

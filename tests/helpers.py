@@ -16,6 +16,7 @@ from netcon import (
     L_ETPC,
     SWRT,
     USRT,
+    Budget,
     ContractedGraph,
     EdgeSchedule,
     Network,
@@ -606,7 +607,7 @@ def reference_loc(inst: ProblemInstance, a: Solution, kind: str) -> Solution:
     improved = True
     while improved:
         improved = False
-        for _, sol in neighbors(inst, a, kind):
+        for _, sol in neighbors(inst, a, kind, Budget(600.0)):
             if sol.objective < a.objective:
                 a = impr(inst, sol)
                 improved = True
@@ -637,7 +638,7 @@ def reference_tabu_search(inst: ProblemInstance, kind: str, max_iters: int, seed
     tabu = TabuList()
     for iteration in range(1, max_iters + 1):
         best_nb = best_free = None  # (objective, tabu attributes, solution)
-        for attrs, sol in neighbors(inst, incumbent, kind):
+        for attrs, sol in neighbors(inst, incumbent, kind, Budget(600.0)):
             if best_nb is None or sol.objective < best_nb[0]:
                 best_nb = (sol.objective, attrs, sol)
             if not any(tabu.active(x, iteration) for x in attrs) and (

@@ -231,7 +231,7 @@ def test_criterion_6_small_scale_optimality(capsys):
         gaps = []
         for k, inst in _small_corpus(variant):
             opt, _ = brute_force_instance(inst)
-            ml = mst_loc(inst, NET)
+            ml = mst_loc(inst, NET, Budget(600.0))
             d_min = None if variant in (USRT, SWRT) else inst.d_min()
             gaps.append(gap(ml.objective, opt, d_min, variant))
             for algo, key in ((ILS, "ils"), (TS, "ts")):
@@ -252,8 +252,8 @@ def test_criterion_7_net_beats_sch(capsys):
     for variant in (USRT, SWRT, L, L_ETPC):
         net_wins = sch_wins = 0
         for _, inst in _small_corpus(variant):
-            a = mst_loc(inst, NET).objective
-            b = mst_loc(inst, SCH).objective
+            a = mst_loc(inst, NET, Budget(600.0)).objective
+            b = mst_loc(inst, SCH, Budget(600.0)).objective
             net_wins += a < b
             sch_wins += b < a
         ok = ok and net_wins >= sch_wins

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from netcon import (
     L_ETPC,
     SCH,
+    Budget,
     ContractedGraph,
     GraphError,
     Network,
@@ -419,7 +420,7 @@ class TestContraction:
         net = random_network(rng, 9, complete=True)
         inst = attach_data(rng, net, L_ETPC, max_pairs=20)
         assert ContractedGraph(net).dist is cached_oracle(net)
-        assert list(neighbors(inst, mst_heuristic(inst), SCH))
+        assert list(neighbors(inst, mst_heuristic(inst), SCH, Budget(600.0)))
         assert np.array_equal(cached_oracle(net), all_pairs_shortest_paths(net))
 
     @given(attach_runs())

@@ -1,10 +1,15 @@
+import math
 import random
+
+import pytest
 
 from netcon import (
     L_ETPC,
     NET,
     SCH,
     USRT,
+    VARIANTS,
+    Budget,
     ProblemInstance,
     SpanningTree,
     impr,
@@ -15,7 +20,19 @@ from netcon import (
     solve_tree,
 )
 
-from helpers import random_instance, random_spanning_tree, tri
+from helpers import random_instance, random_spanning_tree, reference_loc, tri
+
+
+class CutBudget(Budget):
+    """A 600 s budget whose deadline passes at its ``cut``-th check, counted from 0."""
+
+    def __init__(self, cut=math.inf):
+        super().__init__(600.0)
+        self.cut, self.checks = cut, 0
+
+    def expired(self) -> bool:
+        self.checks += 1
+        return self.checks > self.cut
 
 
 class TestImpr:
@@ -50,7 +67,7 @@ class TestLoc:
     def test_tri_reaches_optimum(self):
         inst = ProblemInstance(tri(), USRT)
         start = solve_tree(inst, SpanningTree.from_edges(tri(), [1, 2]))
-        out = loc(inst, start, NET)
+        out = loc(inst, start, NET, Budget(600.0))
         assert out.objective == 3
 
     def test_local_optimality_postcondition(self):
@@ -59,16 +76,33 @@ class TestLoc:
             for kind in (NET, SCH):
                 inst = random_instance(rng, variant, 6)
                 start = solve_tree(inst, random_spanning_tree(rng, inst.net))
-                out = loc(inst, start, kind)
+                out = loc(inst, start, kind, Budget(600.0))
                 assert all(
                     sol.objective >= out.objective
-                    for _, sol in neighbors(inst, out, kind)
+                    for _, sol in neighbors(inst, out, kind, Budget(600.0))
                 )
 
     def test_start_at_optimum_stays(self):
         inst = ProblemInstance(tri(), USRT)
         best = solve_tree(inst, SpanningTree.from_edges(tri(), [0, 2]))
-        assert loc(inst, best, NET).objective == 3
+        assert loc(inst, best, NET, Budget(600.0)).objective == 3
+
+    @pytest.mark.parametrize("kind", (NET, SCH))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_scan_cut_by_deadline_records_nothing(self, variant, kind):
+        # an uncut descent checks the deadline ``checks`` times, the last
+        # one after its final scan; every earlier check is in a scan
+        rng = random.Random(55)
+        inst = random_instance(rng, variant, 7)
+        start = solve_tree(inst, random_spanning_tree(rng, inst.net))
+        uncut = CutBudget()
+        loc(inst, start, kind, uncut)
+        assert uncut.optimum is not None and uncut.checks >= 2
+        for cut in sorted({0, uncut.checks // 2, uncut.checks - 2}):
+            budget = CutBudget(cut)
+            assert loc(inst, start, kind, budget).objective <= start.objective
+            assert budget.optimum is None and budget.optimum_neighbour is None
+        assert loc(inst, start, kind, Budget(600.0)) == reference_loc(inst, start, kind)
 
 
 class TestMstHeuristics:
@@ -80,7 +114,7 @@ class TestMstHeuristics:
 
     def test_tri_letpc(self):
         inst = ProblemInstance(tri(), L_ETPC, pair_due_dates={(1, 2): 1, (0, 1): 3})
-        sol = mst_loc(inst, NET)
+        sol = mst_loc(inst, NET, Budget(600.0))
         assert set(sol.tree.edge_ids) == {0, 2}
         assert sol.objective == 0
 
@@ -91,13 +125,13 @@ class TestMstHeuristics:
                 inst = random_instance(rng, variant, rng.randint(2, 7))
                 base = mst_heuristic(inst).objective
                 for kind in (NET, SCH):
-                    assert mst_loc(inst, kind).objective <= base
+                    assert mst_loc(inst, kind, Budget(600.0)).objective <= base
 
     def test_deterministic(self):
         rng = random.Random(54)
         inst = random_instance(rng, USRT, 7)
-        a = mst_loc(inst, NET)
-        b = mst_loc(inst, NET)
+        a = mst_loc(inst, NET, Budget(600.0))
+        b = mst_loc(inst, NET, Budget(600.0))
         assert a.tree.edge_ids == b.tree.edge_ids
         assert a.schedule.order == b.schedule.order
         assert a.objective == b.objective

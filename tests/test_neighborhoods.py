@@ -67,7 +67,7 @@ class TestEdgeExchange:
         moves = [move[:2] for move in tree.moves()]
         assert moves == reference_moves(tree) and 3 <= len(moves) <= 9
         inst = attach_data(rng, net, USRT)
-        stream = list(neighbors(inst, solve_tree(inst, tree), NET))
+        stream = list(neighbors(inst, solve_tree(inst, tree), NET, Budget(600.0)))
         assert [attrs for attrs, _ in stream] == moves
         for (add, remove), sol in stream:
             assert add in sol.tree.edge_ids and remove not in sol.tree.edge_ids
@@ -234,7 +234,7 @@ class TestNeighborStream:
         inst = ProblemInstance(tri(), USRT)
         current = solve_tree(inst, SpanningTree.from_edges(tri(), [0, 1]))
         assert current.objective == 5
-        objs = sorted(sol.objective for _, sol in neighbors(inst, current, NET))
+        objs = sorted(sol.objective for _, sol in neighbors(inst, current, NET, Budget(600.0)))
         assert objs == [3, 7]
 
     def test_sch_neighbors_are_valid(self):
@@ -242,7 +242,7 @@ class TestNeighborStream:
         for variant in (USRT, L_ETPC):
             inst = random_instance(rng, variant, 6)
             current = solve_tree(inst, random_spanning_tree(rng, inst.net))
-            for _, sol in neighbors(inst, current, SCH):
+            for _, sol in neighbors(inst, current, SCH, Budget(600.0)):
                 assert evaluate(inst, sol.schedule)[0] == sol.objective
 
     def test_tabu_attribute_stream(self):
@@ -254,22 +254,65 @@ class TestNeighborStream:
         exchanges = [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1)]
         for inst, shifts in ((usrt, [(2,), (3,), (3,)]), (etpc, [(1, 3), (2, 3)])):
             current = solve_tree(inst, tree)
-            assert [a for a, _ in neighbors(inst, current, NET)] == exchanges
-            assert [a for a, _ in neighbors(inst, current, SCH)] == shifts
+            assert [a for a, _ in neighbors(inst, current, NET, Budget(600.0))] == exchanges
+            assert [a for a, _ in neighbors(inst, current, SCH, Budget(600.0))] == shifts
 
     def test_unknown_kind(self):
         inst = ProblemInstance(tri(), USRT)
         current = solve_tree(inst, SpanningTree.from_edges(tri(), [0, 1]))
         with pytest.raises(ValueError):
-            list(neighbors(inst, current, "BOGUS"))
+            list(neighbors(inst, current, "BOGUS", Budget(600.0)))
 
     def test_deterministic_order(self):
         rng = random.Random(46)
         inst = random_instance(rng, USRT, 6)
         current = solve_tree(inst, random_spanning_tree(rng, inst.net))
-        first = [(m, s.objective) for m, s in neighbors(inst, current, NET)]
-        second = [(m, s.objective) for m, s in neighbors(inst, current, NET)]
+        first = [(m, s.objective) for m, s in neighbors(inst, current, NET, Budget(600.0))]
+        second = [(m, s.objective) for m, s in neighbors(inst, current, NET, Budget(600.0))]
         assert first == second
+
+
+def count_kernel_calls(monkeypatch) -> list:
+    """Record the parent map of every ES(T) call a later ``neighbors`` makes."""
+    calls, real = [], neighborhoods.kernel
+
+    def counting_kernel(inst):
+        es = real(inst)
+
+        def counting(inst, parent):
+            calls.append(tuple(parent))
+            return es(inst, parent)
+
+        return counting
+
+    monkeypatch.setattr(neighborhoods, "kernel", counting_kernel)
+    return calls
+
+
+class TestDeadline:
+    """``neighbors`` checks the budget's deadline before each move's ES(T)
+    call and ends the stream once it has passed."""
+
+    @pytest.mark.parametrize("kind", (NET, SCH))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_stops_before_next_es_call(self, monkeypatch, variant, kind):
+        inst = generate(GeneratorSpec("euclidean_complete", 7, 3, variant))
+        current = mst_heuristic(inst)
+        full = [(a, sol.objective) for a, sol in neighbors(inst, current, kind, Budget(600.0))]
+        assert len(full) > 2
+        calls = count_kernel_calls(monkeypatch)
+        for k in sorted({1, 2, len(full) // 2, len(full) - 1, len(full)}):
+            seen, budget = [], Budget(600.0)
+            budget.expired = lambda: len(seen) >= k
+            calls.clear()
+            for attrs, sol in neighbors(inst, current, kind, budget):
+                seen.append((attrs, sol.objective))
+            assert seen == full[:k]
+            # NET runs ES(T) once per move; SCH once per distinct tree
+            assert len(calls) == k if kind == NET else 1 <= len(calls) <= k
+        calls.clear()
+        assert list(neighbors(inst, current, kind, Budget(0.0))) == []
+        assert calls == []
 
 
 @st.composite
@@ -359,7 +402,7 @@ class TestNetExchange:
         # several steps from the MST solution, each to a drawn neighbour
         current = mst_heuristic(inst)
         for pick in [*picks, None]:
-            stream = list(neighbors(inst, current, NET))
+            stream = list(neighbors(inst, current, NET, Budget(600.0)))
             assert stream == reference_net_neighbors(inst, current)
             if pick is None or not stream:
                 break
@@ -370,7 +413,7 @@ class TestNetExchange:
     def test_generated_stream(self, family, variant):
         inst = generate(GeneratorSpec(family, 9, 5, variant))
         current = mst_heuristic(inst)
-        stream = list(neighbors(inst, current, NET))
+        stream = list(neighbors(inst, current, NET, Budget(600.0)))
         assert stream and stream == reference_net_neighbors(inst, current)
 
 
@@ -401,7 +444,7 @@ class TestDeferredNetNeighbours:
         current = mst_heuristic(inst)
         for pick in [*picks, None]:
             stream, objectives = [], []
-            for attrs, sol in neighbors(inst, current, NET):
+            for attrs, sol in neighbors(inst, current, NET, Budget(600.0)):
                 objectives.append(sol.objective)
                 stream.append((attrs, sol))
             built = [(attrs, sol.tree, sol.schedule) for attrs, sol in reversed(stream)][::-1]
@@ -417,7 +460,7 @@ class TestDeferredNetNeighbours:
         inst = generate(GeneratorSpec("euclidean_complete", 8, 1, variant))
         current = mst_heuristic(inst)
         built = count_builds(monkeypatch)
-        stream = list(neighbors(inst, current, NET))
+        stream = list(neighbors(inst, current, NET, Budget(600.0)))
         assert len(stream) > 2 and built == {SpanningTree: 0, EdgeSchedule: 0}
         sol = stream[1][1]
         assert sol.schedule.tree is sol.tree
@@ -454,7 +497,7 @@ class TestDeferredNetNeighbours:
             return order, obj + 1
 
         monkeypatch.setattr(neighborhoods, "kernel", lambda inst: off_by_one)
-        (_, sol), *_ = neighbors(inst, current, NET)
+        (_, sol), *_ = neighbors(inst, current, NET, Budget(600.0))
         for read in ("tree", "schedule"):
             with pytest.raises(RuntimeError, match="differs"):
                 getattr(sol, read)
@@ -471,7 +514,7 @@ class TestDeferredNetNeighbours:
             sol.tree = None
         assert sol == Solution(sol.tree, sol.schedule, sol.objective)
         assert sol != Solution(sol.tree, sol.schedule, sol.objective + 1)
-        other = next(neighbors(inst, sol, NET))[1]
+        other = next(neighbors(inst, sol, NET, Budget(600.0)))[1]
         assert other != sol and other == solve_tree(inst, other.tree)
 
 
@@ -487,7 +530,7 @@ class TestSchReplay:
         # several steps from the MST solution, each to a drawn neighbour
         current = mst_heuristic(inst)
         for pick in [*picks, None]:
-            stream = list(neighbors(inst, current, SCH))
+            stream = list(neighbors(inst, current, SCH, Budget(600.0)))
             assert stream == reference_sch_neighbors(inst, current)
             if pick is None or not stream:
                 break
@@ -505,7 +548,7 @@ class TestSchReplay:
         current = solve_tree(inst, SpanningTree.from_edges(net, ids))
         base = frozenset(a_it(net, sequence(inst, current.schedule, True)[0]).edge_ids)
         seen = spy_on_futures(monkeypatch)
-        stream = list(neighbors(inst, current, SCH))
+        stream = list(neighbors(inst, current, SCH, Budget(600.0)))
         assert [edges == base and future is not None for edges, future, _ in seen] == met
         assert [sol.tree.edge_ids for _, sol in stream] == trees
         assert stream == reference_sch_neighbors(inst, current)
@@ -519,7 +562,7 @@ class TestSchReplay:
         base = frozenset(a_et(net, sequence(inst, current.schedule, True)[0]).edge_ids)
         seen = spy_on_futures(monkeypatch)
         joins = spy_on(monkeypatch, "kruskal", graph)
-        stream = list(neighbors(inst, current, SCH))
+        stream = list(neighbors(inst, current, SCH, Budget(600.0)))
         [(edges, future, writer)] = seen
         assert edges == base and future is not None and writer == "base" and any(joins)
         assert stream == reference_sch_neighbors(inst, current)
@@ -532,7 +575,7 @@ class TestSchReplay:
         current = mst_heuristic(inst)
         seen = spy_on(monkeypatch, "_replay")
         joins = spy_on(monkeypatch, "kruskal", graph)
-        stream = list(neighbors(inst, current, SCH))
+        stream = list(neighbors(inst, current, SCH, Budget(600.0)))
         assert seen == [frozenset({0, 1, 3, 6})] and any(joins)
         assert stream == reference_sch_neighbors(inst, current)
 
@@ -556,7 +599,7 @@ class TestSchReplay:
         # than replay 1 had there, and ends with replay 1's future from it
         current = mst_heuristic(inst)
         seen = spy_on_futures(monkeypatch)
-        stream = list(neighbors(inst, current, SCH))
+        stream = list(neighbors(inst, current, SCH, Budget(600.0)))
         assert sorted(seen[2][0]) == edges and sorted(seen[1][0]) == other
         assert sorted(seen[2][1]) == future and seen[2][2] == 1
         assert seen[2][0] - set(future) != seen[1][0] - set(future)
@@ -595,7 +638,7 @@ class TestSchReplay:
         # n up to 12 with lengths in 1..3: many partitions meet by other edges
         current = mst_heuristic(inst)
         for _ in range(2):
-            stream = list(neighbors(inst, current, SCH))
+            stream = list(neighbors(inst, current, SCH, Budget(600.0)))
             assert stream == reference_sch_neighbors(inst, current)
             if not stream:
                 break
@@ -607,15 +650,8 @@ class TestSchReplay:
         # parent map; a read neighbour solves again through netcon.solution
         inst = generate(GeneratorSpec("euclidean_complete", 7, 3, variant))
         current = solve_tree(inst, minimum_spanning_tree(inst.net))
-        calls = []
-        real = neighborhoods.kernel(inst)
-
-        def counting(inst, parent):
-            calls.append(tuple(parent))
-            return real(inst, parent)
-
-        monkeypatch.setattr(neighborhoods, "kernel", lambda inst: counting)
-        stream = list(neighbors(inst, current, SCH))
+        calls = count_kernel_calls(monkeypatch)
+        stream = list(neighbors(inst, current, SCH, Budget(600.0)))
         distinct = {sol.tree.edge_ids for _, sol in stream}
         assert len(calls) == len(distinct) < len(stream)
         assert set(calls) == {sol.tree.parent for _, sol in stream}
@@ -631,7 +667,7 @@ class TestDeferredSchNeighbours:
         inst = generate(GeneratorSpec("euclidean_complete", 8, 1, variant))
         current = mst_heuristic(inst)
         built = count_builds(monkeypatch)
-        stream = list(neighbors(inst, current, SCH))
+        stream = list(neighbors(inst, current, SCH, Budget(600.0)))
         assert len(stream) > 2 and built == {SpanningTree: 0, EdgeSchedule: 0}
         sol = stream[1][1]
         assert sol.schedule.tree is sol.tree
@@ -669,7 +705,7 @@ class TestDeferredSchNeighbours:
             return order, obj + 1
 
         monkeypatch.setattr(neighborhoods, "kernel", lambda inst: off_by_one)
-        (_, sol), *_ = neighbors(inst, current, SCH)
+        (_, sol), *_ = neighbors(inst, current, SCH, Budget(600.0))
         for read in ("tree", "schedule"):
             with pytest.raises(RuntimeError, match="differs"):
                 getattr(sol, read)
