@@ -15,7 +15,8 @@ __all__ = ["Budget", "Solution", "solve_tree", "impr", "loc", "mst_heuristic", "
 class Budget:
     """The context of one search run: a monotonic deadline ``seconds`` from
     now, an optional iteration cap, an optional target objective, the
-    iterations counted so far, and the last local optimum ``loc`` proved.
+    iterations counted so far, the running scan's ``cutoff`` (``neighbors``)
+    and the last local optimum ``loc`` proved.
     A search uses its budget up, so every run takes a new one.  ``seconds``
     is finite, >= 0 and no bool (NaN never expires; a run record's JSON holds
     neither), ``max_iters`` None or, by the instance data's rule, an int >= 0.
@@ -47,6 +48,7 @@ class Budget:
         self.iteration = 0
         self.optimum = None  # (instance, kind, edge_ids) of loc's last proven local optimum
         self.optimum_neighbour = None  # its scan's first minimum (attrs, Solution), or None
+        self.cutoff = math.inf  # the running scan yields only neighbours below it
 
     def expired(self) -> bool:
         return time.monotonic() >= self.end
@@ -99,6 +101,7 @@ def loc(inst: ProblemInstance, a: Solution, kind: str, budget: Budget) -> Soluti
                 break
             if first_min is None or sol.objective < first_min[1].objective:
                 first_min = nb
+                budget.cutoff = sol.objective  # a later neighbour at or above it cannot matter
         else:
             if not budget.expired():  # a scan the deadline cut proves nothing
                 budget.optimum = (inst, kind, a.tree.edge_ids)

@@ -116,6 +116,7 @@ def tabu_search(inst: ProblemInstance, kind: str, budget: Budget, seed=0) -> Sol
                     tabu.active(x, budget.iteration) for x in nb[0]
                 ):
                     best_free = nb
+                    budget.cutoff = obj  # best_nb <= best_free: neither takes a neighbour at or above it
         if best_nb is None:
             break  # degenerate: no neighborhood, or the deadline came before its first neighbour
         if best_nb[1].objective < best.objective:

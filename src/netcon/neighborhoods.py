@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from functools import partial
 
 import numpy as np
@@ -249,8 +250,15 @@ def neighbors(inst: ProblemInstance, current: Solution, kind: str, budget):
     that objective on them, so a neighbour never read builds no
     ``SpanningTree``.  An SCH scan runs ES(T) once per distinct tree, on
     its ``parent_map``; neighbours with one tree share one Solution.
-    The stream ends at ``budget``'s deadline, checked before each move."""
+    The stream ends at ``budget``'s deadline, checked before each move.
+
+    A consumer may lower ``budget.cutoff``, which the scan sets to infinity
+    when it starts: a neighbour whose objective is >= the cutoff when the
+    scan reaches it is not yielded (ES(T) returns None on it, and the
+    lateness kernels stop early).  The cutoff only falls within a scan, so
+    an SCH tree found cut stays cut."""
     es = kernel(inst)
+    budget.cutoff = math.inf
     if kind == NET:
         tree = current.tree
         parent = tree.parent
@@ -259,10 +267,11 @@ def neighbors(inst: ProblemInstance, current: Solution, kind: str, budget):
             if budget.expired():
                 return
             tree.hang(scratch, move)
-            obj = es(inst, scratch)[1]
+            found = es(inst, scratch, budget.cutoff)
             for v in move[2]:
                 scratch[v] = parent[v]
-            yield move[:2], Solution.deferred(inst, obj, partial(tree.exchanged, move))
+            if found is not None:
+                yield move[:2], Solution.deferred(inst, found[1], partial(tree.exchanged, move))
     elif kind == SCH:
         order, starts = sequence(inst, current.schedule, True)
         pairs = inst.variant not in IT_VARIANTS
@@ -273,17 +282,19 @@ def neighbors(inst: ProblemInstance, current: Solution, kind: str, budget):
         base = (ContractedGraph if pairs else _ITState)(net)
         snaps, futures = dict.fromkeys(i for _, i in shifts), {}  # the base run fills both
         _run(base, order, range(len(order) + 1), futures, [(base.partition(), frozenset())], snaps)
-        solved = {}  # chosen edges -> deferred Solution
+        solved = {}  # chosen edges -> deferred Solution, or None if cut
         for j, i in shifts:
             if budget.expired():
                 return
             edges = _replay(snaps[i], order, futures, j, i)
-            sol = solved.get(edges)
-            if sol is None:
-                obj = es(inst, parent_map(net, edges))[1]
-                sol = solved[edges] = Solution.deferred(
-                    inst, obj, partial(SpanningTree.from_edges, net, edges)
+            if edges in solved:
+                sol = solved[edges]
+            else:
+                found = es(inst, parent_map(net, edges), budget.cutoff)
+                sol = solved[edges] = found and Solution.deferred(
+                    inst, found[1], partial(SpanningTree.from_edges, net, edges)
                 )
-            yield (order[j] if pairs else (order[j],)), sol
+            if sol is not None and sol.objective < budget.cutoff:
+                yield (order[j] if pairs else (order[j],)), sol
     else:
         raise ValueError(f"unknown neighborhood kind {kind!r}")

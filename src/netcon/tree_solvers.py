@@ -24,9 +24,12 @@ class SizeGuardError(ValueError):
     """Brute-force budget exceeded."""
 
 
-def es_swrt(inst: ProblemInstance, parent) -> tuple[tuple[int, ...], int]:
+def es_swrt(inst: ProblemInstance, parent, cutoff=math.inf) -> tuple[tuple[int, ...], int] | None:
     """Minimum total weighted recovery time order (edge ids) for the out-tree
-    of a parent map (vertex -> (parent vertex, edge id)), and its objective.
+    of a parent map (vertex -> (parent vertex, edge id)), and its objective;
+    None iff that objective is >= ``cutoff``.  The cutoff is read only once
+    the sum is done: a partial sum is a bound, but crosses it too late in
+    the merge to save time.
 
     Horn's ratio merging in O(n log n): the non-root block with the largest
     weight/length ratio (tie: smallest head vertex) is concatenated onto the
@@ -87,18 +90,21 @@ def es_swrt(inst: ProblemInstance, parent) -> tuple[tuple[int, ...], int]:
         t += lengths[eid]
         obj += weights[v] * t
         v = nxt[v]
-    return tuple(order), obj
+    return None if obj >= cutoff else (tuple(order), obj)
 
 
-def es_lmax(inst: ProblemInstance, parent) -> tuple[tuple[int, ...], int]:
+def es_lmax(inst: ProblemInstance, parent, cutoff=math.inf) -> tuple[tuple[int, ...], int] | None:
     """Minimum maximum-lateness order for the out-tree of a parent map
-    (least-cost-last), and its objective.
+    (least-cost-last), and its objective; None iff that objective is
+    >= ``cutoff``.
 
     Builds the sequence backwards in O(n log n): a heap holds the jobs with
     no unplaced children, and the one with the largest due date (tie:
     smallest vertex) goes last.  That order does not depend on the tree, so
     the heap holds each vertex's rank in the instance's ``due_ranks``.  The
-    maximum lateness is taken in one forward pass over the finished sequence.
+    pass starts at the tree's total length and each vertex it places
+    completes at the running t, so its lateness is known there: the pass
+    takes the maximum and stops once it reaches ``cutoff``.
     """
     if inst.variant != L:
         raise ValueError(f"es_lmax does not apply to variant {inst.variant}")
@@ -107,35 +113,42 @@ def es_lmax(inst: ProblemInstance, parent) -> tuple[tuple[int, ...], int]:
     rank, by_rank = inst.due_ranks
     heappop, heappush = heapq.heappop, heapq.heappush
     pending_kids = [0] * (inst.net.n + 1)  # the last slot counts the depot's parent -1
-    for p, _ in parent:
+    t = 0
+    for p, eid in parent:
         pending_kids[p] += 1
+        t += lengths[eid]  # the depot's edge id -1 reads 0
     pending_kids[depot] += 1  # so the depot is never placed
     heap = [r for r, v in enumerate(by_rank) if not pending_kids[v]]  # ascending: a heap
     tail: list[int] = []
-    while heap:
-        v = by_rank[heappop(heap)]
-        tail.append(v)
-        p = parent[v][0]
-        pending_kids[p] -= 1
-        if not pending_kids[p]:
-            heappush(heap, rank[p])
-    order = []
-    t = 0
     # -inf is below every lateness; ProblemInstance rejects L without a
     # non-depot vertex, so the result is the exact int of one of them
     obj = -math.inf
-    for v in reversed(tail):
-        eid = parent[v][1]
-        order.append(eid)
-        t += lengths[eid]
+    while heap:
+        v = by_rank[heappop(heap)]
         if t - due[v] > obj:
             obj = t - due[v]
-    return tuple(order), obj
+            if obj >= cutoff:
+                return None
+        p, eid = parent[v]
+        tail.append(eid)
+        t -= lengths[eid]
+        pending_kids[p] -= 1
+        if not pending_kids[p]:
+            heappush(heap, rank[p])
+    tail.reverse()
+    return tuple(tail), obj
 
 
-def _effective_due_dates(inst: ProblemInstance, parent) -> dict[int, float]:
-    """Per tree edge: the smallest due date over relevant pairs whose tree
-    path contains the edge; infinity if none.
+def es_letpc(inst: ProblemInstance, parent, cutoff=math.inf) -> tuple[tuple[int, ...], int] | None:
+    """Minimum maximum pair lateness order in the external setting for the
+    tree of a parent map, and its objective; None iff that objective is
+    >= ``cutoff``.
+
+    Edges get effective due dates (minimum over covering relevant pairs) and
+    are sequenced in ascending (due date, edge id) order, uncovered edges
+    last.  A pair connects when the last edge of its tree path completes, so
+    swapping the two maxima gives max over pairs p of max over e in P(p) of
+    (C_e - d_p) = max over covered edges e of (C_e - d_e).
 
     Offline path painting: pairs in ascending due date paint the unpainted
     edges of their tree paths, so each edge is written once, by its smallest
@@ -144,17 +157,29 @@ def _effective_due_dates(inst: ProblemInstance, parent) -> dict[int, float]:
     (or the depot): a painted set is linked under the set of its root's
     parent, whose root stays.  A path walk jumps from root to root.  Once
     every edge is painted the remaining pairs change nothing.
+
+    Painting writes the due dates in nondecreasing order, so after a pair of
+    due date d the painted length t is at most the completion time of the
+    last edge of due date d, and equals it once d's last pair has painted:
+    the maximum of t - d over the pairs is the objective, taken in the
+    walk, which stops once it reaches ``cutoff``.  The sort gives the order
+    only.
     """
-    d_e = {eid: math.inf for _, eid in parent if eid >= 0}
-    depth = tree_depths(parent, inst.net.depot)
-    link = list(range(inst.net.n))
+    if inst.variant != L_ETPC:
+        raise ValueError(f"es_letpc does not apply to variant {inst.variant}")
+    n, depot, lengths = inst.net.n, inst.net.depot, inst.net.lengths
+    depth = tree_depths(parent, depot)
+    link = list(range(n))
 
     def find(x: int) -> int:
         while link[x] != x:
             link[x] = x = link[link[x]]  # path halving
         return x
 
-    unpainted = len(d_e)
+    painted = []  # (due date, edge id) in painting order
+    unpainted, t = n - 1, 0
+    # the first pair paints an edge of its path, so the result is an int
+    obj = -math.inf
     for (u, v), d in inst.pairs_by_due_date:
         if not unpainted:
             break
@@ -165,41 +190,25 @@ def _effective_due_dates(inst: ProblemInstance, parent) -> dict[int, float]:
             if depth[x] < depth[y]:
                 x, y = y, x
             p, eid = parent[x]
-            d_e[eid] = d
+            painted.append((d, eid))
+            t += lengths[eid]
             unpainted -= 1
             link[x] = x = find(p)
-    return d_e
-
-
-def es_letpc(inst: ProblemInstance, parent) -> tuple[tuple[int, ...], int]:
-    """Minimum maximum pair lateness order in the external setting for the
-    tree of a parent map, and its objective.
-
-    Edges get effective due dates (minimum over covering relevant pairs) and
-    are sequenced in ascending (due date, edge id) order.  A pair connects
-    when the last edge of its tree path completes, so swapping the two maxima
-    gives max over pairs p of max over e in P(p) of (C_e - d_p) = max over
-    covered edges e of (C_e - d_e): one pass over the order.
-    """
-    if inst.variant != L_ETPC:
-        raise ValueError(f"es_letpc does not apply to variant {inst.variant}")
-    keyed = sorted((d, eid) for eid, d in _effective_due_dates(inst, parent).items())
-    lengths = inst.net.lengths
-    t = 0
-    # every relevant pair covers at least one edge, so the result is an int
-    obj = -math.inf
-    for d, eid in keyed:
-        if d == math.inf:
-            break  # uncovered edges sort last and set no lateness
-        t += lengths[eid]
         if t - d > obj:
             obj = t - d
-    return tuple(eid for _, eid in keyed), obj
+            if obj >= cutoff:
+                return None
+    painted.sort()
+    order = [eid for _, eid in painted]
+    if unpainted:  # uncovered: the parent edges of the unlinked vertices but the depot
+        order += sorted(parent[x][1] for x in range(n) if link[x] == x and x != depot)
+    return tuple(order), obj
 
 
 def kernel(inst: ProblemInstance):
-    """The ES(T) kernel of the instance's variant, ``(inst, parent map) ->
-    (order, objective)``."""
+    """The ES(T) kernel of the instance's variant, ``(inst, parent map,
+    cutoff=inf) -> (order, objective)``, or None iff the objective is >=
+    cutoff."""
     if inst.variant in (USRT, SWRT):
         return es_swrt
     return es_lmax if inst.variant == L else es_letpc

@@ -1,17 +1,23 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
 from netcon import (
+    FAMILIES,
+    L,
     L_ETPC,
     NET,
     SCH,
     USRT,
     VARIANTS,
     Budget,
+    GeneratorSpec,
+    Network,
     ProblemInstance,
     SpanningTree,
+    generate,
     impr,
     loc,
     mst_heuristic,
@@ -20,7 +26,14 @@ from netcon import (
     solve_tree,
 )
 
-from helpers import random_instance, random_spanning_tree, reference_loc, tri
+from helpers import (
+    random_instance,
+    random_spanning_tree,
+    reference_loc,
+    reference_net_neighbors,
+    reference_sch_neighbors,
+    tri,
+)
 
 
 class CutBudget(Budget):
@@ -103,6 +116,30 @@ class TestLoc:
             assert loc(inst, start, kind, budget).objective <= start.objective
             assert budget.optimum is None and budget.optimum_neighbour is None
         assert loc(inst, start, kind, Budget(600.0)) == reference_loc(inst, start, kind)
+
+    @pytest.mark.parametrize("kind", (NET, SCH))
+    @pytest.mark.parametrize("variant", (L, L_ETPC))
+    def test_cut_scan_records_reference_first_minimum(self, variant, kind):
+        # loc's scans skip neighbours at or above the first minimum so far;
+        # the record is still the first minimum of the full stream.  Lengths
+        # in {1, 2} and due dates in 0..3 make objectives one apart
+        rng = random.Random(57)
+        insts = [random_instance(rng, variant, 7) for _ in range(4)]
+        for family in FAMILIES:
+            inst = generate(GeneratorSpec(family, 9, 2, variant))
+            net = Network(9, tuple((a, b, 1 + w % 2) for a, b, w in inst.net.edges), inst.net.depot)
+            if variant == L:
+                due = {"vertex_due_dates": tuple(d % 4 for d in inst.vertex_due_dates)}
+            else:
+                due = {"pair_due_dates": {p: d % 4 for p, d in inst.pair_due_dates.items()}}
+            insts += [inst, dataclasses.replace(inst, net=net, **due)]
+        for inst in insts:
+            start = solve_tree(inst, random_spanning_tree(rng, inst.net))
+            budget = Budget(600.0)
+            out = loc(inst, start, kind, budget)
+            assert out == reference_loc(inst, start, kind)
+            reference = (reference_net_neighbors if kind == NET else reference_sch_neighbors)(inst, out)
+            assert budget.optimum_neighbour == min(reference, key=lambda nb: nb[1].objective, default=None)
 
 
 class TestMstHeuristics:

@@ -278,6 +278,23 @@ class TestSearch:
         assert outcome(ts) == outcome(impr(inst, first_min[1]))
         assert ts.objective < start.objective
 
+    @pytest.mark.parametrize("spec, kind, seed", [
+        (GeneratorSpec("planar_road", 40, 3, L), NET, 1),
+        (GeneratorSpec("planar_road", 40, 3, L), SCH, 1),
+        (GeneratorSpec("euclidean_complete", 20, 3, L_ETPC), NET, 1),
+        (GeneratorSpec("euclidean_complete", 20, 3, L_ETPC), SCH, 1),
+        # a tabu neighbour is the best one while later free ones still improve best_free
+        (GeneratorSpec("euclidean_complete", 10, 3, L), NET, 3),
+        (GeneratorSpec("planar_road", 10, 3, L), SCH, 3),
+    ], ids=["road40-L-NET", "road40-L-SCH", "complete20-L_ETPC-NET", "complete20-L_ETPC-SCH",
+            "complete10-L-NET", "road10-L-SCH"])
+    def test_cut_scans_equal_reference(self, spec, kind, seed):
+        # TS lowers the cutoff at or above which its scans skip neighbours;
+        # the reference reads every neighbour of every scan
+        inst = generate(spec)
+        ts = tabu_search(inst, kind, Budget(600.0, max_iters=15), seed=seed)
+        assert outcome(ts) == outcome(reference_tabu_search(inst, kind, 15, seed=seed))
+
     def test_target_objective_stops_early(self):
         inst = ProblemInstance(tri(), USRT)
         sol = iterated_local_search(inst, NET, Budget(600.0, target=3))  # ends before 600 s

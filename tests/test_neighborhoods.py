@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -279,9 +280,9 @@ def count_kernel_calls(monkeypatch) -> list:
     def counting_kernel(inst):
         es = real(inst)
 
-        def counting(inst, parent):
+        def counting(inst, parent, cutoff=math.inf):
             calls.append(tuple(parent))
-            return es(inst, parent)
+            return es(inst, parent, cutoff)
 
         return counting
 
@@ -492,8 +493,8 @@ class TestDeferredNetNeighbours:
         current = mst_heuristic(inst)
         real = neighborhoods.kernel(inst)
 
-        def off_by_one(inst, parent):
-            order, obj = real(inst, parent)
+        def off_by_one(inst, parent, cutoff=math.inf):
+            order, obj = real(inst, parent, cutoff)
             return order, obj + 1
 
         monkeypatch.setattr(neighborhoods, "kernel", lambda inst: off_by_one)
@@ -658,6 +659,65 @@ class TestSchReplay:
         assert stream == reference_sch_neighbors(inst, current)
 
 
+def lowering_scan(inst, current, kind, budget, deltas) -> list:
+    """The stream a consumer reads that, after its k-th neighbour, lowers
+    ``budget.cutoff`` to that neighbour's objective + ``deltas[k]`` (cyclic)
+    unless the cutoff is lower already."""
+    seen = []
+    for nb in neighbors(inst, current, kind, budget):
+        budget.cutoff = min(budget.cutoff, nb[1].objective + deltas[len(seen) % len(deltas)])
+        seen.append(nb)
+    return seen
+
+
+def filtered_reference(inst, current, kind, deltas) -> list:
+    """The from-scratch stream filtered by the running cutoff that
+    ``lowering_scan`` sets: the neighbours below it."""
+    reference = (reference_net_neighbors if kind == NET else reference_sch_neighbors)(inst, current)
+    kept, cutoff = [], math.inf
+    for nb in reference:
+        if nb[1].objective < cutoff:
+            cutoff = min(cutoff, nb[1].objective + deltas[len(kept) % len(deltas)])
+            kept.append(nb)
+    return kept
+
+
+class TestCutoffStream:
+    """A consumer that lowers ``budget.cutoff`` during a scan sees the
+    reference stream filtered by the running cutoff; the next scan starts
+    from no cutoff."""
+
+    @given(
+        small_instances(),
+        st.sampled_from((NET, SCH)),
+        st.lists(st.sampled_from((-1, 0, 1, 3, math.inf)), min_size=1, max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_filtered_reference(self, inst, kind, deltas):
+        current = mst_heuristic(inst)
+        budget = Budget(600.0)
+        stream = lowering_scan(inst, current, kind, budget, deltas)
+        assert stream == filtered_reference(inst, current, kind, deltas)
+        full = list(neighbors(inst, current, kind, budget))
+        assert budget.cutoff == math.inf
+        assert full == filtered_reference(inst, current, kind, (math.inf,))
+
+    @pytest.mark.parametrize("variant", (L, L_ETPC))
+    def test_cut_tree_recurs_unsolved(self, monkeypatch, variant):
+        # a loc-like consumer: the cutoff is the running minimum; trees
+        # that recur after their first shift was cut are not solved again
+        inst = generate(GeneratorSpec("euclidean_complete", 6, 1, variant))
+        current = mst_heuristic(inst)
+        reference = reference_sch_neighbors(inst, current)
+        calls = count_kernel_calls(monkeypatch)
+        stream = lowering_scan(inst, current, SCH, Budget(600.0), (0,))
+        assert stream == filtered_reference(inst, current, SCH, (0,))
+        trees = [sol.tree.edge_ids for _, sol in reference]
+        cut = set(trees) - {sol.tree.edge_ids for _, sol in stream}
+        assert any(trees.count(t) > 1 for t in cut)
+        assert len(calls) == len(set(calls)) == len(set(trees))
+
+
 class TestDeferredSchNeighbours:
     """An SCH neighbour holds the objective ES(T) took on the parent map of
     its replayed edges and builds its tree and schedule on first read."""
@@ -700,8 +760,8 @@ class TestDeferredSchNeighbours:
         current = mst_heuristic(inst)
         real = neighborhoods.kernel(inst)
 
-        def off_by_one(inst, parent):
-            order, obj = real(inst, parent)
+        def off_by_one(inst, parent, cutoff=math.inf):
+            order, obj = real(inst, parent, cutoff)
             return order, obj + 1
 
         monkeypatch.setattr(neighborhoods, "kernel", lambda inst: off_by_one)

@@ -24,8 +24,6 @@ from netcon import (
     iter_spanning_trees,
     optimal_schedule,
 )
-from netcon import tree_solvers
-
 from helpers import (
     attach_data,
     brute_force_tree,
@@ -432,8 +430,17 @@ class TestReturnedObjectives:
     @settings(max_examples=200)
     def test_letpc_uncovered_edges(self, case):
         tree, inst = case
-        assert math.inf in tree_solvers._effective_due_dates(inst, tree.parent).values()
+        assert math.inf in reference_effective_due_dates(inst, tree).values()
         self.check(inst, tree)
+
+
+def reference_letpc(inst, tree) -> tuple[tuple[int, ...], int]:
+    """(order, objective) of ``es_letpc`` from ``reference_effective_due_dates``:
+    edges by (due date, id), and the maximum of C_e - d_e over covered edges."""
+    ref = reference_effective_due_dates(inst, tree)
+    order = tuple(sorted(tree.edge_ids, key=lambda e: (ref[e], e)))
+    done = itertools.accumulate(tree.net.lengths[e] for e in order)
+    return order, max(t - ref[e] for e, t in zip(order, done) if ref[e] != math.inf)
 
 
 class TestEsLetpc:
@@ -448,9 +455,10 @@ class TestEsLetpc:
     @given(tied_pair_trees())
     @settings(max_examples=400)
     def test_painted_due_dates_match_reference(self, case):
+        # the painting walk's objective and order: the maximum of C_e - d_e
+        # over the covered edges, sorted by the reference due dates
         tree, inst = case
-        painted = tree_solvers._effective_due_dates(inst, tree.parent)
-        assert painted == reference_effective_due_dates(inst, tree)
+        assert es_letpc(inst, tree.parent) == reference_letpc(inst, tree)
 
     def test_tri_pairs(self):
         inst = ProblemInstance(tri(), L_ETPC, pair_due_dates={(1, 2): 1, (0, 1): 3})
@@ -493,8 +501,7 @@ class TestEsLetpc:
             ((2, 4), 1), ((3, 5), 3), ((1, 4), 3), ((0, 2), 3), ((2, 3), 7)
         )
         tree = SpanningTree.from_edges(net, range(5))
-        painted = tree_solvers._effective_due_dates(inst, tree.parent)
-        assert painted == reference_effective_due_dates(inst, tree)
+        painted = reference_effective_due_dates(inst, tree)
         order, obj = es_letpc(inst, tree.parent)
         assert order == tuple(sorted(tree.edge_ids, key=lambda e: (painted[e], e)))
         assert evaluate(inst, EdgeSchedule(tree, order))[0] == obj == brute_force_tree(inst, tree)[0]
@@ -508,6 +515,45 @@ class TestEsLetpc:
         order, obj = es_letpc(inst, tree.parent)
         assert order == (1, 0)
         assert evaluate(inst, EdgeSchedule(tree, order))[0] == obj == 1 - 5
+
+
+class TestCutoff:
+    """A kernel called with a cutoff returns None iff the objective is >= the
+    cutoff, and otherwise the uncut call's (order, objective)."""
+
+    @staticmethod
+    def check(inst, tree, reference):
+        es = ES[inst.variant]
+        full = es(inst, tree.parent)
+        assert full == reference
+        obj = full[1]
+        for cutoff in (obj - 1, obj, obj + 1, -math.inf, math.inf):
+            cut = es(inst, tree.parent, cutoff)
+            assert cut is None if obj >= cutoff else cut == full
+
+    @staticmethod
+    def scheduled(inst, sched):
+        return sched.order, evaluate(inst, sched)[0]
+
+    @given(tied_trees(HUGE_DUE_DATES, min_n=2))
+    @settings(max_examples=300)
+    def test_lmax(self, case):
+        tree, due = case
+        inst = ProblemInstance(tree.net, L, vertex_due_dates=due)
+        self.check(inst, tree, self.scheduled(inst, reference_es_lmax(inst, tree)))
+
+    @given(tied_pair_trees() | uncovered_pair_trees())
+    @settings(max_examples=300)
+    def test_letpc(self, case):
+        tree, inst = case
+        self.check(inst, tree, reference_letpc(inst, tree))
+
+    @given(tied_trees(HUGE_VALUES))
+    @settings(max_examples=100)
+    def test_swrt(self, case):
+        tree, weights = case
+        inst = ProblemInstance(tree.net, SWRT, weights=weights)
+        self.check(inst, tree, self.scheduled(inst, reference_es_swrt(inst, tree)))
 
 
 class TestBruteForceTree:
