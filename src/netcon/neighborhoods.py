@@ -3,12 +3,13 @@
 NET exchanges a non-tree edge for a tree edge on the cycle it closes.  A
 scan applies each move (``SpanningTree.moves``) in place to one private
 parent list, runs the ES(T) kernel on it and undoes the move before
-yielding.  SCH is one shift move for every variant: move one element of the
-solution's connection sequence to the start of an earlier group and
-rebuild; a vertex recovery sequence is the case of one vertex per group.
-An SCH scan runs the ES(T) kernel on the ``parent_map`` of each distinct
-rebuilt edge set.  Either kind yields deferred neighbours, whose tree and
-schedule are built only when read.
+yielding.  A move rewrites only the parents on its path ``move[2]``, so the
+kernel patches the tree's ``kernel_tables``, built once per scan, there.
+SCH is one shift move for every variant: move one element of the solution's
+connection sequence to the start of an earlier group and rebuild; a vertex
+recovery sequence is the case of one vertex per group.  An SCH scan runs the
+kernel from scratch on the ``parent_map`` of each distinct rebuilt edge set.
+Either kind yields deferred neighbours, built only when read.
 
 Both rebuild procedures resolve shortest-path ties with one shared canonical
 rule (``graph._walk_back``: walk back from the larger component
@@ -35,7 +36,7 @@ from .model import (
     vertex_recovery_sequence,
 )
 from .solution import Solution, solve_tree
-from .tree_solvers import kernel
+from .tree_solvers import kernel, kernel_tables
 
 NET = "NET"
 SCH = "SCH"
@@ -248,8 +249,9 @@ def neighbors(inst: ProblemInstance, current: Solution, kind: str, budget):
     pair (u, v).  Every neighbour is deferred: it holds ES(T)'s objective
     from the scan, builds its tree and schedule on first read and checks
     that objective on them, so a neighbour never read builds no
-    ``SpanningTree``.  An SCH scan runs ES(T) once per distinct tree, on
-    its ``parent_map``; neighbours with one tree share one Solution.
+    ``SpanningTree``.  A NET scan hands ES(T) the tree's tables and each
+    move's path; an SCH scan runs ES(T) once per distinct tree, on its
+    ``parent_map``; neighbours with one tree share one Solution.
     The stream ends at ``budget``'s deadline, checked before each move.
 
     A consumer may lower ``budget.cutoff``, which the scan sets to infinity
@@ -262,12 +264,12 @@ def neighbors(inst: ProblemInstance, current: Solution, kind: str, budget):
     if kind == NET:
         tree = current.tree
         parent = tree.parent
-        scratch = list(parent)
+        scratch, tables = list(parent), kernel_tables(inst, parent)
         for move in tree.moves():
             if budget.expired():
                 return
             tree.hang(scratch, move)
-            found = es(inst, scratch, budget.cutoff)
+            found = es(inst, scratch, budget.cutoff, tables, move[2])
             for v in move[2]:
                 scratch[v] = parent[v]
             if found is not None:

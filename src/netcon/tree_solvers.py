@@ -24,12 +24,13 @@ class SizeGuardError(ValueError):
     """Brute-force budget exceeded."""
 
 
-def es_swrt(inst: ProblemInstance, parent, cutoff=math.inf) -> tuple[tuple[int, ...], int] | None:
+def es_swrt(inst: ProblemInstance, parent, cutoff=math.inf, tables=None, moved=()) -> tuple | None:
     """Minimum total weighted recovery time order (edge ids) for the out-tree
     of a parent map (vertex -> (parent vertex, edge id)), and its objective;
     None iff that objective is >= ``cutoff``.  The cutoff is read only once
     the sum is done: a partial sum is a bound, but crosses it too late in
-    the merge to save time.
+    the merge to save time.  ``tables`` are ``kernel_tables`` of a map
+    equal to ``parent`` but at ``moved`` (default: of ``parent``).
 
     Horn's ratio merging in O(n log n): the non-root block with the largest
     weight/length ratio (tie: smallest head vertex) is concatenated onto the
@@ -50,20 +51,20 @@ def es_swrt(inst: ProblemInstance, parent, cutoff=math.inf) -> tuple[tuple[int, 
     """
     if inst.variant not in (USRT, SWRT):
         raise ValueError(f"es_swrt does not apply to variant {inst.variant}")
-    net = inst.net
-    n, depot, lengths = net.n, net.depot, net.lengths
+    n, depot, lengths = inst.net.n, inst.net.depot, inst.net.lengths
     heappop, heappushpop = heapq.heappop, heapq.heappushpop
     weight = list(inst.scaled_weights)
-    length = [lengths[eid] for _, eid in parent]
+    length, cur = map(list, tables) if tables else kernel_tables(inst, parent)
+    for v in moved:
+        length[v] = l = lengths[parent[v][1]]
+        cur[v] = -(weight[v] // l) * n + v
+    heap = cur[:depot] + cur[depot + 1 :]
+    heapq.heapify(heap)
     leader = list(range(n))
     # block sequences: head -> nxt -> ... -> tail; the depot block's head is
     # the depot itself, which is not part of its sequence
     nxt = [-1] * n
     tail = list(range(n))
-    heap = [-(w // l) * n + v for v, (w, l) in enumerate(zip(weight, length)) if v != depot]
-    cur = heap[:]
-    cur.insert(depot, None)
-    heapq.heapify(heap)
     while heap:
         e = heappop(heap)
         while e == cur[h := e % n]:
@@ -93,10 +94,11 @@ def es_swrt(inst: ProblemInstance, parent, cutoff=math.inf) -> tuple[tuple[int, 
     return None if obj >= cutoff else (tuple(order), obj)
 
 
-def es_lmax(inst: ProblemInstance, parent, cutoff=math.inf) -> tuple[tuple[int, ...], int] | None:
+def es_lmax(inst: ProblemInstance, parent, cutoff=math.inf, tables=None, moved=()) -> tuple | None:
     """Minimum maximum-lateness order for the out-tree of a parent map
     (least-cost-last), and its objective; None iff that objective is
-    >= ``cutoff``.
+    >= ``cutoff``.  ``tables`` are ``kernel_tables`` of a map equal to
+    ``parent`` but at ``moved`` (default: of ``parent``).
 
     Builds the sequence backwards in O(n log n): a heap holds the jobs with
     no unplaced children, and the one with the largest due date (tie:
@@ -108,17 +110,22 @@ def es_lmax(inst: ProblemInstance, parent, cutoff=math.inf) -> tuple[tuple[int, 
     """
     if inst.variant != L:
         raise ValueError(f"es_lmax does not apply to variant {inst.variant}")
-    depot, lengths = inst.net.depot, inst.net.lengths
-    due = inst.vertex_due_dates
+    lengths, due = inst.net.lengths, inst.vertex_due_dates
     rank, by_rank = inst.due_ranks
     heappop, heappush = heapq.heappop, heapq.heappush
-    pending_kids = [0] * (inst.net.n + 1)  # the last slot counts the depot's parent -1
-    t = 0
-    for p, eid in parent:
-        pending_kids[p] += 1
-        t += lengths[eid]  # the depot's edge id -1 reads 0
-    pending_kids[depot] += 1  # so the depot is never placed
-    heap = [r for r, v in enumerate(by_rank) if not pending_kids[v]]  # ascending: a heap
+    base, pending_kids, heap, t = tables or kernel_tables(inst, parent)
+    if tables:  # patch copies; a path vertex gains its new child before it loses its old one
+        pending_kids, heap = pending_kids[:], heap[:]
+        for v in reversed(moved):
+            (p, old), (q, new) = base[v], parent[v]
+            t += lengths[new] - lengths[old]
+            pending_kids[p] -= 1
+            if not pending_kids[p]:
+                heap.append(rank[p])
+            if not pending_kids[q]:
+                heap.remove(rank[q])
+            pending_kids[q] += 1
+        heapq.heapify(heap)
     tail: list[int] = []
     # -inf is below every lateness; ProblemInstance rejects L without a
     # non-depot vertex, so the result is the exact int of one of them
@@ -139,10 +146,10 @@ def es_lmax(inst: ProblemInstance, parent, cutoff=math.inf) -> tuple[tuple[int, 
     return tuple(tail), obj
 
 
-def es_letpc(inst: ProblemInstance, parent, cutoff=math.inf) -> tuple[tuple[int, ...], int] | None:
+def es_letpc(inst: ProblemInstance, parent, cutoff=math.inf, tables=None, moved=()) -> tuple | None:
     """Minimum maximum pair lateness order in the external setting for the
     tree of a parent map, and its objective; None iff that objective is
-    >= ``cutoff``.
+    >= ``cutoff``; ``tables`` and ``moved`` are ignored (``kernel_tables``).
 
     Edges get effective due dates (minimum over covering relevant pairs) and
     are sequenced in ascending (due date, edge id) order, uncovered edges
@@ -207,11 +214,32 @@ def es_letpc(inst: ProblemInstance, parent, cutoff=math.inf) -> tuple[tuple[int,
 
 def kernel(inst: ProblemInstance):
     """The ES(T) kernel of the instance's variant, ``(inst, parent map,
-    cutoff=inf) -> (order, objective)``, or None iff the objective is >=
-    cutoff."""
+    cutoff=inf, tables=None, moved=()) -> (order, objective)``, or None iff
+    the objective is >= cutoff."""
     if inst.variant in (USRT, SWRT):
         return es_swrt
     return es_lmax if inst.variant == L else es_letpc
+
+
+def kernel_tables(inst: ProblemInstance, parent):
+    """The per-tree inputs of ``kernel(inst)``, which a call on a map that
+    differs from ``parent`` only at ``moved`` patches on copies.  SWRT/USRT:
+    parent-edge lengths and heap entries (None at the depot); L: ``parent``,
+    child counts (one more at the depot, never placed; the last slot is the
+    depot's parent -1), childless ranks ascending and the total length;
+    L_ETPC: None, as a move changes depths across its cut-off subtree."""
+    n, depot, lengths = inst.net.n, inst.net.depot, inst.net.lengths
+    if inst.variant in (USRT, SWRT):
+        length, weight = [lengths[eid] for _, eid in parent], inst.scaled_weights
+        return length, [None if v == depot else -(weight[v] // l) * n + v for v, l in enumerate(length)]
+    if inst.variant != L:
+        return None
+    pending_kids, t = [0] * (n + 1), 0
+    for p, eid in parent:
+        pending_kids[p] += 1
+        t += lengths[eid]  # the depot's edge id -1 reads 0
+    pending_kids[depot] += 1
+    return parent, pending_kids, [r for r, v in enumerate(inst.due_ranks[1]) if not pending_kids[v]], t
 
 
 def optimal_schedule(inst: ProblemInstance, tree: SpanningTree) -> EdgeSchedule:

@@ -419,3 +419,37 @@ class TestProvenOptimum:
         for inst, tree, kind in runs:
             start = solve_tree(inst, tree)
             assert outcome(loc(inst, start, kind, shared)) == outcome(loc(inst, start, kind, Budget(600.0)))
+
+
+# objective and order of `netcon solve --max-iters 3` on `netcon generate
+# --family planar_road --n 60 --variant V` (seed 0), recorded while every ES(T)
+# call of a NET scan still built its input tables from scratch
+ROAD60_SWRT_ORDER = (
+    5, 57, 10, 49, 16, 34, 33, 3, 30, 7, 35, 20, 37, 12, 36, 55, 52, 45, 25, 11, 0, 26, 23, 41, 8,
+    42, 19, 54, 18, 28, 2, 50, 15, 48, 1, 17, 39, 91, 32, 24, 22, 29, 38, 31, 44, 14, 9, 21, 43, 6,
+    56, 47, 4, 40, 53, 13, 46, 27, 58,
+)
+ROAD60_PINS = {
+    (SWRT, ILS): (735298, ROAD60_SWRT_ORDER),
+    (SWRT, TS): (735298, ROAD60_SWRT_ORDER),
+    (L, ILS): (2635, (
+        5, 57, 10, 94, 98, 70, 7, 89, 81, 55, 104, 54, 73, 2, 50, 15, 48, 63, 27, 87, 51, 100, 102,
+        4, 13, 6, 44, 31, 58, 52, 45, 25, 11, 0, 78, 53, 22, 3, 24, 18, 29, 65, 9, 33, 35, 21, 19, 43,
+        12, 91, 32, 26, 23, 1, 20, 8, 56, 39, 16,
+    )),
+    (L, TS): (2635, (
+        5, 57, 10, 94, 98, 70, 7, 89, 81, 55, 104, 54, 73, 2, 50, 15, 48, 63, 27, 87, 51, 100, 102,
+        4, 13, 6, 44, 31, 58, 52, 45, 25, 11, 0, 78, 53, 22, 3, 24, 66, 29, 14, 33, 35, 21, 65, 19, 43,
+        12, 38, 32, 26, 23, 1, 20, 77, 56, 39, 16,
+    )),
+}
+
+
+@pytest.mark.parametrize("variant, algo", ROAD60_PINS)
+def test_road60_net_runs_pinned(variant, algo):
+    """Mid-size NET runs on SWRT and L give the recorded objective and order.
+    A wrong table patch is deterministic, so running twice would not show it."""
+    inst = generate(GeneratorSpec("planar_road", 60, 0, variant))
+    sol = run(inst, algo, NET, Budget(600.0, max_iters=3), 0)
+    assert (sol.objective, sol.schedule.order) == ROAD60_PINS[variant, algo]
+    assert evaluate(inst, sol.schedule)[0] == sol.objective

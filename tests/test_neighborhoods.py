@@ -31,7 +31,7 @@ from netcon import (
 )
 import netcon.local_search
 import netcon.solution
-from netcon import Budget, L, Solution, graph, loc, neighborhoods
+from netcon import Budget, L, Solution, graph, loc, neighborhoods, tree_solvers
 from netcon.neighborhoods import apply_shift, enumerate_shifts, sequence
 
 from helpers import (
@@ -280,14 +280,40 @@ def count_kernel_calls(monkeypatch) -> list:
     def counting_kernel(inst):
         es = real(inst)
 
-        def counting(inst, parent, cutoff=math.inf):
+        def counting(inst, parent, cutoff=math.inf, tables=None, moved=()):
             calls.append(tuple(parent))
-            return es(inst, parent, cutoff)
+            return es(inst, parent, cutoff, tables, moved)
 
         return counting
 
     monkeypatch.setattr(neighborhoods, "kernel", counting_kernel)
     return calls
+
+
+class TestTablesPerScan:
+    """A NET scan builds ``kernel_tables`` once, for the current tree, and its
+    ES(T) calls patch them; each ES(T) call of an SCH scan builds its own."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_net_once_sch_per_tree(self, monkeypatch, variant):
+        inst = generate(GeneratorSpec("euclidean_complete", 7, 3, variant))
+        current = mst_heuristic(inst)
+        built, real = [], tree_solvers.kernel_tables
+
+        def counting_tables(inst, parent):
+            built.append(tuple(parent))
+            return real(inst, parent)
+
+        monkeypatch.setattr(tree_solvers, "kernel_tables", counting_tables)
+        monkeypatch.setattr(neighborhoods, "kernel_tables", counting_tables)
+        calls = count_kernel_calls(monkeypatch)
+        assert len(list(neighbors(inst, current, NET, Budget(600.0)))) > 2
+        assert built == [current.tree.parent] and len(calls) > 2
+        built.clear()
+        calls.clear()
+        assert len(list(neighbors(inst, current, SCH, Budget(600.0)))) > 2
+        # es_letpc reads no tables
+        assert built == ([] if variant == L_ETPC else calls) and len(calls) > 1
 
 
 class TestDeadline:
@@ -493,8 +519,8 @@ class TestDeferredNetNeighbours:
         current = mst_heuristic(inst)
         real = neighborhoods.kernel(inst)
 
-        def off_by_one(inst, parent, cutoff=math.inf):
-            order, obj = real(inst, parent, cutoff)
+        def off_by_one(inst, parent, cutoff=math.inf, tables=None, moved=()):
+            order, obj = real(inst, parent, cutoff, tables, moved)
             return order, obj + 1
 
         monkeypatch.setattr(neighborhoods, "kernel", lambda inst: off_by_one)
@@ -760,8 +786,8 @@ class TestDeferredSchNeighbours:
         current = mst_heuristic(inst)
         real = neighborhoods.kernel(inst)
 
-        def off_by_one(inst, parent, cutoff=math.inf):
-            order, obj = real(inst, parent, cutoff)
+        def off_by_one(inst, parent, cutoff=math.inf, tables=None, moved=()):
+            order, obj = real(inst, parent, cutoff, tables, moved)
             return order, obj + 1
 
         monkeypatch.setattr(neighborhoods, "kernel", lambda inst: off_by_one)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import math
@@ -12,6 +13,7 @@ from netcon import (
     SWRT,
     USRT,
     EdgeSchedule,
+    GeneratorSpec,
     Network,
     ProblemInstance,
     SizeGuardError,
@@ -21,9 +23,11 @@ from netcon import (
     es_lmax,
     es_swrt,
     evaluate,
+    generate,
     iter_spanning_trees,
     optimal_schedule,
 )
+from netcon.tree_solvers import kernel_tables
 from helpers import (
     attach_data,
     brute_force_tree,
@@ -554,6 +558,50 @@ class TestCutoff:
         tree, weights = case
         inst = ProblemInstance(tree.net, SWRT, weights=weights)
         self.check(inst, tree, self.scheduled(inst, reference_es_swrt(inst, tree)))
+
+
+@st.composite
+def exchange_instances(draw, variant):
+    """A random spanning tree of a complete network (lengths 1-3) or of a
+    ``planar_road`` one, and an instance of ``variant`` on it whose weights
+    or due dates tie often and reach beyond 2**63."""
+    rnd = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        net = random_network(rnd, draw(st.integers(2, 8)), complete=True, max_len=3)
+    else:
+        spec = GeneratorSpec("planar_road", draw(st.integers(2, 16)), draw(st.integers(0, 999)), SWRT)
+        net = generate(spec).net
+    values = draw(st.lists(HUGE_DUE_DATES if variant == L else HUGE_VALUES, min_size=net.n, max_size=net.n))
+    if variant == L:
+        inst = ProblemInstance(net, L, vertex_due_dates=values)
+    else:
+        inst = ProblemInstance(net, variant, weights=values if variant == SWRT else None)
+    return inst, random_spanning_tree(rnd, net)
+
+
+class TestPatchedTables:
+    """The kernel on a tree's parent map with one move hung, given the
+    tree's ``kernel_tables`` and the move's path, equals the from-scratch
+    call and the quadratic reference at every cutoff; one set of tables
+    serves every move of the tree and is never written."""
+
+    @given(st.sampled_from((USRT, SWRT, L)).flatmap(exchange_instances))
+    @settings(max_examples=300, deadline=None)
+    def test_every_move(self, case):
+        inst, tree = case
+        es = ES[inst.variant]
+        reference = reference_es_lmax if inst.variant == L else reference_es_swrt
+        tables = kernel_tables(inst, tree.parent)
+        unchanged, scratch = copy.deepcopy(tables), list(tree.parent)
+        for move in tree.moves():
+            tree.hang(scratch, move)
+            full = TestCutoff.scheduled(inst, reference(inst, tree.exchanged(move)))
+            for cutoff in (full[1] - 1, full[1], full[1] + 1, -math.inf, math.inf):
+                want = None if full[1] >= cutoff else full
+                assert es(inst, scratch, cutoff, tables, move[2]) == es(inst, scratch, cutoff) == want
+            for v in move[2]:
+                scratch[v] = tree.parent[v]
+        assert tables == unchanged
 
 
 class TestBruteForceTree:
