@@ -114,11 +114,19 @@ def _random_metric(rng: random.Random, n: int) -> Network:
 
 
 def _segments_cross(p1, p2, p3, p4) -> bool:
-    """True if the segments share any point other than a common endpoint."""
-    d1 = _orient(p3, p4, p1)
-    d2 = _orient(p3, p4, p2)
+    """True if two distinct segments share any point other than a common
+    endpoint.
+
+    Two early exits are exact.  If p3 and p4 lie strictly on one side of the
+    line p1p2, the segments cannot meet.  If p3p4 is not on that line and the
+    segments share an endpoint, the two distinct lines meet only there.  Only
+    the remaining pairs take the full orientation and collinear test."""
     d3 = _orient(p1, p2, p3)
     d4 = _orient(p1, p2, p4)
+    if d3 * d4 > 0 or (d3 or d4) and (p3 in (p1, p2) or p4 in (p1, p2)):
+        return False
+    d1 = _orient(p3, p4, p1)
+    d2 = _orient(p3, p4, p2)
     if d1 * d2 < 0 and d3 * d4 < 0:
         return True
     # an endpoint of one segment inside the other, collinear with it
@@ -133,7 +141,8 @@ def _orient(a, b, c) -> int:
 
 
 def _on_segment(a, c, b) -> bool:
-    """c strictly inside the bounding box of collinear a, b."""
+    """c in the closed bounding box of collinear a, b, and neither a nor b:
+    a point of the segment ab other than its endpoints."""
     return (
         min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
         and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
@@ -258,9 +267,9 @@ def instance_to_dict(inst: ProblemInstance, family: str | None = None) -> dict:
 
 
 def write_instance(inst: ProblemInstance, path, family: str | None = None) -> None:
+    text = json.dumps(instance_to_dict(inst, family), indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(inst, family), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _require(doc: dict, key: str, kind) -> object:

@@ -3,9 +3,10 @@ import itertools
 import json
 import math
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from netcon import (
     FAMILIES,
@@ -20,6 +21,7 @@ from netcon import (
     read_instance,
     write_instance,
 )
+from netcon import instances
 from netcon.instances import (
     GRID,
     _planar_edges,
@@ -73,6 +75,63 @@ class TestSegmentsCross:
         assert not reference_segments_cross((0, 0), (1, 0), (1, 0), (2, 0))  # collinear chain
         assert reference_segments_cross((0, 0), (2, 0), (1, 0), (1, 1))  # T-touch
         assert not reference_segments_cross((0, 0), (1, 0), (0, 1), (1, 1))  # parallel
+
+    # full-scale grid points; FLIPS reverses either segment and swaps the two
+    POINTS = st.tuples(st.integers(0, GRID), st.integers(0, GRID))
+    FLIPS = st.tuples(st.booleans(), st.booleans(), st.booleans())
+
+    @staticmethod
+    def arrange(s, t, flips):
+        """Segments s and t with their ends and their order flipped as asked."""
+        flip_s, flip_t, swap = flips
+        s, t = s[::-1] if flip_s else s, t[::-1] if flip_t else t
+        return (*t, *s) if swap else (*s, *t)
+
+    @staticmethod
+    def check(p1, p2, p3, p4, orientations=None):
+        """_segments_cross agrees with the reference, computing the given
+        number of orientations if one is given."""
+        with mock.patch.object(instances, "_orient", wraps=instances._orient) as spy:
+            got = _segments_cross(p1, p2, p3, p4)
+        assert got == reference_segments_cross(p1, p2, p3, p4)
+        if orientations is not None:
+            assert spy.call_count == orientations
+
+    @given(POINTS, POINTS, POINTS, FLIPS)
+    def test_shared_endpoint(self, p, q, r, flips):
+        # segments pq and pr, p at either end of each, in both orders: off a
+        # common line they meet only at p, which two orientations settle
+        assume(len({p, q, r}) == 3)
+        collinear = (q[0] - p[0]) * (r[1] - p[1]) == (q[1] - p[1]) * (r[0] - p[0])
+        self.check(*self.arrange((p, q), (p, r), flips), None if collinear else 2)
+
+    @given(
+        st.integers(0, 150),
+        st.integers(-150, 150),
+        st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)),
+        st.data(),
+    )
+    def test_collinear(self, dx, dy, ks, data):
+        # four of six evenly spaced points on one line: overlaps, nested
+        # segments, touches, chains through a shared endpoint and disjoint
+        # pieces, all spanning up to 750 grid units; the generator never
+        # compares a segment with itself
+        assume((dx, dy) != (0, 0) and ks[0] != ks[1] and ks[2] != ks[3])
+        assume({ks[0], ks[1]} != {ks[2], ks[3]})
+        x0 = data.draw(st.integers(0, GRID - 5 * dx))
+        y0 = data.draw(st.integers(max(0, -5 * dy), GRID - max(0, 5 * dy)))
+        p1, p2, p3, p4 = [(x0 + k * dx, y0 + k * dy) for k in ks]
+        self.check(*self.arrange((p1, p2), (p3, p4), data.draw(self.FLIPS)))
+
+    @given(POINTS, POINTS, POINTS, POINTS, st.booleans(), st.booleans())
+    def test_strictly_one_side(self, p1, p2, p3, p4, flip_s, flip_t):
+        # p3 and p4 strictly on one side of the line p1p2: two orientations
+        # settle it, whichever way round each segment is given
+        def side(c):
+            return (p2[0] - p1[0]) * (c[1] - p1[1]) - (p2[1] - p1[1]) * (c[0] - p1[0])
+
+        assume(side(p3) * side(p4) > 0)
+        self.check(*self.arrange((p1, p2), (p3, p4), (flip_s, flip_t, False)), 2)
 
 
 class TestPlanarEdges:
@@ -144,6 +203,9 @@ class TestGenerators:
     # augmenting edges both follow the (d², i, j) candidate order, so a tie
     # drift in that order changes these bytes
     PLANAR_DIGESTS = {
+        (35, 0): "caa073e0e642a8acb288296e4fe777cb4ee1a445caf1545ca19cc2176b8bee44",
+        (35, 1): "0b1c28ba24a8dadb47c5b296bd768fdc42a9f331674e7934a119cb0f0af9b4b7",
+        (35, 2): "2c6f82bdf22514cd9eee9942e8398f6d74424dc9573a0e4b6c7238a110697ba9",
         (40, 0): "e6d5686f8ec0aa977aac8329a2390183bfd9199bbb51c2bb5da27fe947b47fe7",
         (40, 1): "9afc5e27923394eec15013fe354009e75f86bc32aefa35f24bf9484c235bbae0",
         (40, 2): "9a2ae6e9460fbd97511d9d0c17a7407699def9cda33904fac1730b2cc8e6c542",
