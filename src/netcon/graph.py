@@ -5,7 +5,6 @@ tolerances anywhere in this module.
 """
 from __future__ import annotations
 
-import bisect
 import operator
 from array import array
 from dataclasses import dataclass
@@ -214,16 +213,6 @@ class SpanningTree:
         new[path[0]] = (y, add)
         for child, v in zip(path, path[1:]):
             new[v] = (child, parent[child][1])
-
-    def exchanged(self, move) -> "SpanningTree":
-        """The tree a move leads to, as ``from_edges`` of the swapped ids."""
-        add, remove, _, _ = move
-        new = list(self.parent)
-        self.hang(new, move)
-        swapped = list(self.edge_ids)
-        del swapped[bisect.bisect_left(swapped, remove)]
-        bisect.insort(swapped, add)
-        return SpanningTree(self.net, tuple(swapped), tuple(new))
 
     @cached_property
     def depth(self) -> tuple[int, ...]:

@@ -290,16 +290,9 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
         raise InstanceFormatError("variant", f"unknown variant {variant!r}")
     n = _require(doc, "n", int)
     depot = _require(doc, "depot", int)
-    edges_doc = _require(doc, "edges", list)
-    edges = []
-    for k, item in enumerate(edges_doc):
-        if not (isinstance(item, list) and len(item) == 3) or any(
-            not isinstance(x, int) or isinstance(x, bool) for x in item
-        ):
-            raise InstanceFormatError(f"edges[{k}]", "expected [a, b, length]")
-        edges.append(tuple(item))
+    edges = tuple(_int_triples("edges", _require(doc, "edges", list), "[a, b, length]"))
     try:
-        net = Network(n, tuple(edges), depot=depot)
+        net = Network(n, edges, depot=depot)
     except ValueError as exc:
         raise InstanceFormatError("edges", str(exc)) from exc
     # every data field present goes to ProblemInstance, which rejects the
@@ -314,12 +307,7 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     if "pair_due_dates" in doc or own == "pair_due_dates":
         raw = _require(doc, "pair_due_dates", list)
         pairs = {}
-        for k, item in enumerate(raw):
-            if not (isinstance(item, list) and len(item) == 3) or any(
-                not isinstance(x, int) or isinstance(x, bool) for x in item
-            ):
-                raise InstanceFormatError(f"pair_due_dates[{k}]", "expected [u, v, d]")
-            u, v, d = item
+        for k, (u, v, d) in enumerate(_int_triples("pair_due_dates", raw, "[u, v, d]")):
             if (u, v) in pairs or (v, u) in pairs:
                 raise InstanceFormatError(f"pair_due_dates[{k}]", f"duplicate pair [{u}, {v}]")
             pairs[(u, v)] = d
@@ -328,6 +316,17 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
         return ProblemInstance(net, variant, **kwargs)
     except ValueError as exc:
         raise InstanceFormatError(variant, str(exc)) from exc
+
+
+def _int_triples(name: str, items: list, shape: str):
+    """``items`` as tuples, checked one at a time as they are drawn: each
+    must be a list of three non-bool ints, or the error expects ``shape``."""
+    for k, item in enumerate(items):
+        if not (isinstance(item, list) and len(item) == 3) or any(
+            not isinstance(x, int) or isinstance(x, bool) for x in item
+        ):
+            raise InstanceFormatError(f"{name}[{k}]", f"expected {shape}")
+        yield tuple(item)
 
 
 def _check_int_list(name: str, values: list, n: int) -> None:

@@ -23,22 +23,6 @@ DEFAULT_PARAMS: dict[str, dict[str, object]] = {
 }
 
 
-class TabuList:
-    """Items (edge or vertex ids) with expiry iterations."""
-
-    def __init__(self):
-        self.entries: dict[int, int] = {}
-
-    def add(self, item: int, until: int):
-        self.entries[item] = max(until, self.entries.get(item, -1))
-
-    def active(self, item: int, iteration: int) -> bool:
-        return self.entries.get(item, -1) >= iteration
-
-    def clear(self):
-        self.entries.clear()
-
-
 def shake(inst: ProblemInstance, s: Solution, kind: str, p: float, rng: random.Random) -> Solution:
     """Random perturbation of a solution, controlled by p."""
     if kind == NET:
@@ -102,9 +86,9 @@ def tabu_search(inst: ProblemInstance, kind: str, budget: Budget, seed=0) -> Sol
     tenure_min, tenure_max = DEFAULT_PARAMS[inst.variant][f"ts_{kind.lower()}"]
     rng = random.Random(seed)
     incumbent = best = mst_loc(inst, kind, budget)
-    tabu = TabuList()
+    tabu: dict[int, int] = {}  # item -> the last iteration it is tabu in
     while budget.next_iteration(best):
-        if not tabu.entries and budget.proved(inst, kind, incumbent):
+        if not tabu and budget.proved(inst, kind, incumbent):
             best_nb = best_free = budget.optimum_neighbour  # the scan loc already made
         else:
             best_nb = best_free = None  # (tabu attributes, solution)
@@ -113,7 +97,7 @@ def tabu_search(inst: ProblemInstance, kind: str, budget: Budget, seed=0) -> Sol
                 if best_nb is None or obj < best_nb[1].objective:
                     best_nb = nb
                 if (best_free is None or obj < best_free[1].objective) and not any(
-                    tabu.active(x, budget.iteration) for x in nb[0]
+                    tabu.get(x, -1) >= budget.iteration for x in nb[0]
                 ):
                     best_free = nb
                     budget.cutoff = obj  # best_nb <= best_free: neither takes a neighbour at or above it
@@ -125,8 +109,8 @@ def tabu_search(inst: ProblemInstance, kind: str, budget: Budget, seed=0) -> Sol
         else:
             attrs, incumbent = best_free if best_free is not None else best_nb
             for item in attrs:
-                tenure = rng.randint(tenure_min, tenure_max)
-                tabu.add(item, budget.iteration + tenure)
+                until = budget.iteration + rng.randint(tenure_min, tenure_max)
+                tabu[item] = max(until, tabu.get(item, -1))  # a re-add keeps the later expiry
     return best
 
 

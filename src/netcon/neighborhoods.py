@@ -23,7 +23,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from functools import partial
 
 import numpy as np
 
@@ -247,11 +246,13 @@ def neighbors(inst: ProblemInstance, current: Solution, kind: str, budget):
     """Stream of (tabu attributes, rebuilt solution) in deterministic order:
     a NET exchange gives (add, remove), an SCH shift the moved vertex (v,) or
     pair (u, v).  Every neighbour is deferred: it holds ES(T)'s objective
-    from the scan, builds its tree and schedule on first read and checks
-    that objective on them, so a neighbour never read builds no
-    ``SpanningTree``.  A NET scan hands ES(T) the tree's tables and each
-    move's path; an SCH scan runs ES(T) once per distinct tree, on its
-    ``parent_map``; neighbours with one tree share one Solution.
+    from the scan and its tree's edge ids (NET: the scan's ids with ``add``
+    and ``remove`` swapped; SCH: the rebuilt edge set), builds its tree and
+    schedule on first read and checks that objective on them, so a
+    neighbour never read builds no ``SpanningTree``.  A NET scan hands
+    ES(T) the tree's tables and each move's path; an SCH scan runs ES(T)
+    once per distinct tree, on its ``parent_map``; neighbours with one
+    tree share one Solution.
     The stream ends at ``budget``'s deadline, checked before each move.
 
     A consumer may lower ``budget.cutoff``, which the scan sets to infinity
@@ -265,6 +266,7 @@ def neighbors(inst: ProblemInstance, current: Solution, kind: str, budget):
         tree = current.tree
         parent = tree.parent
         scratch, tables = list(parent), kernel_tables(inst, parent)
+        ids = set(tree.edge_ids)
         for move in tree.moves():
             if budget.expired():
                 return
@@ -273,7 +275,7 @@ def neighbors(inst: ProblemInstance, current: Solution, kind: str, budget):
             for v in move[2]:
                 scratch[v] = parent[v]
             if found is not None:
-                yield move[:2], Solution.deferred(inst, found[1], partial(tree.exchanged, move))
+                yield move[:2], Solution.deferred(inst, found[1], ids ^ {move[0], move[1]})
     elif kind == SCH:
         order, starts = sequence(inst, current.schedule, True)
         pairs = inst.variant not in IT_VARIANTS
@@ -293,9 +295,7 @@ def neighbors(inst: ProblemInstance, current: Solution, kind: str, budget):
                 sol = solved[edges]
             else:
                 found = es(inst, parent_map(net, edges), budget.cutoff)
-                sol = solved[edges] = found and Solution.deferred(
-                    inst, found[1], partial(SpanningTree.from_edges, net, edges)
-                )
+                sol = solved[edges] = found and Solution.deferred(inst, found[1], edges)
             if sol is not None and sol.objective < budget.cutoff:
                 yield (order[j] if pairs else (order[j],)), sol
     else:

@@ -16,17 +16,17 @@ class Solution:
         self._tree, self._schedule, self._objective, self._pending = tree, schedule, objective, None
 
     @classmethod
-    def deferred(cls, inst: ProblemInstance, objective: int, make_tree) -> "Solution":
-        """A Solution of ``objective`` whose tree is ``make_tree()``; on first
-        read ``solve_tree`` solves that tree and must return ``objective``."""
+    def deferred(cls, inst: ProblemInstance, objective: int, edges) -> "Solution":
+        """A Solution of ``objective`` on the tree of the edge ids ``edges``; on
+        first read ``solve_tree`` solves that tree and must return ``objective``."""
         sol = cls(None, None, objective)
-        sol._pending = inst, make_tree
+        sol._pending = inst, edges
         return sol
 
     def _built(self) -> "Solution":
         if self._pending is not None:
-            inst, make_tree = self._pending
-            built = solve_tree(inst, make_tree())
+            inst, edges = self._pending
+            built = solve_tree(inst, SpanningTree.from_edges(inst.net, edges))
             if built._objective != self._objective:
                 raise RuntimeError(
                     f"deferred objective {self._objective} differs from ES(T)'s "

@@ -9,7 +9,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from .graph import Network, SpanningTree, tree_depths
+from .graph import Network, SpanningTree, parent_map, tree_depths
 from .model import (
     L,
     L_ETPC,
@@ -28,7 +28,7 @@ def es_swrt(inst: ProblemInstance, parent, cutoff=math.inf, tables=None, moved=(
     """Minimum total weighted recovery time order (edge ids) for the out-tree
     of a parent map (vertex -> (parent vertex, edge id)), and its objective;
     None iff that objective is >= ``cutoff``.  The cutoff is read only once
-    the sum is done: a partial sum is a bound, but crosses it too late in
+    the sum is done: a running sum is a bound, but crosses it too late in
     the merge to save time.  ``tables`` are ``kernel_tables`` of a map
     equal to ``parent`` but at ``moved`` (default: of ``parent``).
 
@@ -285,10 +285,9 @@ def brute_force_instance(inst: ProblemInstance):
     if not (net.n <= 7 or net.m <= net.n + 3):
         raise SizeGuardError(f"instance too large for brute force (n={net.n}, m={net.m})")
     es = kernel(inst)
-    best_obj = best_sched = None
+    best = None  # (objective, order, edge ids): the first strict minimum
     for combo in iter_spanning_trees(net):
-        tree = SpanningTree.from_edges(net, combo)
-        order, obj = es(inst, tree.parent)
-        if best_obj is None or obj < best_obj:
-            best_obj, best_sched = obj, EdgeSchedule(tree, order)
-    return best_obj, best_sched
+        order, obj = es(inst, parent_map(net, combo))
+        if best is None or obj < best[0]:
+            best = obj, order, combo
+    return best[0], EdgeSchedule(SpanningTree.from_edges(net, best[2]), best[1])

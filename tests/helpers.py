@@ -34,7 +34,6 @@ from netcon import (
     shake,
 )
 from netcon.graph import _floyd_warshall, _UnionFind, kruskal
-from netcon.metaheuristics import TabuList
 from netcon.neighborhoods import apply_shift, enumerate_shifts, sequence
 
 
@@ -190,6 +189,11 @@ def reference_moves(tree: SpanningTree) -> list[tuple[int, int]]:
         if add not in ids
         for remove in tree_path(tree, a, b)
     ]
+
+
+def swapped_tree(tree: SpanningTree, move) -> SpanningTree:
+    """The tree a ``moves()`` move leads to, built from its swapped edge ids."""
+    return SpanningTree.from_edges(tree.net, set(tree.edge_ids) ^ {move[0], move[1]})
 
 
 def attach(state, item) -> None:
@@ -635,13 +639,13 @@ def reference_tabu_search(inst: ProblemInstance, kind: str, max_iters: int, seed
     tenure_min, tenure_max = DEFAULT_PARAMS[inst.variant][f"ts_{kind.lower()}"]
     rng = random.Random(seed)
     incumbent = best = reference_loc(inst, mst_heuristic(inst), kind)
-    tabu = TabuList()
+    tabu = {}  # item -> the last iteration it is tabu in
     for iteration in range(1, max_iters + 1):
         best_nb = best_free = None  # (objective, tabu attributes, solution)
         for attrs, sol in neighbors(inst, incumbent, kind, Budget(600.0)):
             if best_nb is None or sol.objective < best_nb[0]:
                 best_nb = (sol.objective, attrs, sol)
-            if not any(tabu.active(x, iteration) for x in attrs) and (
+            if not any(tabu.get(x, -1) >= iteration for x in attrs) and (
                 best_free is None or sol.objective < best_free[0]
             ):
                 best_free = (sol.objective, attrs, sol)
@@ -652,6 +656,7 @@ def reference_tabu_search(inst: ProblemInstance, kind: str, max_iters: int, seed
             tabu.clear()
         else:
             _, attrs, incumbent = best_free if best_free is not None else best_nb
-            for item in attrs:
-                tabu.add(item, iteration + rng.randint(tenure_min, tenure_max))
+            for item in attrs:  # a re-added item keeps the later expiry
+                until = iteration + rng.randint(tenure_min, tenure_max)
+                tabu[item] = max(until, tabu.get(item, -1))
     return best

@@ -32,6 +32,7 @@ from helpers import (
     recompute_contracted,
     reference_moves,
     reference_tips,
+    swapped_tree,
     tip_path,
     tri,
     walk_tips,
@@ -285,42 +286,52 @@ def attach_runs(draw):
 
 
 class TestExchange:
-    """``exchanged`` derives each swapped tree from the parent map; a
-    depot-rooted tree has one parent map, so it must equal the rebuild."""
+    """``hang`` applies each move to a copy of the parent map, as a NET scan
+    does; a depot-rooted tree has one parent map, so the result must equal
+    the parent map of the swapped edge ids."""
+
+    @staticmethod
+    def hung(tree, move) -> tuple:
+        new = list(tree.parent)
+        tree.hang(new, move)
+        return tuple(new)
 
     def test_tri(self):
         tree = SpanningTree.from_edges(tri(), [0, 1])
         # cut e1 (0-2), hang 2 on e2 (1-2)
-        moves = {move[:2]: tree.exchanged(move) for move in tree.moves()}
-        assert moves[2, 1] == SpanningTree.from_edges(tri(), [0, 2])
-        assert moves[2, 1].parent == ((-1, -1), (0, 0), (1, 2))
+        moves = {move[:2]: move for move in tree.moves()}
+        assert self.hung(tree, moves[2, 1]) == SpanningTree.from_edges(tri(), [0, 2]).parent
+        assert self.hung(tree, moves[2, 1]) == ((-1, -1), (0, 0), (1, 2))
 
     def test_reverses_cut_path(self):
         # path 0-1-2-3 rooted at 0, swap e0 (0-1) for e3 (0-3): 3 becomes
         # the child of 0, and 2, 1 hang below it in reverse
         net = Network(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)))
         base = SpanningTree.from_edges(net, [0, 1, 2])
-        tree = {move[:2]: base.exchanged(move) for move in base.moves()}[3, 0]
-        assert tree.edge_ids == (1, 2, 3)
-        assert tree.parent == ((-1, -1), (2, 1), (3, 2), (0, 3))
+        move = {move[:2]: move for move in base.moves()}[3, 0]
+        assert self.hung(base, move) == SpanningTree.from_edges(net, [1, 2, 3]).parent
+        assert self.hung(base, move) == ((-1, -1), (2, 1), (3, 2), (0, 3))
 
     @given(random_trees(), st.lists(st.integers(0, 10**6), max_size=4))
     @settings(max_examples=300)
     def test_equals_rebuild(self, tree, picks):
-        # along a chain of trees, each derived by the last step, every
-        # exchange removes an edge of the tree path between add's endpoints,
-        # in path order, and equals the rebuild of the swapped id set
-        net = tree.net
+        # along a chain of trees, each the swap of the last, every exchange
+        # removes an edge of the tree path between add's endpoints, in path
+        # order; one scratch list hangs each move and is restored on its
+        # path, and holds the parent map of the swapped id set in between
         for pick in [*picks, None]:
-            ids = set(tree.edge_ids)
+            scratch = list(tree.parent)
             moves = list(tree.moves())
             assert [move[:2] for move in moves] == reference_moves(tree)
             for move in moves:
-                add, remove = move[:2]
-                assert tree.exchanged(move) == SpanningTree.from_edges(net, ids - {remove} | {add})
+                tree.hang(scratch, move)
+                assert tuple(scratch) == swapped_tree(tree, move).parent
+                for v in move[2]:
+                    scratch[v] = tree.parent[v]
+            assert tuple(scratch) == tree.parent
             if pick is None or not moves:
                 break
-            tree = tree.exchanged(moves[pick % len(moves)])
+            tree = swapped_tree(tree, moves[pick % len(moves)])
 
 
 class TestContraction:

@@ -41,8 +41,8 @@ import netcon.local_search
 import netcon.metaheuristics
 import netcon.neighborhoods
 import netcon.tree_solvers
-from netcon.metaheuristics import TabuList
 
+import helpers
 from helpers import (
     random_instance,
     random_spanning_tree,
@@ -87,19 +87,17 @@ class TestConfig:
     @pytest.mark.parametrize("kind", (NET, SCH))
     def test_ts_tenure_from_table(self, monkeypatch, variant, kind):
         inst = random_instance(random.Random(67), variant, 6)
-        budget = Budget(600.0, max_iters=5)
-        added = []
-        real_add = TabuList.add
+        draws = []
+        real_randint = random.Random.randint
 
-        def spy(self, item, until):
-            added.append(until - budget.iteration)
-            real_add(self, item, until)
+        def spy(self, a, b):
+            draws.append((a, b))
+            return real_randint(self, a, b)
 
-        monkeypatch.setitem(DEFAULT_PARAMS[variant], f"ts_{kind.lower()}", (3, 3))
-        monkeypatch.setattr(TabuList, "add", spy)
-        tabu_search(inst, kind, budget)
+        monkeypatch.setattr(random.Random, "randint", spy)
+        tabu_search(inst, kind, Budget(600.0, max_iters=5))
         # the MST-LOC start is a local optimum, so the first step is a tabu move
-        assert added and set(added) == {3}
+        assert draws and set(draws) == {DEFAULT_PARAMS[variant][f"ts_{kind.lower()}"]}
 
     def test_validation(self):
         inst = ProblemInstance(tri(), USRT)
@@ -128,19 +126,6 @@ class TestBudget:
                 Budget(bad)
         assert Budget(1.0, max_iters=np.int64(2)).max_iters == 2
         assert Budget(0, max_iters=0).max_iters == 0
-
-
-class TestTabuList:
-    def test_blocking(self):
-        tl = TabuList()
-        tl.add(3, until=10)
-        assert tl.active(3, 10)
-        assert not tl.active(3, 11)
-        assert not tl.active(4, 0)
-        tl.add(3, until=5)  # never shortens an existing tenure
-        assert tl.active(3, 10)
-        tl.clear()
-        assert not tl.active(3, 0)
 
 
 class TestShake:
@@ -240,13 +225,19 @@ class TestSearch:
         inst = generate(GeneratorSpec("euclidean_complete", 8, 1, SWRT))
         start = mst_loc(inst, NET, Budget(600.0)).objective
         ils = iterated_local_search(inst, NET, Budget(600.0, max_iters=6))
-        cleared = []  # the tabu items each clear drops
-        real_clear = TabuList.clear
+        # TS asks whether loc proved its incumbent only while no item is
+        # tabu: at its start and right after the improving step clears them
+        budget, improved, asked = Budget(600.0, max_iters=6), [], []
+        real_impr, real_proved = netcon.metaheuristics.impr, Budget.proved
         monkeypatch.setattr(
-            TabuList, "clear", lambda self: cleared.append(dict(self.entries)) or real_clear(self)
+            netcon.metaheuristics, "impr", lambda *a: improved.append(budget.iteration) or real_impr(*a)
         )
-        ts = tabu_search(inst, NET, Budget(600.0, max_iters=6))
-        assert len(cleared) == 1 and cleared[0]  # the improving step dropped live tabu items
+        monkeypatch.setattr(
+            Budget, "proved", lambda self, *a: asked.append(self.iteration) or real_proved(self, *a)
+        )
+        ts = tabu_search(inst, NET, budget)
+        assert len(improved) == 1 and improved[0] > 1  # items were tabu when it improved
+        assert [i for i in asked if i] == [1, improved[0] + 1]
         assert outcome(ils) == outcome(reference_iterated_local_search(inst, NET, 6))
         assert outcome(ts) == outcome(reference_tabu_search(inst, NET, 6))
         assert ils.objective < start and ts.objective < start
@@ -294,6 +285,46 @@ class TestSearch:
         inst = generate(spec)
         ts = tabu_search(inst, kind, Budget(600.0, max_iters=15), seed=seed)
         assert outcome(ts) == outcome(reference_tabu_search(inst, kind, 15, seed=seed))
+
+    @pytest.mark.parametrize("variant", (USRT, L))
+    @pytest.mark.parametrize("net, kind", [
+        (Network(4, ((0, 1, 2), (1, 2, 3), (2, 3, 1))), NET),  # a path: NET has no move
+        (Network(2, ((0, 1, 5),)), SCH),  # one vertex to recover: SCH has no shift
+    ], ids=["path-NET", "edge-SCH"])
+    def test_empty_neighbourhood_returns_start(self, variant, net, kind):
+        # TS breaks at once; ILS's shake finds nothing to move
+        data = {"vertex_due_dates": tuple(range(net.n))} if variant == L else {}
+        inst = ProblemInstance(net, variant, **data)
+        for algo in (ILS, TS):
+            budget = Budget(600.0, max_iters=3)
+            assert outcome(run(inst, algo, kind, budget)) == outcome(mst_heuristic(inst))
+            assert budget.optimum_neighbour is None
+
+    @pytest.mark.parametrize("seed", (4, 5, 6))
+    def test_ts_readd_keeps_later_expiry(self, monkeypatch, seed):
+        # these runs re-add an item while it is still tabu, with a shorter
+        # draw; it must stay tabu until its first expiry, or TS scans from
+        # other trees than the reference (its first tree comes from loc's
+        # record, so TS scans the reference's trees after the first)
+        inst = random_instance(random.Random(seed), USRT, 5)
+        real, real_loc = netcon.neighborhoods.neighbors, helpers.reference_loc
+        ts_trees, ref_trees = [], []
+
+        def recording(trees):
+            return lambda inst, cur, *a: trees.append(cur.tree.edge_ids) or real(inst, cur, *a)
+
+        def descent_unrecorded(*a):
+            out = real_loc(*a)
+            ref_trees.clear()  # the reference's MST-LOC start scans are not TS steps
+            return out
+
+        monkeypatch.setattr(netcon.metaheuristics, "neighbors", recording(ts_trees))
+        monkeypatch.setattr(helpers, "neighbors", recording(ref_trees))
+        monkeypatch.setattr(helpers, "reference_loc", descent_unrecorded)
+        ts = tabu_search(inst, NET, Budget(600.0, max_iters=15), seed=seed)
+        ref = reference_tabu_search(inst, NET, 15, seed=seed)
+        assert outcome(ts) == outcome(ref)
+        assert len(ref_trees) == 15 and ts_trees == ref_trees[1:]
 
     def test_target_objective_stops_early(self):
         inst = ProblemInstance(tri(), USRT)

@@ -496,9 +496,10 @@ class TestDeferredNetNeighbours:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_loc_builds_only_what_it_reads(self, monkeypatch, variant):
         # the accepted neighbours, which impr reads, and the scan's first
-        # minimum once read; the other neighbours of every scan stay unbuilt
+        # minimum once read; the other neighbours of every scan stay unbuilt.
+        # Deferred neighbours build through netcon.solution.solve_tree
         inst = generate(GeneratorSpec("euclidean_complete", 9, 4, variant))
-        built = spy_on(monkeypatch, "exchanged", SpanningTree)
+        built = spy_on(monkeypatch, "solve_tree", netcon.solution)
         accepted = []
         real_impr = netcon.local_search.impr
 
@@ -510,9 +511,9 @@ class TestDeferredNetNeighbours:
         budget = Budget(60.0)
         start = solve_tree(inst, random_spanning_tree(random.Random(5), inst.net))
         loc(inst, start, NET, budget)
-        assert accepted and built == [s.tree for s in accepted]
-        first_min = budget.optimum_neighbour[1]
-        assert built == [s.tree for s in accepted] + [first_min.tree]
+        assert accepted and [s.tree for s in built] == [s.tree for s in accepted]
+        first_min = budget.optimum_neighbour[1].tree  # read before built is: this builds it
+        assert [s.tree for s in built] == [s.tree for s in accepted] + [first_min]
 
     def test_corrupted_objective_raises(self, monkeypatch):
         inst = generate(GeneratorSpec("euclidean_complete", 7, 2, L))
@@ -528,7 +529,7 @@ class TestDeferredNetNeighbours:
         for read in ("tree", "schedule"):
             with pytest.raises(RuntimeError, match="differs"):
                 getattr(sol, read)
-        made = Solution.deferred(inst, current.objective - 1, lambda: current.tree)
+        made = Solution.deferred(inst, current.objective - 1, current.tree.edge_ids)
         with pytest.raises(RuntimeError, match="differs"):
             made == current
 

@@ -36,6 +36,7 @@ from helpers import (
     reference_effective_due_dates,
     reference_es_lmax,
     reference_es_swrt,
+    swapped_tree,
     tree_path,
     tri,
 )
@@ -77,9 +78,14 @@ class TestEsSwrt:
         assert evaluate(inst, EdgeSchedule(tree, order))[0] == obj == 3
 
     def test_wrong_variant(self):
-        inst = ProblemInstance(tri(), L, vertex_due_dates=(0, 0, 0))
-        with pytest.raises(ValueError):
-            es_swrt(inst, SpanningTree.from_edges(tri(), [0, 2]))
+        # each kernel guards its variants: es_swrt takes SWRT and USRT,
+        # es_lmax L, es_letpc L_ETPC
+        parent = SpanningTree.from_edges(tri(), [0, 2]).parent
+        lmax = ProblemInstance(tri(), L, vertex_due_dates=(0, 0, 0))
+        usrt = ProblemInstance(tri(), USRT)
+        for es, inst in ((es_swrt, lmax), (es_lmax, usrt), (es_letpc, lmax)):
+            with pytest.raises(ValueError, match="does not apply"):
+                es(inst, parent)
 
     def test_equal_ratio_star_smallest_head_first(self):
         inst = ProblemInstance(unit_star(), USRT)
@@ -290,7 +296,7 @@ class TestHeapSolversMatchReferences:
 @st.composite
 def tied_networks(draw, values=st.integers(0, 3), min_n=1):
     """``tied_trees`` plus up to four drawn non-tree edges (lengths 1-3), so
-    that the exchanged trees of ``moves()`` take parent maps from path
+    that the swapped trees of ``moves()`` take parent maps from path
     reversal; the tree is the first n - 1 edge ids."""
     tree, vals = draw(tied_trees(values, min_n))
     net = tree.net
@@ -314,7 +320,7 @@ class TestExchangeTreesMatchReferences:
         tree, weights = case
         inst = ProblemInstance(tree.net, SWRT, weights=weights)
         for move in tree.moves():
-            other = tree.exchanged(move)
+            other = swapped_tree(tree, move)
             assert es_swrt(inst, other.parent)[0] == reference_es_swrt(inst, other).order
 
     @given(tied_networks(HUGE_DUE_DATES, min_n=2))
@@ -323,7 +329,7 @@ class TestExchangeTreesMatchReferences:
         tree, due = case
         inst = ProblemInstance(tree.net, L, vertex_due_dates=due)
         for move in tree.moves():
-            other = tree.exchanged(move)
+            other = swapped_tree(tree, move)
             assert es_lmax(inst, other.parent)[0] == reference_es_lmax(inst, other).order
 
 
@@ -349,7 +355,7 @@ class TestTablesPerInstance:
         assert pair[L][0].vertex_due_dates != pair[L][1].vertex_due_dates
         refs = {SWRT: reference_es_swrt, L: reference_es_lmax}
         base = random_spanning_tree(rng, net)
-        trees = [base] + [base.exchanged(move) for move in base.moves()]
+        trees = [base] + [swapped_tree(base, move) for move in base.moves()]
         for variant, (a, b) in pair.items():
             field = "weights" if variant == SWRT else "vertex_due_dates"
             c = dataclasses.replace(a, **{field: tuple(reversed(getattr(a, field)))})
@@ -595,7 +601,7 @@ class TestPatchedTables:
         unchanged, scratch = copy.deepcopy(tables), list(tree.parent)
         for move in tree.moves():
             tree.hang(scratch, move)
-            full = TestCutoff.scheduled(inst, reference(inst, tree.exchanged(move)))
+            full = TestCutoff.scheduled(inst, reference(inst, swapped_tree(tree, move)))
             for cutoff in (full[1] - 1, full[1], full[1] + 1, -math.inf, math.inf):
                 want = None if full[1] >= cutoff else full
                 assert es(inst, scratch, cutoff, tables, move[2]) == es(inst, scratch, cutoff) == want
