@@ -332,14 +332,14 @@ class ContractedGraph:
 
     ``label[v]`` names v's super-vertex by its smallest member, ``members``
     maps each label to the tuple of its super-vertex's vertices, and ``sets``
-    counts the super-vertices.  ``chosen`` holds the edges ``join`` has
-    contracted so far, which alone determine the state.  ``dist`` is a full
-    n-by-n matrix of which only rows/columns of labels are meaningful: the
-    shared read-only ``cached_oracle`` until the first contraction, then a
-    new matrix per contraction.  A merge stores a new member tuple and a new
-    matrix and writes neither old one, so a copy shares them and costs O(n).
-    The super-vertex adjacency is read from the network's through
-    ``members``; no parallel edge or loop is kept.
+    counts the super-vertices.  ``chosen`` lists the edges ``join`` and
+    ``finish`` have added so far in that order; they alone determine the
+    state.  ``dist`` is a full n-by-n matrix of which only rows/columns of
+    labels are meaningful: the shared read-only ``cached_oracle`` until the
+    first contraction, then a new matrix per contraction.  A merge stores a
+    new member tuple and a new matrix and writes neither old one, so a copy
+    shares them and costs O(n).  The super-vertex adjacency is read from the
+    network's through ``members``; no parallel edge or loop is kept.
     """
 
     def __init__(self, net: Network):
@@ -348,7 +348,7 @@ class ContractedGraph:
         self.members = [(v,) for v in range(net.n)]
         self.sets = net.n
         self.dist = cached_oracle(net)
-        self.chosen: set[int] = set()
+        self.chosen: list[int] = []
 
     def copy(self) -> "ContractedGraph":
         """An independent copy of this state."""
@@ -416,7 +416,7 @@ class ContractedGraph:
         """Contract ``path``, a ``path(pair)`` of this state.  Lengths are
         positive, so the path meets each super-vertex once, and each of its
         edges joins two super-vertices when its turn comes."""
-        self.chosen.update(path)
+        self.chosen += path
         edges = self.net.edges
         for eid in path:
             a, b, _ = edges[eid]
@@ -453,4 +453,4 @@ class ContractedGraph:
         uf = _UnionFind(self.net.n)
         for v, r in enumerate(self.label):
             uf.union(v, r)
-        self.chosen.update(kruskal(self.net.edges, uf))
+        self.chosen += kruskal(self.net.edges, uf)

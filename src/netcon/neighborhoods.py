@@ -83,27 +83,27 @@ def rebuild(inst: ProblemInstance, order) -> Solution:
 
 
 class _ITState:
-    """A-IT after a prefix of a vertex order: the depot tree grown so far,
-    whose vertex set alone decides what later joins add.
+    """A-IT after a prefix of a vertex order: the depot tree grown so far, its
+    edges ``chosen`` in join order, whose vertex set (``in_tree``; as an int
+    bit mask, ``mask``) alone decides what later joins add.
 
     The path is the one ``a_et`` would choose on the state "tree plus
     singletons": the tree acts as one super-vertex whose id is its smallest
-    member ``root``, and the walk starts from the larger of ``v`` and ``root``.
-    """
+    member ``root``, and the walk starts from the larger of ``v`` and ``root``."""
 
     def __init__(self, net: Network):
         self.net = net
         self.dist = cached_oracle(net)
         self.in_tree = [False] * net.n
         self.in_tree[net.depot] = True
-        self.root = net.depot
+        self.root, self.mask = net.depot, 1 << net.depot
         # nearest-tree-vertex distance per vertex
         self.d_tree = self.dist[net.depot].copy()
-        self.chosen: set[int] = set()
+        self.chosen: list[int] = []
 
     def copy(self) -> "_ITState":
         new = object.__new__(_ITState)
-        new.net, new.dist, new.root = self.net, self.dist, self.root
+        new.net, new.dist, new.root, new.mask = self.net, self.dist, self.root, self.mask
         new.in_tree = self.in_tree.copy()
         new.d_tree = self.d_tree.copy()
         new.chosen = self.chosen.copy()
@@ -143,13 +143,14 @@ class _ITState:
 
     def join(self, path):
         """Add ``path``, a ``path(v)`` of this state, to the tree."""
-        self.chosen.update(path)
+        self.chosen += path
         in_tree, d_tree, dist, root = self.in_tree, self.d_tree, self.dist, self.root
         edges = self.net.edges
         for eid in path:
             for x in edges[eid][:2]:
                 if not in_tree[x]:
                     in_tree[x] = True
+                    self.mask |= 1 << x
                     np.minimum(d_tree, dist[x], out=d_tree)
                     root = min(root, x)
         self.root = root
@@ -160,15 +161,15 @@ class _ITState:
         path = self.path(v)
         if path is None:
             return None
-        after, edges = bytearray(self.in_tree), self.net.edges
+        after, edges = self.mask, self.net.edges
         for eid in path:
             a, b, _ = edges[eid]
-            after[a] = after[b] = 1
-        return path, bytes(after)
+            after |= 1 << a | 1 << b
+        return path, after
 
-    def partition(self) -> bytes:
-        """The tree's vertex set: the partition, which decides what is added next."""
-        return bytes(self.in_tree)
+    def partition(self) -> int:
+        """The vertex set's bit mask: the partition, which decides what is added next."""
+        return self.mask
 
     def finish(self):
         """A vertex order names every vertex, so the tree spans already."""
@@ -196,26 +197,32 @@ def a_et(net: Network, order) -> SpanningTree:
     return _fold(ContractedGraph(net), order)
 
 
-def _run(s, order, ks, futures, passed, snaps=()):
+def _run(s, order, ks, futures, passed, snaps=(), budget=None):
     """Chosen edges of ``s`` folding ``order[k]`` for k in ``ks`` (copied to ``snaps``
     at its keys) up to a known future; stores the future of each partition passed.
-    ``passed`` holds ``[(partition, chosen edges)]`` of ``s``, which has no stored
-    future, and gets one more at each change of the partition."""
+    ``passed`` holds ``[(partition, len(chosen))]`` of ``s``, which has no stored
+    future, and gets one more at each change of the partition; ``chosen`` only
+    grows at its end, so a future is a suffix of the run's final edge list.
+    Each step first checks ``budget``'s deadline, if given: once it has passed,
+    the run returns None and stores no future."""
     for k in ks:
-        if len(s.chosen) > len(passed[-1][1]):
+        if budget is not None and budget.expired():
+            return None
+        if len(s.chosen) > passed[-1][1]:
             key = s.partition()
             if (future := futures.get(key)) is not None:
                 break
-            passed.append((key, frozenset(s.chosen)))
+            passed.append((key, len(s.chosen)))
         if k in snaps:
             snaps[k] = s.copy()
         if k < len(order) and (path := s.path(order[k])) is not None:
             s.join(path)
     else:
         s.finish()
-    edges = s.chosen.union(future or ())  # future: None unless a lookup ended the run
+        future = ()
+    edges = [*s.chosen, *future]
     for key, before in passed:
-        futures[key] = tuple(edges - before)
+        futures[key] = tuple(edges[before:])
     return frozenset(edges)
 
 
@@ -231,15 +238,16 @@ def _replay(snap, order, futures, j, i):
     set fixes ``in_tree``, ``d_tree``, ``root``; A-ET: ``dist``,
     exact under the rank-1 update, each super-vertex's member set and
     Kruskal's finish), and joins distinct parts, so adds no edge chosen
-    before.  An A-ET copy shares its matrix and member tuples with
-    ``snap``; a contraction replaces them and never writes them."""
+    before: one run's suffix of its edge list is every run's future.  An A-ET
+    copy shares its matrix and member tuples with ``snap``; a contraction
+    replaces them and never writes them."""
     path, key = snap.probe(order[j]) or ((), snap.partition())
     if (future := futures.get(key)) is not None:
         return frozenset(itertools.chain(snap.chosen, path, future))
     s = snap.copy()
     s.join(path)
     ks = itertools.chain(range(i, j), range(j + 1, len(order) + 1))
-    return _run(s, order, ks, futures, [(key, frozenset(s.chosen))])
+    return _run(s, order, ks, futures, [(key, len(s.chosen))])
 
 
 def neighbors(inst: ProblemInstance, current: Solution, kind: str, budget):
@@ -253,7 +261,8 @@ def neighbors(inst: ProblemInstance, current: Solution, kind: str, budget):
     ES(T) the tree's tables and each move's path; an SCH scan runs ES(T)
     once per distinct tree, on its ``parent_map``; neighbours with one
     tree share one Solution.
-    The stream ends at ``budget``'s deadline, checked before each move.
+    The stream ends at ``budget``'s deadline, checked before each move and,
+    in an SCH scan, before each step of its base run.
 
     A consumer may lower ``budget.cutoff``, which the scan sets to infinity
     when it starts: a neighbour whose objective is >= the cutoff when the
@@ -285,7 +294,9 @@ def neighbors(inst: ProblemInstance, current: Solution, kind: str, budget):
         net = inst.net
         base = (ContractedGraph if pairs else _ITState)(net)
         snaps, futures = dict.fromkeys(i for _, i in shifts), {}  # the base run fills both
-        _run(base, order, range(len(order) + 1), futures, [(base.partition(), frozenset())], snaps)
+        steps = range(len(order) + 1)
+        if _run(base, order, steps, futures, [(base.partition(), 0)], snaps, budget) is None:
+            return
         solved = {}  # chosen edges -> deferred Solution, or None if cut
         for j, i in shifts:
             if budget.expired():

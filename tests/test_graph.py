@@ -417,7 +417,13 @@ class TestContraction:
             assert contracted_adjacency(cg) == adj and cg.label[x] == x
             assert (cg.label, cg.members, cg.sets) == (label, members, sets)
             assert twin.label != label and twin.members != members and twin.dist is not dist
-            assert cg.chosen == set() and twin.chosen
+            assert set(cg.chosen) == set() and twin.chosen
+            # chosen lists join order: no edge repeats, and the list of a copy
+            # is a prefix of the list after it joins more
+            more = twin.copy()
+            more.finish()
+            assert len(set(more.chosen)) == len(more.chosen) > len(twin.chosen)
+            assert more.chosen[: len(twin.chosen)] == twin.chosen
             for state in (cg, twin):
                 dist, _ = recompute_contracted(state)
                 active = sorted(set(state.label))

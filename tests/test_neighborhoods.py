@@ -341,6 +341,29 @@ class TestDeadline:
         assert list(neighbors(inst, current, kind, Budget(0.0))) == []
         assert calls == []
 
+    @pytest.mark.parametrize("variant", (L, L_ETPC))
+    def test_sch_base_run_checks_each_step(self, monkeypatch, variant):
+        # the base run checks the deadline before each of its len(order) + 1
+        # steps and, once it has passed, returns None: the scan then makes no
+        # replay and no ES(T) call, so no partial futures or snapshot is read
+        inst = generate(GeneratorSpec("euclidean_complete", 7, 3, variant))
+        current = mst_heuristic(inst)
+        steps = len(sequence(inst, current.schedule, True)[0]) + 1
+        full = [(a, sol.objective) for a, sol in neighbors(inst, current, SCH, Budget(600.0))]
+        calls = count_kernel_calls(monkeypatch)
+        runs, replays = spy_on(monkeypatch, "_run"), spy_on(monkeypatch, "_replay")
+        for k in range(steps + 2):
+            budget, checks = Budget(600.0), itertools.count()
+            budget.expired = lambda: next(checks) >= k
+            for seen in (calls, runs, replays):
+                seen.clear()
+            stream = [(a, sol.objective) for a, sol in neighbors(inst, current, SCH, budget)]
+            if k < steps:
+                assert stream == calls == replays == [] and runs == [None]
+            else:  # the base run ended; the check before each shift stops the rest
+                assert stream == full[: k - steps] and len(replays) == k - steps
+                assert runs[0] is not None and len(calls) == k - steps
+
 
 @st.composite
 def small_instances(draw, sizes=range(2, 8), ties=(None, 1, 2, 3)):
@@ -595,6 +618,22 @@ class TestSchReplay:
         assert edges == base and future is not None and writer == "base" and any(joins)
         assert stream == reference_sch_neighbors(inst, current)
 
+    def test_replay_that_joins_nothing_more(self, monkeypatch):
+        # the replay of shift (1, 0) joins (4, 5) through vertex 1 (edges 4,
+        # 0, 5), which joins (0, 4) too, at a partition the base run never
+        # passed: it passes no other partition, looks nothing up and ends in
+        # Kruskal's finish
+        net = Network(6, (
+            (0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 2), (0, 5, 2), (1, 4, 1), (2, 3, 2), (2, 5, 2), (3, 4, 2),
+        ), depot=5)
+        inst = ProblemInstance(net, L_ETPC, pair_due_dates={(0, 4): 9, (4, 5): 11})
+        current = solve_tree(inst, SpanningTree.from_edges(net, (0, 3, 4, 6, 8)))
+        assert sequence(inst, current.schedule, True)[0] == ((0, 4), (4, 5))
+        seen = spy_on_futures(monkeypatch)
+        stream = list(neighbors(inst, current, SCH, Budget(600.0)))
+        assert len(seen) == 1 and seen[0][1] is None
+        assert stream == reference_sch_neighbors(inst, current)
+
     def test_pair_replay_needs_kruskal(self, monkeypatch):
         net = Network(5, (
             (0, 1, 1), (0, 3, 1), (0, 4, 3), (1, 2, 1), (1, 4, 2), (2, 3, 2), (2, 4, 1), (3, 4, 2),
@@ -645,19 +684,26 @@ class TestSchReplay:
         ):
             reached = {}  # partition -> states with it, by their chosen edges
             for _ in range(4):
-                state = make(net)
+                state, copies = make(net), []
                 for item in rnd.sample(items, len(items)):
+                    copies.append(state.copy())
                     same = reached.setdefault(state.partition(), {})
-                    same[frozenset(state.chosen)] = state.copy()
+                    same[frozenset(state.chosen)] = copies[-1]
                     attach(state, item)
+                # chosen lists join order: each copy's list is a prefix of the run's
+                assert len(set(state.chosen)) == len(state.chosen)
+                assert all(state.chosen[: len(c.chosen)] == c.chosen for c in copies)
             suffix = rnd.sample(items, rnd.randint(0, len(items)))
             for states in reached.values():
                 added = set()
                 for before, state in states.items():
+                    prefix = state.chosen.copy()
                     for item in suffix:
                         attach(state, item)
                     state.finish()
-                    added.add(frozenset(state.chosen - before))
+                    assert len(set(state.chosen)) == len(state.chosen)
+                    assert state.chosen[: len(prefix)] == prefix
+                    added.add(frozenset(set(state.chosen) - before))
                 assert len(added) == 1
 
     @given(small_instances(range(8, 13), (1, 2, 3)), st.integers(0, 10**6))
@@ -830,7 +876,10 @@ class TestProbe:
                 assert state.dist is dist
                 oracle = state.copy()
                 attach(oracle, item)
-                added = oracle.chosen - chosen
+                added = set(oracle.chosen) - set(chosen)
+                # no edge repeats, and the copy's list is a prefix after the join
+                assert len(set(oracle.chosen)) == len(oracle.chosen)
+                assert oracle.chosen[: len(chosen)] == chosen
                 assert (probed is None) == joined(state, item) == (not added)
                 if probed is None:
                     continue
@@ -840,3 +889,24 @@ class TestProbe:
                 split = state.copy()
                 split.join(path)
                 assert split.chosen == oracle.chosen and split.partition() == after
+
+    @given(st.integers(0, 2**32), st.sampled_from((2, 5, 9, 65, 80, 100)))
+    @settings(max_examples=60, deadline=None)
+    def test_partition_is_vertex_bit_mask(self, seed, n):
+        # the A-IT partition key is the vertex set's int bit mask; at n > 64
+        # it spans several machine words, and on these sparse networks the
+        # walks that start from the tree cross many tree vertices
+        rng = random.Random(seed)
+        net = random_network(rng, n, max_len=3)
+        state = neighborhoods._ITState(net)
+        for v in rng.choices(range(n), k=rng.randint(0, 2 * n)):
+            if rng.random() < 0.5:
+                attach(state, v)
+            else:
+                joined = state.copy()
+                attach(joined, v)
+                probed = state.probe(v)
+                assert (probed is None) == state.in_tree[v]
+                assert probed is None or probed[1] == joined.partition()
+                assert joined.partition() == sum(1 << x for x in range(n) if joined.in_tree[x])
+            assert state.partition() == sum(1 << x for x in range(n) if state.in_tree[x])
